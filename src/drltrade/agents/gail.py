@@ -141,7 +141,7 @@ def discriminator_loss_and_grads(
     expert_actions: np.ndarray,
     gen_obs: np.ndarray,
     gen_actions: np.ndarray,
-) -> tuple[dict, list[np.ndarray]]:
+) -> tuple[dict, np.ndarray]:
     """Loss and parameter gradients for one discriminator batch.
 
     The loss descended is the softplus form of the negated objective:
@@ -159,16 +159,15 @@ def discriminator_loss_and_grads(
 
     dgen = (gen_d - 1.0)[:, None] / len(gen_logits)
     dexp = exp_d[:, None] / len(exp_logits)
-    gen_grads, _ = disc.backward(gen_cache, dgen)
-    exp_grads, _ = disc.backward(exp_cache, dexp)
-    grads = [g1 + g2 for g1, g2 in zip(gen_grads, exp_grads)]
+    gen_grad, _ = disc.backward(gen_cache, dgen)
+    exp_grad, _ = disc.backward(exp_cache, dexp)
     stats = {
         "disc_loss": loss,
         "disc_objective": discriminator_objective(gen_d, exp_d),
         "d_generator": float(gen_d.mean()),
         "d_expert": float(exp_d.mean()),
     }
-    return stats, grads
+    return stats, gen_grad + exp_grad
 
 
 def gail_discriminator_update(
@@ -180,10 +179,10 @@ def gail_discriminator_update(
     gen_actions: np.ndarray,
 ) -> dict:
     """One Adam step toward D=1 on generator pairs and D=0 on expert pairs."""
-    stats, grads = discriminator_loss_and_grads(
+    stats, grad = discriminator_loss_and_grads(
         disc, expert_obs, expert_actions, gen_obs, gen_actions
     )
-    disc_opt.step(disc.params(), grads)
+    disc_opt.step(disc.params(), grad)
     return stats
 
 

@@ -20,6 +20,7 @@ from ..neural import (
     Adam,
     GaussianPolicy,
     Mlp,
+    flatten_params,
 )
 from .buffers import RolloutBuffer, collect_rollout, compute_gae, normalize_advantages
 
@@ -58,7 +59,7 @@ def policy_param_grads(
     pre_actions: np.ndarray,
     dloss_dlogp: np.ndarray,
     dloss_dlogstd_extra: np.ndarray,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Chain d(loss)/d(log_prob) through the Gaussian into parameter space.
 
     For lp = -0.5*((u - mu)/sigma)^2 - log(sigma) + const(u):
@@ -69,10 +70,10 @@ def policy_param_grads(
     std = policy.std()
     z = (pre_actions - mean) / std
     grad_mean = dloss_dlogp[:, None] * z / std
-    net_grads, _ = policy.mean_net.backward(cache, grad_mean)
+    net_grad, _ = policy.mean_net.backward(cache, grad_mean)
     grad_log_std = (dloss_dlogp[:, None] * (z**2 - 1.0)).sum(axis=0)
     grad_log_std = (grad_log_std + dloss_dlogstd_extra) * log_std_mask(policy)
-    return net_grads + [grad_log_std]
+    return flatten_params([net_grad, grad_log_std])
 
 
 def ppo_surrogate(
@@ -137,8 +138,11 @@ class PpoResult:
 
 
 def _check_finite(policy: GaussianPolicy, value_net: Mlp, loss: float, step: int):
-    params = policy.params() + value_net.params()
-    if np.isfinite(loss) and all(np.all(np.isfinite(p)) for p in params):
+    if (
+        np.isfinite(loss)
+        and np.isfinite(policy.params()).all()
+        and np.isfinite(value_net.params()).all()
+    ):
         return
     raise DivergenceDetected(
         f"non-finite loss or parameters at step {step}",

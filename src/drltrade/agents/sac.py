@@ -20,7 +20,7 @@ import numpy as np
 
 from ..env import TradingEnv
 from ..errors import BufferTooSmall, DivergenceDetected
-from ..neural import Adam, GaussianPolicy, Mlp
+from ..neural import Adam, GaussianPolicy, Mlp, flatten_params
 from .buffers import ReplayBuffer
 from .ppo import log_std_mask
 
@@ -85,7 +85,7 @@ def make_sac_nets(obs_dim: int, act_dim: int, config: SacConfig,
         policy_opt=Adam(policy.params(), lr=config.learning_rate),
         q1_opt=Adam(q1.params(), lr=config.learning_rate),
         q2_opt=Adam(q2.params(), lr=config.learning_rate),
-        alpha_opt=Adam([log_alpha], lr=config.learning_rate),
+        alpha_opt=Adam(log_alpha, lr=config.learning_rate),
         target_entropy=target_entropy,
     )
 
@@ -98,9 +98,9 @@ def sac_target(rewards, dones, q1_next, q2_next, next_log_probs,
 
 
 def polyak_update(target: Mlp, online: Mlp, tau: float) -> None:
-    for tp, op in zip(target.params(), online.params()):
-        tp *= 1.0 - tau
-        tp += tau * op
+    theta = target.params()
+    theta *= 1.0 - tau
+    theta += tau * online.params()
 
 
 def sac_actor_grads(policy: GaussianPolicy, q1: Mlp, q2: Mlp, obs: np.ndarray,
@@ -109,7 +109,7 @@ def sac_actor_grads(policy: GaussianPolicy, q1: Mlp, q2: Mlp, obs: np.ndarray,
 
     ``noise`` is the frozen standard-normal draw, so the loss is a plain
     deterministic function of the parameters. Returns
-    (param_grads, actor_loss, log_probs); param_grads matches
+    (param_grad, actor_loss, log_probs); param_grad is one vector in the
     ``policy.params()`` layout.
     """
     n = len(obs)
@@ -139,8 +139,8 @@ def sac_actor_grads(policy: GaussianPolicy, q1: Mlp, q2: Mlp, obs: np.ndarray,
     da_dlogstd = da_dmean * sigma_noise
     dloss_dlogstd = (alpha * dlogp_dlogstd - dq_da * da_dlogstd).mean(axis=0)
     dloss_dlogstd = dloss_dlogstd * log_std_mask(policy)
-    net_grads, _ = policy.mean_net.backward(cache, dloss_dmean)
-    return net_grads + [dloss_dlogstd], actor_loss, log_probs
+    net_grad, _ = policy.mean_net.backward(cache, dloss_dmean)
+    return flatten_params([net_grad, dloss_dlogstd]), actor_loss, log_probs
 
 
 def alpha_gradient(alpha: float, log_probs: np.ndarray, target_entropy: float) -> np.ndarray:
@@ -185,7 +185,7 @@ def sac_update(nets: SacNets, buffer: ReplayBuffer, config: SacConfig,
 
     # Temperature: minimize -alpha*(log pi + target entropy), log_probs detached.
     alpha_grad = alpha_gradient(nets.alpha, log_probs, nets.target_entropy)
-    nets.alpha_opt.step([nets.log_alpha], [alpha_grad])
+    nets.alpha_opt.step(nets.log_alpha, alpha_grad)
 
     polyak_update(nets.q1_target, nets.q1, config.tau)
     polyak_update(nets.q2_target, nets.q2, config.tau)
@@ -195,6 +195,21 @@ def sac_update(nets: SacNets, buffer: ReplayBuffer, config: SacConfig,
         "alpha": nets.alpha,
         "batch_entropy": -float(np.mean(log_probs)),
     }
+
+
+def _check_finite(nets: SacNets, stats: dict, step: int) -> None:
+    nets_params = (nets.policy, nets.q1, nets.q2, nets.q1_target, nets.q2_target)
+    if (
+        all(np.isfinite(v) for v in stats.values())
+        and all(np.isfinite(net.params()).all() for net in nets_params)
+        and np.isfinite(nets.log_alpha).all()
+    ):
+        return
+    raise DivergenceDetected(
+        f"non-finite training statistic or parameters at step {step}",
+        policy=nets.policy.to_json(),
+        step=step,
+    )
 
 
 @dataclass
@@ -225,13 +240,7 @@ def sac_train(env: TradingEnv, config: SacConfig, rng: np.random.Generator) -> S
             obs = result.observation
         if len(buffer) >= config.learning_starts:
             stats = sac_update(nets, buffer, config, rng)
+            _check_finite(nets, stats, step)
         if step % config.log_every == 0 or step == config.total_timesteps:
-            row = {"step": step, "episode_return": last_episode_return, **stats}
-            history.append(row)
-            if stats and not all(np.isfinite(v) for v in stats.values()):
-                raise DivergenceDetected(
-                    f"non-finite training statistic at step {step}",
-                    policy=nets.policy.to_json(),
-                    step=step,
-                )
+            history.append({"step": step, "episode_return": last_episode_return, **stats})
     return SacResult(nets=nets, history=history)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NonFiniteDirection
-from ..neural import GaussianPolicy, flatten_params, unflatten_params
+from ..neural import GaussianPolicy
 from .ppo import log_std_mask, policy_param_grads
 
 
@@ -48,15 +48,13 @@ def fisher_vector_product(
     damping: float,
 ) -> np.ndarray:
     """(F + damping*I) v for the KL Fisher at the current parameters."""
-    params = policy.params()
-    tangents = unflatten_params(vec, params)
-    net_tangents, logstd_tangent = tangents[:-1], tangents[-1]
+    n_net = policy.mean_net.theta.size
     n = len(obs)
     var = policy.std() ** 2
-    dmean = policy.mean_net.jvp(obs, net_tangents)
-    net_products, _ = policy.mean_net.backward(cache, dmean / var / n)
-    logstd_product = 2.0 * logstd_tangent * log_std_mask(policy)
-    return flatten_params(net_products + [logstd_product]) + damping * vec
+    dmean = policy.mean_net.jvp(obs, vec[:n_net])
+    net_product, _ = policy.mean_net.backward(cache, dmean / var / n)
+    logstd_product = 2.0 * vec[n_net:] * log_std_mask(policy)
+    return np.concatenate([net_product, logstd_product]) + damping * vec
 
 
 def gaussian_kl(mean0, std0, mean1, std1) -> float:
@@ -104,8 +102,7 @@ def trpo_step(
 ) -> TrpoStats:
     """Maximize mean(ratio * advantage) + ent_coef * entropy under a KL cap."""
     n = len(obs)
-    theta_old = [p.copy() for p in policy.params()]
-    flat_old = flatten_params(theta_old)
+    theta_old = policy.params().copy()
     mean_old, cache = policy.mean_net.forward_cached(obs)
     std_old = np.broadcast_to(policy.std(), mean_old.shape)
     surr_old = surrogate(policy, obs, pre_actions, advantages, old_log_probs, ent_coef)
@@ -116,9 +113,7 @@ def trpo_step(
     ratio_now = np.exp(lp_now - old_log_probs)
     dsurr_dlogp = ratio_now * advantages / n
     ent_grad = ent_coef * np.ones(policy.act_dim)
-    g = flatten_params(
-        policy_param_grads(policy, cache, mean_old, pre_actions, dsurr_dlogp, ent_grad)
-    )
+    g = policy_param_grads(policy, cache, mean_old, pre_actions, dsurr_dlogp, ent_grad)
     if not np.all(np.isfinite(g)):
         return _noop("non-finite surrogate gradient", surr_old)
 
@@ -134,7 +129,7 @@ def trpo_step(
 
     for k in range(backtracks):
         frac = 0.5**k
-        policy.set_params(unflatten_params(flat_old + frac * full_step, theta_old))
+        policy.set_params(theta_old + frac * full_step)
         mean_new = policy.mean_net.forward(obs)
         std_new = np.broadcast_to(policy.std(), mean_new.shape)
         kl = gaussian_kl(mean_old, std_old, mean_new, std_new)

@@ -6,6 +6,14 @@ hidden layers and a linear output, supporting reverse-mode gradients
 it sits a tanh-squashed Gaussian policy with a state-independent log standard
 deviation, plus Adam and JSON checkpoint helpers.
 
+Each network keeps its parameters in one contiguous float64 vector,
+``theta``, laid out as [W0, b0, W1, b1, ...] for an MLP and as
+[mean-net theta, log_std] for the policy. ``weights``, ``biases``,
+``mean_net`` and ``log_std`` are views into it, so they must be written in
+place, never rebound. Gradients, tangents and optimizer state use the same
+layout, which makes Adam, Polyak averaging and the trust-region line search
+plain vector operations.
+
 Checkpoints are plain JSON with sorted keys; Python's shortest-repr float
 serialization round-trips exactly, so reloading reproduces parameters bit for
 bit and identical runs produce identical files.
@@ -37,8 +45,7 @@ class Mlp:
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.sizes = tuple(int(s) for s in sizes)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        params = []
         for i, (fan_in, fan_out) in enumerate(zip(self.sizes[:-1], self.sizes[1:])):
             bound = 1.0 / np.sqrt(fan_in)
             w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -46,8 +53,22 @@ class Mlp:
             if i == len(self.sizes) - 2:
                 w *= out_scale
                 b *= out_scale
-            self.weights.append(w)
-            self.biases.append(b)
+            params += [w, b]
+        self._bind(flatten_params(params))
+
+    def _shapes(self) -> list[tuple[int, ...]]:
+        """Shapes of W0, b0, W1, b1, ... in the order of ``params()``."""
+        shapes = []
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            shapes += [(fan_in, fan_out), (fan_out,)]
+        return shapes
+
+    def _bind(self, theta: np.ndarray) -> None:
+        """Make ``theta`` the parameter storage; weights and biases view into it."""
+        views = unflatten_params(theta, self._shapes())
+        self.theta = theta
+        self.weights = views[0::2]
+        self.biases = views[1::2]
 
     @property
     def in_dim(self) -> int:
@@ -80,10 +101,9 @@ class Mlp:
         return a, activations
 
     def backward(self, cache, grad_out: np.ndarray):
-        """Given d(loss)/d(output), return (param grads, d(loss)/d(input)).
+        """Given d(loss)/d(output), return (param grad, d(loss)/d(input)).
 
-        Param grads come back as a flat list [dW0, db0, dW1, db1, ...]
-        matching ``params()``.
+        The param grad is one vector in the layout of ``params()``.
         """
         activations = cache
         g = np.asarray(grad_out, dtype=float)
@@ -100,23 +120,18 @@ class Mlp:
             if i > 0:
                 g = g * (1.0 - activations[i] ** 2)  # through tanh
         grads.reverse()
-        return grads, g
+        return flatten_params(grads), g
 
-    def jvp(self, x: np.ndarray, tangents: list[np.ndarray]) -> np.ndarray:
-        """Directional derivative of the output along a parameter tangent."""
+    def jvp(self, x: np.ndarray, tangent: np.ndarray) -> np.ndarray:
+        """Directional derivative of the output along a parameter tangent vector."""
         x = self._check_input(x)
-        if len(tangents) != 2 * len(self.weights):
-            raise ShapeMismatch(
-                f"expected {2 * len(self.weights)} tangent arrays, got {len(tangents)}"
-            )
+        tangents = unflatten_params(tangent, self._shapes())
         a = x
         da = np.zeros_like(x)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             dw = tangents[2 * i]
             db = tangents[2 * i + 1]
-            if dw.shape != w.shape or db.shape != b.shape:
-                raise ShapeMismatch(f"tangent {i} shape mismatch")
             z = a @ w + b
             dz = da @ w + a @ dw + db
             if i == last:
@@ -126,28 +141,16 @@ class Mlp:
                 da = (1.0 - a**2) * dz
         return da
 
-    def params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+    def params(self) -> np.ndarray:
+        return self.theta
 
-    def set_params(self, params: list[np.ndarray]) -> None:
-        if len(params) != 2 * len(self.weights):
-            raise ShapeMismatch(f"expected {2 * len(self.weights)} arrays, got {len(params)}")
-        for i in range(len(self.weights)):
-            w, b = params[2 * i], params[2 * i + 1]
-            if w.shape != self.weights[i].shape or b.shape != self.biases[i].shape:
-                raise ShapeMismatch(f"layer {i} shape mismatch")
-            self.weights[i] = np.array(w, dtype=float)
-            self.biases[i] = np.array(b, dtype=float)
+    def set_params(self, theta: np.ndarray) -> None:
+        _assign(self.theta, theta)
 
     def copy(self) -> "Mlp":
         clone = Mlp.__new__(Mlp)
         clone.sizes = self.sizes
-        clone.weights = [w.copy() for w in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
+        clone._bind(self.theta.copy())
         return clone
 
     def to_json(self) -> dict:
@@ -161,54 +164,62 @@ class Mlp:
     def from_json(cls, payload: dict) -> "Mlp":
         net = cls.__new__(cls)
         net.sizes = tuple(payload["sizes"])
-        net.weights = [np.array(w, dtype=float) for w in payload["weights"]]
-        net.biases = [np.array(b, dtype=float) for b in payload["biases"]]
+        params = []
+        for w, b in zip(payload["weights"], payload["biases"]):
+            params += [np.array(w, dtype=float), np.array(b, dtype=float)]
+        net._bind(flatten_params(params))
         return net
 
 
 def flatten_params(params: list[np.ndarray]) -> np.ndarray:
+    """Concatenate arrays, each raveled, into one new float64 vector."""
     return np.concatenate([np.asarray(p, dtype=float).reshape(-1) for p in params])
 
 
-def unflatten_params(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
-    needed = sum(p.size for p in like)
-    if flat.size != needed:
-        raise ShapeMismatch(f"flat vector has {flat.size} entries, shapes need {needed}")
+def unflatten_params(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views into consecutive slices of ``flat``, one per shape."""
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    if flat.shape != (sum(sizes),):
+        raise ShapeMismatch(f"vector has shape {flat.shape}, shapes need {sum(sizes)} entries")
     out = []
     offset = 0
-    for p in like:
-        size = p.size
-        out.append(flat[offset:offset + size].reshape(p.shape))
+    for shape, size in zip(shapes, sizes):
+        out.append(flat[offset:offset + size].reshape(shape))
         offset += size
     return out
+
+
+def _assign(theta: np.ndarray, values: np.ndarray) -> None:
+    """Copy ``values`` into the parameter vector in place, keeping every view."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != theta.shape:
+        raise ShapeMismatch(f"expected {theta.size} parameters, got shape {values.shape}")
+    theta[:] = values
 
 
 class Adam:
     """Adam with bias correction; first step reduces to -lr * g / (|g| + eps)."""
 
-    def __init__(self, params: list[np.ndarray], lr: float,
+    def __init__(self, params: np.ndarray, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         """Descend in place along grads (gradients of a loss to minimize)."""
-        if len(grads) != len(self.m):
-            raise ShapeMismatch(f"expected {len(self.m)} grads, got {len(grads)}")
+        if grads.shape != self.m.shape:
+            raise ShapeMismatch(f"grad has shape {grads.shape}, expected {self.m.shape}")
         self.t += 1
-        for i, (p, g) in enumerate(zip(params, grads)):
-            if g.shape != self.m[i].shape:
-                raise ShapeMismatch(f"grad {i} has shape {g.shape}, expected {self.m[i].shape}")
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g**2
-            m_hat = self.m[i] / (1.0 - self.beta1**self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grads
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grads**2
+        m_hat = self.m / (1.0 - self.beta1**self.t)
+        v_hat = self.v / (1.0 - self.beta2**self.t)
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def tanh_log_det_jacobian(pre: np.ndarray) -> np.ndarray:
@@ -221,8 +232,16 @@ class GaussianPolicy:
 
     def __init__(self, obs_dim: int, act_dim: int, hidden, rng: np.random.Generator,
                  out_scale: float = 0.01):
-        self.mean_net = Mlp((obs_dim,) + tuple(hidden) + (act_dim,), rng, out_scale=out_scale)
-        self.log_std = np.zeros(act_dim)
+        mean_net = Mlp((obs_dim,) + tuple(hidden) + (act_dim,), rng, out_scale=out_scale)
+        self._attach(mean_net, np.zeros(act_dim))
+
+    def _attach(self, mean_net: Mlp, log_std: np.ndarray) -> None:
+        """One vector [mean_net params, log_std]; both parts become views into it."""
+        self.theta = flatten_params([mean_net.theta, log_std])
+        n = mean_net.theta.size
+        mean_net._bind(self.theta[:n])
+        self.mean_net = mean_net
+        self.log_std = self.theta[n:]
 
     @property
     def obs_dim(self) -> int:
@@ -275,19 +294,15 @@ class GaussianPolicy:
         log_std = self.clamped_log_std()
         return float(np.sum(log_std + 0.5 * np.log(2.0 * np.pi * np.e)))
 
-    def params(self) -> list[np.ndarray]:
-        return self.mean_net.params() + [self.log_std]
+    def params(self) -> np.ndarray:
+        return self.theta
 
-    def set_params(self, params: list[np.ndarray]) -> None:
-        self.mean_net.set_params(params[:-1])
-        if params[-1].shape != self.log_std.shape:
-            raise ShapeMismatch("log_std shape mismatch")
-        self.log_std = np.array(params[-1], dtype=float)
+    def set_params(self, theta: np.ndarray) -> None:
+        _assign(self.theta, theta)
 
     def copy(self) -> "GaussianPolicy":
         clone = GaussianPolicy.__new__(GaussianPolicy)
-        clone.mean_net = self.mean_net.copy()
-        clone.log_std = self.log_std.copy()
+        clone._attach(self.mean_net.copy(), self.log_std)
         return clone
 
     def to_json(self) -> dict:
@@ -296,8 +311,8 @@ class GaussianPolicy:
     @classmethod
     def from_json(cls, payload: dict) -> "GaussianPolicy":
         policy = cls.__new__(cls)
-        policy.mean_net = Mlp.from_json(payload["mean_net"])
-        policy.log_std = np.array(payload["log_std"], dtype=float)
+        log_std = np.array(payload["log_std"], dtype=float)
+        policy._attach(Mlp.from_json(payload["mean_net"]), log_std)
         return policy
 
 

@@ -44,7 +44,7 @@ from drltrade.features import (
 )
 from drltrade.agents.gail import discriminator_objective
 from drltrade.market_data import Kline, KlineSeries
-from drltrade.neural import GaussianPolicy, Mlp, flatten_params, unflatten_params
+from drltrade.neural import GaussianPolicy, Mlp
 from drltrade.synthetic import make_sine_series
 
 
@@ -249,17 +249,14 @@ def test_criterion_05_mlp_gradients():
             w = rng.normal(size=sizes[-1])
             out, cache = net.forward_cached(x)
             grads, _ = net.backward(cache, np.tile(w, (len(x), 1)) / len(x))
-            template = net.params()
 
             def loss_of(flat):
                 probe = net.copy()
-                probe.set_params(unflatten_params(np.asarray(flat), template))
+                probe.set_params(flat)
                 return float(np.mean(probe.forward(x) @ w))
 
-            numeric = oracles.fd_gradient(loss_of, flatten_params(template))
-            worst = max(
-                worst, oracles.vector_rel_error(flatten_params(grads), numeric)
-            )
+            numeric = oracles.fd_gradient(loss_of, net.params())
+            worst = max(worst, oracles.vector_rel_error(grads, numeric))
     ok = worst < 1e-4
     report_criterion(
         5, ok, f"max rel err {worst:.2e} over 3 architectures x 20 random nets"

@@ -19,7 +19,7 @@ from drltrade.agents.gail import discriminator_objective, discriminator_probabil
 from drltrade.env import EnvConfig, TradingEnv
 from drltrade.errors import EmptyDataset
 from drltrade.features import FeatureConfig, build_feature_matrix, fit_normalizer, normalize
-from drltrade.neural import Adam, GaussianPolicy, Mlp, flatten_params, softplus, unflatten_params
+from drltrade.neural import Adam, GaussianPolicy, Mlp, softplus
 from oracles import fd_gradient, vector_rel_error
 
 
@@ -82,8 +82,8 @@ def test_objective_at_half_is_minus_two_log_two():
 def flat_logit_disc(bias):
     """Single linear layer with zero weights: constant logit for any input."""
     disc = Mlp((3, 1), np.random.default_rng(0))
-    disc.params()[0][:] = 0.0
-    disc.params()[1][:] = bias
+    disc.weights[0][:] = 0.0
+    disc.biases[0][:] = bias
     return disc
 
 
@@ -114,19 +114,17 @@ def test_discriminator_gradients_match_finite_differences(rng):
     assert 0.0 < stats["d_generator"] < 1.0
     assert 0.0 < stats["d_expert"] < 1.0
 
-    template = disc.params()
-
     def loss_of(flat):
         probe = disc.copy()
-        probe.set_params(unflatten_params(np.asarray(flat), template))
+        probe.set_params(flat)
         gen_logits = probe.forward(np.concatenate([gen_obs, gen_act], axis=1))[:, 0]
         exp_logits = probe.forward(np.concatenate([expert_obs, expert_act], axis=1))[:, 0]
         return float(np.mean(softplus(-gen_logits)) + np.mean(softplus(exp_logits)))
 
-    start = flatten_params(template)
+    start = disc.params()
     assert loss_of(start) == pytest.approx(stats["disc_loss"], abs=1e-12)
     numeric = fd_gradient(loss_of, start)
-    assert vector_rel_error(flatten_params(grads), numeric) < 1e-4
+    assert vector_rel_error(grads, numeric) < 1e-4
 
 
 def test_update_drives_d_toward_labels(rng):

@@ -27,11 +27,9 @@ def weighted_output_loss(net, x, weights):
 
 
 def param_loss_fn(net, x, weights):
-    template = net.params()
-
     def f(flat):
         clone = net.copy()
-        clone.set_params(unflatten_params(np.asarray(flat), template))
+        clone.set_params(flat)
         return weighted_output_loss(clone, x, weights)
 
     return f
@@ -45,8 +43,8 @@ def test_backward_param_grads_match_fd(rng, sizes):
         weights = rng.normal(size=(4, sizes[-1]))
         out, cache = net.forward_cached(x)
         grads, _ = net.backward(cache, weights)
-        fd = fd_gradient(param_loss_fn(net, x, weights), flatten_params(net.params()))
-        assert vector_rel_error(flatten_params(grads), fd) < FD_TOL
+        fd = fd_gradient(param_loss_fn(net, x, weights), net.params())
+        assert vector_rel_error(grads, fd) < FD_TOL
 
 
 def test_backward_input_grads_match_fd(rng):
@@ -66,15 +64,13 @@ def test_backward_input_grads_match_fd(rng):
 def test_jvp_matches_directional_fd(rng):
     net = Mlp((3, 5, 2), rng)
     x = rng.normal(size=(4, 3))
-    tangent = [rng.normal(size=p.shape) for p in net.params()]
+    tangent = rng.normal(size=net.params().shape)
     got = net.jvp(x, tangent)
     h = 1e-6
-    flat = flatten_params(net.params())
-    tflat = flatten_params(tangent)
-    template = net.params()
+    flat = net.params()
     up, down = net.copy(), net.copy()
-    up.set_params(unflatten_params(flat + h * tflat, template))
-    down.set_params(unflatten_params(flat - h * tflat, template))
+    up.set_params(flat + h * tangent)
+    down.set_params(flat - h * tangent)
     fd = (up.forward(x) - down.forward(x)) / (2.0 * h)
     assert vector_rel_error(got.reshape(-1), fd.reshape(-1)) < FD_TOL
 
@@ -83,12 +79,12 @@ def test_jvp_backward_adjoint_identity(rng):
     """<g, J v> == <J^T g, v> ties forward and reverse mode together."""
     net = Mlp((4, 7, 3), rng)
     x = rng.normal(size=(6, 4))
-    tangent = [rng.normal(size=p.shape) for p in net.params()]
+    tangent = rng.normal(size=net.params().shape)
     g = rng.normal(size=(6, 3))
     _, cache = net.forward_cached(x)
     vjp, _ = net.backward(cache, g)
     lhs = float(np.sum(g * net.jvp(x, tangent)))
-    rhs = float(flatten_params(vjp) @ flatten_params(tangent))
+    rhs = float(vjp @ tangent)
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -104,41 +100,46 @@ def test_forward_shape_checks(rng):
 
 
 def test_set_params_shape_checks(rng):
-    net = Mlp((3, 2), rng)
+    net = Mlp((3, 2), rng)  # 3*2 weights + 2 biases
     with pytest.raises(ShapeMismatch):
-        net.set_params([np.zeros((3, 2))])
+        net.set_params(np.zeros(6))
     with pytest.raises(ShapeMismatch):
-        net.set_params([np.zeros((2, 3)), np.zeros(2)])
+        net.set_params(np.zeros((2, 4)))
+    with pytest.raises(ShapeMismatch):
+        net.jvp(np.zeros((1, 3)), np.zeros(9))
 
 
 def test_flatten_unflatten_round_trip(rng):
     net = Mlp((3, 4, 2), rng)
-    params = net.params()
-    flat = flatten_params(params)
-    back = unflatten_params(flat, params)
-    for a, b in zip(params, back):
+    arrays = [net.weights[0], net.biases[0], net.weights[1], net.biases[1]]
+    shapes = [a.shape for a in arrays]
+    flat = flatten_params(arrays)
+    assert np.array_equal(flat, net.params())
+    back = unflatten_params(flat, shapes)
+    for a, b in zip(arrays, back):
         assert np.array_equal(a, b)
+        assert np.shares_memory(b, flat)
     with pytest.raises(ShapeMismatch):
-        unflatten_params(flat[:-1], params)
+        unflatten_params(flat[:-1], shapes)
 
 
 def test_adam_first_step_closed_form(rng):
     p = rng.normal(size=(3, 2))
     g = rng.normal(size=(3, 2))
     expected = p - 0.1 * g / (np.abs(g) + 1e-8)
-    opt = Adam([p], lr=0.1)
-    opt.step([p], [g])
+    opt = Adam(p, lr=0.1)
+    opt.step(p, g)
     assert np.allclose(p, expected, atol=1e-12)
 
 
 def test_adam_matches_scalar_reference():
     p = np.array([1.0])
-    opt = Adam([p], lr=0.05)
+    opt = Adam(p, lr=0.05)
     m = v = 0.0
     ref = 1.0
     for t in range(1, 6):
         g = 0.3 * ref  # gradient of 0.15*x^2
-        opt.step([p], [np.array([g])])
+        opt.step(p, np.array([g]))
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         ref -= 0.05 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
@@ -147,9 +148,23 @@ def test_adam_matches_scalar_reference():
 
 def test_adam_grad_count_check(rng):
     p = rng.normal(size=2)
-    opt = Adam([p], lr=0.1)
+    opt = Adam(p, lr=0.1)
     with pytest.raises(ShapeMismatch):
-        opt.step([p], [np.zeros(2), np.zeros(2)])
+        opt.step(p, np.zeros(4))
+
+
+def test_adam_step_on_policy_vector_moves_every_view(rng):
+    policy = GaussianPolicy(obs_dim=3, act_dim=2, hidden=(4,), rng=rng)
+    theta = policy.params()
+    views = policy.mean_net.weights + policy.mean_net.biases + [policy.log_std]
+    for view in views + [policy.mean_net.params()]:
+        assert np.shares_memory(view, theta)
+    w0, log_std = policy.mean_net.weights[0].copy(), policy.log_std.copy()
+    opt = Adam(theta, lr=0.1)
+    opt.step(theta, np.ones_like(theta))
+    assert np.allclose(policy.mean_net.weights[0], w0 - 0.1)
+    assert np.allclose(policy.log_std, log_std - 0.1)
+    assert policy.params() is theta
 
 
 def test_softplus_and_tanh_log_det():
@@ -163,7 +178,7 @@ def test_softplus_and_tanh_log_det():
 
 def test_policy_log_prob_matches_manual_density(rng):
     policy = GaussianPolicy(obs_dim=3, act_dim=2, hidden=(8,), rng=rng)
-    policy.log_std = np.array([0.3, -0.2])
+    policy.log_std[:] = [0.3, -0.2]
     obs = rng.normal(size=(5, 3))
     action, pre, logp = policy.sample(obs, rng)
     assert np.array_equal(action, np.tanh(pre))
@@ -195,10 +210,10 @@ def test_policy_entropy_unit_sigma():
 
 def test_policy_log_std_clamp(rng):
     policy = GaussianPolicy(obs_dim=2, act_dim=1, hidden=(4,), rng=rng)
-    policy.log_std = np.array([5.0])
+    policy.log_std[:] = 5.0
     assert policy.clamped_log_std()[0] == 2.0
     assert policy.std()[0] == pytest.approx(np.exp(2.0))
-    policy.log_std = np.array([-30.0])
+    policy.log_std[:] = -30.0
     assert policy.clamped_log_std()[0] == -20.0
 
 
@@ -227,8 +242,7 @@ def test_policy_copy_is_independent(rng):
 def test_mlp_json_round_trip_exact(rng):
     net = Mlp((3, 5, 2), rng)
     back = Mlp.from_json(net.to_json())
-    for a, b in zip(net.params(), back.params()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(net.params(), back.params())
 
 
 def test_checkpoint_round_trip_and_determinism(rng, tmp_path):

@@ -9,7 +9,7 @@ from drltrade.agents.ppo import _check_finite, log_std_mask
 from drltrade.env import EnvConfig, TradingEnv
 from drltrade.errors import DivergenceDetected
 from drltrade.features import FeatureConfig, build_feature_matrix, fit_normalizer, normalize
-from drltrade.neural import GaussianPolicy, Mlp, flatten_params, unflatten_params
+from drltrade.neural import GaussianPolicy, Mlp
 from oracles import fd_gradient, vector_rel_error
 
 OBS_DIM = 3
@@ -114,16 +114,13 @@ def test_policy_gradient_matches_finite_differences(rng):
         policy, value_net, obs, pre, old_log_probs, advantages, np.zeros(n), config
     )
 
-    template = policy.params()
-    start = flatten_params(template)
-
     def loss_of(flat):
         probe = policy.copy()
-        probe.set_params(unflatten_params(np.asarray(flat), template))
+        probe.set_params(flat)
         return policy_only_loss(probe, obs, pre, old_log_probs, advantages, config)
 
-    numeric = fd_gradient(loss_of, start)
-    assert vector_rel_error(flatten_params(policy_grads), numeric) < 1e-4
+    numeric = fd_gradient(loss_of, policy.params())
+    assert vector_rel_error(policy_grads, numeric) < 1e-4
 
 
 def test_value_gradient_matches_finite_differences(rng):
@@ -138,17 +135,14 @@ def test_value_gradient_matches_finite_differences(rng):
         policy, value_net, obs, pre, old_log_probs, np.zeros(n), returns, config
     )
 
-    template = value_net.params()
-    start = flatten_params(template)
-
     def loss_of(flat):
         probe = value_net.copy()
-        probe.set_params(unflatten_params(np.asarray(flat), template))
+        probe.set_params(flat)
         err = probe.forward(obs)[:, 0] - returns
         return config.vf_coef * float(np.mean(err**2))
 
-    numeric = fd_gradient(loss_of, start)
-    assert vector_rel_error(flatten_params(value_grads), numeric) < 1e-4
+    numeric = fd_gradient(loss_of, value_net.params())
+    assert vector_rel_error(value_grads, numeric) < 1e-4
 
 
 def test_log_std_mask_blocks_gradient_at_clamp(rng):

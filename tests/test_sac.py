@@ -16,9 +16,10 @@ from drltrade.agents import (
     sac_update,
 )
 from drltrade.env import EnvConfig, TradingEnv
-from drltrade.errors import BufferTooSmall
+from drltrade.agents import sac
+from drltrade.errors import BufferTooSmall, DivergenceDetected
 from drltrade.features import FeatureConfig, build_feature_matrix, fit_normalizer, normalize
-from drltrade.neural import GaussianPolicy, Mlp, flatten_params, unflatten_params
+from drltrade.neural import GaussianPolicy, Mlp
 from oracles import fd_gradient, vector_rel_error
 
 
@@ -53,15 +54,14 @@ def test_target_done_truncates_bootstrap():
 def test_polyak_is_exact_convex_mix(rng):
     online = Mlp((3, 4, 1), rng)
     target = Mlp((3, 4, 1), rng)
-    want = [0.25 * op + 0.75 * tp for op, tp in zip(online.params(), target.params())]
-    before_ids = [id(p) for p in target.params()]
+    want = 0.25 * online.params() + 0.75 * target.params()
+    theta = target.params()
     polyak_update(target, online, tau=0.25)
-    for got, exp in zip(target.params(), want):
-        assert np.allclose(got, exp, atol=1e-15)
-    assert [id(p) for p in target.params()] == before_ids  # updated in place
+    assert np.allclose(target.params(), want, atol=1e-15)
+    assert target.params() is theta  # updated in place
+    assert np.shares_memory(target.weights[0], theta)
     polyak_update(target, online, tau=1.0)
-    for got, op in zip(target.params(), online.params()):
-        assert np.array_equal(got, op)
+    assert np.array_equal(target.params(), online.params())
 
 
 def test_actor_gradient_matches_finite_differences(rng):
@@ -77,11 +77,9 @@ def test_actor_gradient_matches_finite_differences(rng):
     grads, actor_loss, log_probs = sac_actor_grads(policy, q1, q2, obs, noise, alpha)
     assert log_probs.shape == (n,)
 
-    template = policy.params()
-
     def loss_of(flat):
         probe = policy.copy()
-        probe.set_params(unflatten_params(np.asarray(flat), template))
+        probe.set_params(flat)
         mean = probe.mean_net.forward(obs)
         pre = mean + probe.std() * noise
         squashed = np.tanh(pre)
@@ -90,10 +88,10 @@ def test_actor_gradient_matches_finite_differences(rng):
         q_min = np.minimum(q1.forward(q_in)[:, 0], q2.forward(q_in)[:, 0])
         return float(np.mean(alpha * lp - q_min))
 
-    start = flatten_params(template)
+    start = policy.params()
     assert loss_of(start) == pytest.approx(actor_loss, abs=1e-12)
     numeric = fd_gradient(loss_of, start)
-    assert vector_rel_error(flatten_params(grads), numeric) < 1e-4
+    assert vector_rel_error(grads, numeric) < 1e-4
 
 
 def test_actor_gradient_respects_log_std_clamp(rng):
@@ -103,7 +101,7 @@ def test_actor_gradient_respects_log_std_clamp(rng):
     obs = rng.normal(size=(6, 2))
     noise = rng.standard_normal((6, 1))
     grads, _, _ = sac_actor_grads(policy, q1, q2, obs, noise, 0.1)
-    assert np.array_equal(grads[-1], np.zeros(1))
+    assert np.array_equal(grads[-1:], np.zeros(1))  # the log_std entry
 
 
 def test_alpha_gradient_closed_form():
@@ -167,6 +165,31 @@ def test_train_updates_once_warm_and_logs(rng):
     assert {"critic_loss", "actor_loss", "alpha", "batch_entropy"} <= set(last)
     assert all(np.isfinite(v) for k, v in last.items() if k != "episode_return")
     assert last["alpha"] != pytest.approx(config.alpha_init)  # temperature adapts
+
+
+@pytest.mark.parametrize("poison", ["critic_loss", "q2_target"])
+def test_train_checks_finiteness_after_every_update(rng, monkeypatch, poison):
+    """A non-finite update between log rows stops training at its own step."""
+    config = small_config()  # updates from step 8, log rows at 8, 16, 24
+    bad_step = 11
+    real_update = sac.sac_update
+    calls = []
+
+    def update(nets, buffer, cfg, update_rng):
+        stats = real_update(nets, buffer, cfg, update_rng)
+        calls.append(stats)
+        if len(calls) == bad_step - config.learning_starts + 1:
+            if poison == "critic_loss":
+                stats["critic_loss"] = float("nan")
+            else:
+                nets.q2_target.params()[0] = np.nan
+        return stats
+
+    monkeypatch.setattr(sac, "sac_update", update)
+    with pytest.raises(DivergenceDetected) as info:
+        sac_train(make_env(rng), config, np.random.default_rng(1))
+    assert info.value.artifacts["step"] == bad_step
+    assert len(calls) == bad_step - config.learning_starts + 1
 
 
 def test_train_determinism(rng):

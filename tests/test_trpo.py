@@ -7,7 +7,7 @@ from drltrade.agents import conjugate_gradient, fisher_vector_product, gaussian_
 from drltrade.agents.ppo import log_std_mask
 from drltrade.agents.trpo import surrogate
 from drltrade.errors import NonFiniteDirection
-from drltrade.neural import GaussianPolicy, flatten_params
+from drltrade.neural import GaussianPolicy
 
 
 def test_cg_diagonal_exact():
@@ -45,15 +45,14 @@ def brute_fisher(policy, obs, cache, damping):
     mean = policy.mean_net.forward(obs)
     n, act_dim = mean.shape
     var = policy.std() ** 2
-    net_size = sum(p.size for p in policy.mean_net.params())
+    net_size = policy.mean_net.params().size
     total = net_size + act_dim
     fisher = np.zeros((total, total))
     for i in range(n):
         for k in range(act_dim):
             grad_out = np.zeros_like(mean)
             grad_out[i, k] = 1.0
-            net_grads, _ = policy.mean_net.backward(cache, grad_out)
-            row = flatten_params(net_grads)
+            row, _ = policy.mean_net.backward(cache, grad_out)
             fisher[:net_size, :net_size] += np.outer(row, row) / var[k] / n
     mask = log_std_mask(policy)
     for k in range(act_dim):
@@ -79,7 +78,7 @@ def test_fisher_product_is_positive_definite_with_damping(rng):
     obs = rng.normal(size=(6, 3))
     _, cache = policy.mean_net.forward_cached(obs)
     for _ in range(5):
-        vec = rng.normal(size=flatten_params(policy.params()).size)
+        vec = rng.normal(size=policy.params().size)
         assert vec @ fisher_vector_product(policy, obs, cache, vec, 0.1) > 0.0
 
 
@@ -93,10 +92,6 @@ def make_batch(seed, n=16, obs_dim=3, act_dim=1):
     return policy, obs, pre, advantages, log_probs
 
 
-def params_equal(a, b):
-    return all(np.array_equal(x, y) for x, y in zip(a, b))
-
-
 def test_accepted_steps_respect_kl_budget():
     max_kl = 0.01
     accepted = 0
@@ -105,7 +100,7 @@ def test_accepted_steps_respect_kl_budget():
         before = policy.copy()
         stats = trpo_step(policy, obs, pre, advantages, log_probs, max_kl=max_kl)
         if not stats.accepted:
-            assert params_equal(policy.params(), before.params())
+            assert np.array_equal(policy.params(), before.params())
             continue
         accepted += 1
         mean_old = before.mean_net.forward(obs)
@@ -129,23 +124,23 @@ def test_accepted_steps_respect_kl_budget():
 
 def test_zero_budget_restores_bit_identical():
     policy, obs, pre, advantages, log_probs = make_batch(seed=3)
-    before = [p.copy() for p in policy.params()]
+    before = policy.params().copy()
     stats = trpo_step(policy, obs, pre, advantages, log_probs, max_kl=0.0)
     # beta = 0 makes every candidate the old point; improvement 0 rejects all
     assert not stats.accepted
     assert stats.step_fraction == 0.0
-    assert params_equal(policy.params(), before)
+    assert np.array_equal(policy.params(), before)
 
 
 def test_non_finite_advantages_warn_and_noop():
     policy, obs, pre, advantages, log_probs = make_batch(seed=4)
     advantages = advantages.copy()
     advantages[0] = np.inf
-    before = [p.copy() for p in policy.params()]
+    before = policy.params().copy()
     with pytest.warns(NonFiniteDirection), np.errstate(invalid="ignore"):
         stats = trpo_step(policy, obs, pre, advantages, log_probs)
     assert not stats.accepted
-    assert params_equal(policy.params(), before)
+    assert np.array_equal(policy.params(), before)
 
 
 def test_zero_gradient_degenerate_direction_warns():
