@@ -158,26 +158,6 @@ def export_annotated_series(series: AnnotatedSeries, path) -> None:
             )
 
 
-def load_annotated_series(path) -> AnnotatedSeries:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ANNOTATED_HEADER:
-            raise ValueError(f"unexpected header {header}")
-        for raw in reader:
-            rows.append(
-                AnnotatedRow(
-                    timestamp=int(raw[0]),
-                    price=float(raw[1]),
-                    gross_value=float(raw[2]),
-                    marker=raw[3],
-                    executed_units=float(raw[4]),
-                )
-            )
-    return AnnotatedSeries(rows=rows)
-
-
 def evaluate_profit_metrics(report: BacktestReport) -> dict:
     if report.begin_value == 0:
         raise ZeroBegin("begin value is zero, profit ratio undefined")

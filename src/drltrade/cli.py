@@ -152,6 +152,11 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
     return config
 
 
+def _algo_config_json(algo_config) -> dict:
+    """An algorithm config as JSON; the hidden sizes become a list."""
+    return {**asdict(algo_config), "hidden": list(algo_config.hidden)}
+
+
 def resolved_config_json(config: RunConfig) -> dict:
     return {
         "symbol": config.symbol,
@@ -163,9 +168,9 @@ def resolved_config_json(config: RunConfig) -> dict:
         "out": config.out,
         "features": feature_config_to_json(config.features),
         "env": asdict(config.env),
-        "ppo": {**asdict(config.ppo), "hidden": list(config.ppo.hidden)},
-        "sac": {**asdict(config.sac), "hidden": list(config.sac.hidden)},
-        "gail": {**asdict(config.gail), "hidden": list(config.gail.hidden)},
+        "ppo": _algo_config_json(config.ppo),
+        "sac": _algo_config_json(config.sac),
+        "gail": _algo_config_json(config.gail),
     }
 
 
@@ -310,7 +315,7 @@ def cmd_train(config: RunConfig, force: bool) -> int:
             result = ppo_train(train_env, config.ppo, rng)
             payload = {
                 **base,
-                "train_config": {**asdict(config.ppo), "hidden": list(config.ppo.hidden)},
+                "train_config": _algo_config_json(config.ppo),
                 "policy": result.policy.to_json(),
                 "value_net": result.value_net.to_json(),
             }
@@ -320,7 +325,7 @@ def cmd_train(config: RunConfig, force: bool) -> int:
             nets = result.nets
             payload = {
                 **base,
-                "train_config": {**asdict(config.sac), "hidden": list(config.sac.hidden)},
+                "train_config": _algo_config_json(config.sac),
                 "policy": nets.policy.to_json(),
                 "q1": nets.q1.to_json(),
                 "q2": nets.q2.to_json(),
@@ -344,7 +349,7 @@ def cmd_train(config: RunConfig, force: bool) -> int:
             result = gail_train(train_env, expert, config.gail, rng)
             payload = {
                 **base,
-                "train_config": {**asdict(config.gail), "hidden": list(config.gail.hidden)},
+                "train_config": _algo_config_json(config.gail),
                 "policy": result.policy.to_json(),
                 "value_net": result.value_net.to_json(),
                 "discriminator": result.discriminator.to_json(),
@@ -371,7 +376,7 @@ def _expert_policy(config: RunConfig, prepared: Prepared, train_env: TradingEnv,
     result = ppo_train(train_env, config.ppo, expert_rng)
     payload = {
         **_checkpoint_payload(config, prepared),
-        "train_config": {**asdict(config.ppo), "hidden": list(config.ppo.hidden)},
+        "train_config": _algo_config_json(config.ppo),
         "policy": result.policy.to_json(),
         "value_net": result.value_net.to_json(),
     }

@@ -13,8 +13,7 @@ With zero fees and zero penalty the rewards telescope: their sum divided by
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,20 +95,6 @@ def execute_trade(
     return new_cash, new_asset, info
 
 
-@dataclass
-class TraceRow:
-    t: int
-    price: float
-    action: float
-    executed_units: float
-    fee: float
-    cash: float
-    asset_units: float
-    gross_value: float
-    reward: float
-    clamped: bool
-
-
 class TradingEnv:
     """Steps through bar indices of a series, one trade per bar."""
 
@@ -152,7 +137,6 @@ class TradingEnv:
             if config.max_buy_amount is not None
             else config.initial_balance / series.closes[0]
         )
-        self.trace: list[TraceRow] = []
         self.reset()
 
     @property
@@ -183,7 +167,6 @@ class TradingEnv:
         self.total_cost = 0.0
         self.last_gross_value = self.config.initial_balance
         self.done = False
-        self.trace = []
         return self.observe()
 
     def step(self, action) -> StepResult:
@@ -206,42 +189,4 @@ class TradingEnv:
             reward += self.config.violation_penalty
         self.last_gross_value = gv
         self.done = self.t == self.episode.stop - 1
-        self.trace.append(
-            TraceRow(
-                t=self.t - 1,
-                price=price,
-                action=a,
-                executed_units=info.executed_units,
-                fee=info.fee,
-                cash=self.cash,
-                asset_units=self.asset_units,
-                gross_value=gv,
-                reward=reward,
-                clamped=info.clamped,
-            )
-        )
         return StepResult(self.observe(), reward, self.done, info)
-
-
-def export_trace(env: TradingEnv, path) -> None:
-    fields = [
-        "t", "price", "action", "executed_units", "fee",
-        "cash", "asset", "gross_value", "reward",
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in env.trace:
-            writer.writerow(
-                [
-                    row.t,
-                    repr(row.price),
-                    repr(row.action),
-                    repr(row.executed_units),
-                    repr(row.fee),
-                    repr(row.cash),
-                    repr(row.asset_units),
-                    repr(row.gross_value),
-                    repr(row.reward),
-                ]
-            )

@@ -12,7 +12,6 @@ unchanged to test rows.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass, field
 
@@ -244,11 +243,3 @@ def normalizer_from_json(payload: dict) -> Normalizer:
         stds=np.array(payload["stds"], dtype=float),
         fitted_on=tuple(payload["fitted_on"]),
     )
-
-
-def save_feature_csv(matrix: FeatureMatrix, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(matrix.column_names)
-        for row in matrix.rows:
-            writer.writerow([repr(float(v)) for v in row])

@@ -11,7 +11,6 @@ from drltrade.backtest import (
     bar_date,
     evaluate_profit_metrics,
     export_annotated_series,
-    load_annotated_series,
     make_report,
     render_report,
     run_backtest,
@@ -168,24 +167,21 @@ def test_annotated_round_trip(tmp_path):
     _, annotated = run_backtest(ScriptedPolicy([0.4, -0.2, 0.1]), env)
     path = tmp_path / "annotated.csv"
     export_annotated_series(annotated, path)
-    header = path.read_text().splitlines()[0]
-    assert header == ",".join(ANNOTATED_HEADER)
-    loaded = load_annotated_series(path)
-    assert len(loaded) == len(annotated)
-    for a, b in zip(loaded.rows, annotated.rows):
-        assert a == b  # repr round trip preserves every float bit
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(ANNOTATED_HEADER)
+    assert len(lines) == len(annotated) + 1
+    for line, row in zip(lines[1:], annotated.rows):
+        timestamp, price, value, marker, units = line.split(",")
+        # repr round trip preserves every float bit
+        assert (int(timestamp), marker) == (row.timestamp, row.marker)
+        assert (float(price), float(value), float(units)) == (
+            row.price, row.gross_value, row.executed_units
+        )
 
 
 def test_annotated_export_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
         export_annotated_series(AnnotatedSeries(rows=[]), tmp_path / "x.csv")
-
-
-def test_annotated_load_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("time,price\n1,2\n")
-    with pytest.raises(ValueError):
-        load_annotated_series(path)
 
 
 def test_report_json_deterministic(tmp_path):

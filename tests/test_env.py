@@ -1,6 +1,4 @@
-"""Trading environment ledger arithmetic, reward bracketing, trace export."""
-
-import csv
+"""Trading environment ledger arithmetic and reward bracketing."""
 
 import numpy as np
 import pytest
@@ -12,7 +10,6 @@ from drltrade.env import (
     EnvConfig,
     TradingEnv,
     execute_trade,
-    export_trace,
     gross_value,
 )
 from drltrade.errors import NonPositivePrice, SteppedAfterDone, WindowUnderflow
@@ -107,7 +104,6 @@ def test_reset_state(rng):
     assert env.total_cost == 0.0
     assert env.t == env.episode.start
     assert not env.done
-    assert env.trace == []
     assert obs[0] == 1.0 and obs[1] == 0.0
 
 
@@ -206,21 +202,3 @@ def test_ledger_non_negativity_property(seed):
         assert env.asset_units >= 0.0
         assert env.total_cost >= 0.0
         done = result.done
-
-
-def test_trace_export_columns_and_values(rng, tmp_path):
-    series = make_random_series(rng, 20)
-    env = build_env(series)
-    for action in (0.4, -0.2, 0.0):
-        env.step(action)
-    path = tmp_path / "trace.csv"
-    export_trace(env, path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    assert header == ["t", "price", "action", "executed_units", "fee",
-                      "cash", "asset", "gross_value", "reward"]
-    assert len(rows) == 3
-    assert float(rows[0][2]) == 0.4
-    assert float(rows[-1][5]) == env.cash

@@ -1,7 +1,5 @@
 """Feature matrix assembly, normalization statistics, observation layout."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -26,7 +24,6 @@ from drltrade.features import (
     normalize,
     normalizer_from_json,
     normalizer_to_json,
-    save_feature_csv,
 )
 from drltrade.market_data import KlineSeries
 
@@ -162,18 +159,6 @@ def test_no_look_ahead_rows_and_observations(rng):
         a = assemble_observation(normalize(full, norm), t, 1.0, 2.0, 3.0, 4, 1.0)
         b = assemble_observation(normalize(part, norm), t, 1.0, 2.0, 3.0, 4, 1.0)
         assert np.array_equal(a, b)
-
-
-def test_feature_csv_round_trip(tmp_path, random_series):
-    matrix = build_feature_matrix(random_series, FeatureConfig(columns=("close", "rsi14")))
-    path = tmp_path / "features.csv"
-    save_feature_csv(matrix, path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    assert tuple(header) == matrix.column_names
-    assert np.array_equal(np.array(rows), matrix.rows, equal_nan=True)
 
 
 def test_config_json_round_trip():
