@@ -142,6 +142,7 @@ class Mlp:
         return da
 
     def params(self) -> np.ndarray:
+        """The live parameter vector; writing into it changes the network."""
         return self.theta
 
     def set_params(self, theta: np.ndarray) -> None:
@@ -295,6 +296,7 @@ class GaussianPolicy:
         return float(np.sum(log_std + 0.5 * np.log(2.0 * np.pi * np.e)))
 
     def params(self) -> np.ndarray:
+        """The live parameter vector; writing into it changes the network."""
         return self.theta
 
     def set_params(self, theta: np.ndarray) -> None:
