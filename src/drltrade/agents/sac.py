@@ -198,10 +198,10 @@ def sac_update(nets: SacNets, buffer: ReplayBuffer, config: SacConfig,
 
 
 def _check_finite(nets: SacNets, stats: dict, step: int) -> None:
-    nets_params = (nets.policy, nets.q1, nets.q2, nets.q1_target, nets.q2_target)
+    networks = (nets.policy, nets.q1, nets.q2, nets.q1_target, nets.q2_target)
     if (
         all(np.isfinite(v) for v in stats.values())
-        and all(np.isfinite(net.params()).all() for net in nets_params)
+        and all(np.isfinite(net.params()).all() for net in networks)
         and np.isfinite(nets.log_alpha).all()
     ):
         return

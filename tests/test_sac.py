@@ -15,8 +15,8 @@ from drltrade.agents import (
     sac_train,
     sac_update,
 )
-from drltrade.env import EnvConfig, TradingEnv
 from drltrade.agents import sac
+from drltrade.env import EnvConfig, TradingEnv
 from drltrade.errors import BufferTooSmall, DivergenceDetected
 from drltrade.features import FeatureConfig, build_feature_matrix, fit_normalizer, normalize
 from drltrade.neural import GaussianPolicy, Mlp
