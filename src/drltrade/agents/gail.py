@@ -159,8 +159,8 @@ def discriminator_loss_and_grads(
 
     dgen = (gen_d - 1.0)[:, None] / len(gen_logits)
     dexp = exp_d[:, None] / len(exp_logits)
-    gen_grad, _ = disc.backward(gen_cache, dgen)
-    exp_grad, _ = disc.backward(exp_cache, dexp)
+    gen_grad = disc.backward(gen_cache, dgen)
+    exp_grad = disc.backward(exp_cache, dexp)
     stats = {
         "disc_loss": loss,
         "disc_objective": discriminator_objective(gen_d, exp_d),
@@ -256,7 +256,7 @@ def gail_train(
         for _ in range(config.value_epochs):
             out, cache = value_net.forward_cached(buffer.obs)
             err = out[:, 0] - returns
-            grads, _ = value_net.backward(cache, 2.0 * err[:, None] / len(returns))
+            grads = value_net.backward(cache, 2.0 * err[:, None] / len(returns))
             value_opt.step(value_net.params(), grads)
         step = (it + 1) * config.horizon
         row = {

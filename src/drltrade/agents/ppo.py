@@ -70,7 +70,7 @@ def policy_param_grads(
     std = policy.std()
     z = (pre_actions - mean) / std
     grad_mean = dloss_dlogp[:, None] * z / std
-    net_grad, _ = policy.mean_net.backward(cache, grad_mean)
+    net_grad = policy.mean_net.backward(cache, grad_mean)
     grad_log_std = (dloss_dlogp[:, None] * (z**2 - 1.0)).sum(axis=0)
     grad_log_std = (grad_log_std + dloss_dlogstd_extra) * log_std_mask(policy)
     return flatten_params([net_grad, grad_log_std])
@@ -117,7 +117,7 @@ def ppo_surrogate(
         policy, cache, mean, pre_actions, dloss_dlogp, ent_grad
     )
     dloss_dv = config.vf_coef * 2.0 * value_err[:, None] / n
-    value_grads, _ = value_net.backward(value_cache, dloss_dv)
+    value_grads = value_net.backward(value_cache, dloss_dv)
 
     stats = {
         "loss": loss,

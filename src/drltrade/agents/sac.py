@@ -123,8 +123,8 @@ def sac_actor_grads(policy: GaussianPolicy, q1: Mlp, q2: Mlp, obs: np.ndarray,
     q2_pi, q2_cache = q2.forward_cached(actor_in)
     use_q1 = q1_pi[:, 0] <= q2_pi[:, 0]
     ones = np.ones((n, 1))
-    _, dq1_din = q1.backward(q1_cache, ones)
-    _, dq2_din = q2.backward(q2_cache, ones)
+    dq1_din = q1.input_grad(q1_cache, ones)
+    dq2_din = q2.input_grad(q2_cache, ones)
     obs_dim = obs.shape[1]
     dq_da = np.where(use_q1[:, None], dq1_din[:, obs_dim:], dq2_din[:, obs_dim:])
     actor_loss = float(np.mean(alpha * log_probs - np.where(use_q1, q1_pi[:, 0], q2_pi[:, 0])))
@@ -139,7 +139,7 @@ def sac_actor_grads(policy: GaussianPolicy, q1: Mlp, q2: Mlp, obs: np.ndarray,
     da_dlogstd = da_dmean * sigma_noise
     dloss_dlogstd = (alpha * dlogp_dlogstd - dq_da * da_dlogstd).mean(axis=0)
     dloss_dlogstd = dloss_dlogstd * log_std_mask(policy)
-    net_grad, _ = policy.mean_net.backward(cache, dloss_dmean)
+    net_grad = policy.mean_net.backward(cache, dloss_dmean)
     return flatten_params([net_grad, dloss_dlogstd]), actor_loss, log_probs
 
 
@@ -173,7 +173,7 @@ def sac_update(nets: SacNets, buffer: ReplayBuffer, config: SacConfig,
         q_out, cache = q_net.forward_cached(critic_in)
         err = q_out[:, 0] - y
         critic_losses.append(float(np.mean(err**2)))
-        grads, _ = q_net.backward(cache, 2.0 * err[:, None] / n)
+        grads = q_net.backward(cache, 2.0 * err[:, None] / n)
         q_opt.step(q_net.params(), grads)
 
     # Actor: fresh reparameterized sample through the updated critics.

@@ -52,7 +52,7 @@ def fisher_vector_product(
     n = len(obs)
     var = policy.std() ** 2
     dmean = policy.mean_net.jvp(obs, vec[:n_net])
-    net_product, _ = policy.mean_net.backward(cache, dmean / var / n)
+    net_product = policy.mean_net.backward(cache, dmean / var / n)
     logstd_product = 2.0 * vec[n_net:] * log_std_mask(policy)
     return np.concatenate([net_product, logstd_product]) + damping * vec
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import date, datetime, timezone
 from pathlib import Path
 
@@ -95,6 +95,33 @@ DEFAULT_SYNTHETIC = {
 }
 
 
+DATA_SOURCES = ("csv", "fetch", "synthetic")
+FETCH_KEYS = ("start", "end")
+
+
+def _check_keys(block, allowed, where: str) -> None:
+    """Refuse a config block that is not an object or names a key not in ``allowed``."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(block).__name__}")
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown} in {where}; known: {sorted(allowed)}")
+
+
+def _check_config_keys(raw: dict) -> None:
+    """Refuse misspelled keys at the top level and in features and data."""
+    _check_keys(raw, [f.name for f in fields(RunConfig)], "config")
+    if "features" in raw:
+        _check_keys(raw["features"], [f.name for f in fields(FeatureConfig)], "features")
+    if "data" in raw:
+        data = raw["data"]
+        _check_keys(data, DATA_SOURCES, "data")
+        if "synthetic" in data:
+            _check_keys(data["synthetic"], DEFAULT_SYNTHETIC, "data.synthetic")
+        if "fetch" in data:
+            _check_keys(data["fetch"], FETCH_KEYS, "data.fetch")
+
+
 def _algo_config_from_json(cls, block: dict):
     if "hidden" in block:
         block = dict(block, hidden=tuple(block["hidden"]))
@@ -109,6 +136,7 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
         if not p.exists():
             raise FileNotFoundError(f"config file not found: {p}")
         raw = json.loads(p.read_text())
+    _check_config_keys(raw)
     config = RunConfig()
     for key in ("symbol", "interval", "split_fraction", "algo", "seed", "out"):
         if key in raw:
@@ -137,7 +165,7 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
         raise ValueError(f"algo must be one of {ALGOS}, got {config.algo!r}")
     if config.interval not in INTERVAL_MS:
         raise ValueError(f"unknown interval {config.interval!r}")
-    sources = [k for k in ("csv", "fetch", "synthetic") if k in config.data]
+    sources = [k for k in DATA_SOURCES if k in config.data]
     if len(sources) != 1:
         raise ValueError(
             f"config must name exactly one data source (csv, fetch, or synthetic), "

@@ -27,8 +27,16 @@ CLAMP_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class EnvConfig:
+    """Account and reward settings.
+
+    ``max_buy_amount`` is the order size, in asset units, of action 1.0. None
+    means ``initial_balance / closes[0]``, with ``closes[0]`` the first bar of
+    the whole series, not of the episode: the test split sizes its orders by
+    that price too, so in a rising market a full-size buy there is clamped.
+    """
+
     initial_balance: float = 10_000.0
-    max_buy_amount: float | None = None  # None: initial_balance / first close
+    max_buy_amount: float | None = None
     fee_rate: float = 0.0075
     reward_scale: float = 1e-4
     violation_penalty: float = -0.01

@@ -63,9 +63,12 @@ def wilder_smooth(x: np.ndarray, period: int, first_index: int) -> np.ndarray:
     out = _nan_prefix(n, min(start, n))
     if start >= n:
         return out
-    out[start] = np.mean(x[first_index:first_index + period])
-    for i in range(start + 1, n):
-        out[i] = (out[i - 1] * (period - 1) + x[i]) / period
+    s = float(np.mean(x[first_index:first_index + period]))
+    smoothed = [s]
+    for value in x[start + 1:].tolist():
+        s = (s * (period - 1) + value) / period
+        smoothed.append(s)
+    out[start:] = smoothed
     return out
 
 
@@ -90,9 +93,12 @@ def ema(values, period: int) -> IndicatorSeries:
     out = _nan_prefix(n, min(warmup, n))
     if n >= period:
         alpha = 2.0 / (period + 1.0)
-        out[warmup] = np.mean(x[:period])
-        for i in range(period, n):
-            out[i] = alpha * x[i] + (1.0 - alpha) * out[i - 1]
+        e = float(np.mean(x[:period]))
+        averages = [e]
+        for value in x[period:].tolist():
+            e = alpha * value + (1.0 - alpha) * e
+            averages.append(e)
+        out[warmup:] = averages
     return IndicatorSeries(out, min(warmup, n))
 
 

@@ -4,7 +4,9 @@ A candle ("kline") is one open/high/low/close/volume bar for a fixed interval.
 Raw rows come either from the exchange REST payload (arrays with decimal-string
 prices) or from CSV fixtures; both funnel through :func:`parse_klines`, which
 sorts, validates and forward-fills interval gaps so downstream indicator code
-can assume a contiguous series.
+can assume a contiguous series. A series holds one array per field, never an
+object per bar: rows are converted column by column, and validation, sorting,
+gap filling, splitting and CSV writing are array operations.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,122 +49,132 @@ INTERVAL_MS = {
 CSV_HEADER = ["open_time", "open", "high", "low", "close", "volume"]
 
 
-@dataclass(frozen=True)
-class Kline:
-    """One OHLCV bar. Prices are quote currency per base unit."""
-
-    open_time: int
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-
-    def validate(self) -> None:
-        for name in ("open", "high", "low", "close"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise InvariantViolation(f"{name}={value!r} must be a positive finite price")
-        if not math.isfinite(self.volume) or self.volume < 0.0:
-            raise InvariantViolation(f"volume={self.volume!r} must be finite and >= 0")
-        if self.low > min(self.open, self.close) or max(self.open, self.close) > self.high:
-            raise InvariantViolation(
-                f"bar at {self.open_time} breaks low <= open/close <= high: "
-                f"o={self.open} h={self.high} l={self.low} c={self.close}"
-            )
-
-
-@dataclass
+@dataclass(eq=False)
 class KlineSeries:
-    """Time-ordered, gapless candle series for one market pair.
+    """Time-ordered, gapless candle series for one market pair, one array per field.
 
+    ``open_times`` is int64 and the five price and volume columns are float64,
+    all of one length. Prices are quote currency per base unit.
     ``filled_indices`` marks bars synthesized by the gap policy (previous close
     copied into OHLC, volume zero); the CSV form does not carry the flags.
+    Slicing (``series[a:b]``) gives a series of views into the same arrays.
     """
 
     symbol: str
     interval_ms: int
-    bars: list[Kline]
-    filled_indices: tuple[int, ...] = field(default_factory=tuple)
+    open_times: np.ndarray
+    opens: np.ndarray
+    highs: np.ndarray
+    lows: np.ndarray
+    closes: np.ndarray
+    volumes: np.ndarray
+    filled_indices: tuple[int, ...] = ()
 
     def __len__(self) -> int:
-        return len(self.bars)
+        return len(self.open_times)
 
-    def __getitem__(self, i: int) -> Kline:
-        return self.bars[i]
+    def __getitem__(self, index: slice) -> "KlineSeries":
+        if not isinstance(index, slice):
+            raise TypeError("index a KlineSeries with a slice; read bars from its arrays")
+        bars = range(len(self))[index]
+        if bars.step != 1:
+            raise ValueError(f"slice step must be 1, got {bars.step}")
+        start, stop = bars.start, max(bars.start, bars.stop)
+        return KlineSeries(
+            self.symbol,
+            self.interval_ms,
+            *(column[start:stop] for column in self.columns()),
+            filled_indices=tuple(i - start for i in self.filled_indices if start <= i < stop),
+        )
 
-    @cached_property
-    def open_times(self) -> np.ndarray:
-        return np.array([b.open_time for b in self.bars], dtype=np.int64)
-
-    @cached_property
-    def opens(self) -> np.ndarray:
-        return np.array([b.open for b in self.bars], dtype=np.float64)
-
-    @cached_property
-    def highs(self) -> np.ndarray:
-        return np.array([b.high for b in self.bars], dtype=np.float64)
-
-    @cached_property
-    def lows(self) -> np.ndarray:
-        return np.array([b.low for b in self.bars], dtype=np.float64)
-
-    @cached_property
-    def closes(self) -> np.ndarray:
-        return np.array([b.close for b in self.bars], dtype=np.float64)
-
-    @cached_property
-    def volumes(self) -> np.ndarray:
-        return np.array([b.volume for b in self.bars], dtype=np.float64)
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The six arrays in ``CSV_HEADER`` order."""
+        return (self.open_times, self.opens, self.highs, self.lows, self.closes, self.volumes)
 
 
-def _bar_from_row(row) -> Kline:
+def _row_fields(row) -> Sequence:
+    """The raw ``CSV_HEADER`` fields of one row; a sequence may carry extras after them."""
     if isinstance(row, Mapping):
         try:
-            fields = [row[k] for k in CSV_HEADER]
+            return [row[k] for k in CSV_HEADER]
         except KeyError as exc:
             raise MalformedRow(f"row missing field {exc.args[0]!r}: {row!r}") from exc
-    elif isinstance(row, Sequence) and not isinstance(row, (str, bytes)):
+    if isinstance(row, Sequence) and not isinstance(row, (str, bytes)):
         if len(row) < 6:
             raise MalformedRow(f"row has {len(row)} fields, need 6: {row!r}")
-        fields = list(row[:6])
-    else:
-        raise MalformedRow(f"unsupported row type {type(row).__name__}: {row!r}")
+        return row
+    raise MalformedRow(f"unsupported row type {type(row).__name__}: {row!r}")
+
+
+def _converts(fields: Sequence) -> bool:
     try:
-        open_time = int(fields[0])
-        numbers = [float(v) for v in fields[1:6]]
-    except (TypeError, ValueError) as exc:
-        raise MalformedRow(f"non-numeric field in row {row!r}") from exc
-    return Kline(open_time, *numbers)
+        int(fields[0])
+        [float(v) for v in fields[1:6]]
+    except (TypeError, ValueError):
+        return False
+    return True
 
 
-def fill_gaps(bars: list[Kline], interval_ms: int) -> tuple[list[Kline], tuple[int, ...]]:
-    """Insert forward-filled bars wherever consecutive open_times skip intervals."""
-    out: list[Kline] = [bars[0]]
-    filled: list[int] = []
-    for bar in bars[1:]:
-        gap = bar.open_time - out[-1].open_time
-        if gap <= 0:
-            raise InvariantViolation(f"duplicate open_time {bar.open_time}")
-        if gap % interval_ms != 0:
-            raise InvariantViolation(
-                f"open_time {bar.open_time} not aligned to interval {interval_ms} "
-                f"after {out[-1].open_time}"
-            )
-        while bar.open_time - out[-1].open_time > interval_ms:
-            prev = out[-1]
-            synthetic = Kline(
-                open_time=prev.open_time + interval_ms,
-                open=prev.close,
-                high=prev.close,
-                low=prev.close,
-                close=prev.close,
-                volume=0.0,
-            )
-            filled.append(len(out))
-            out.append(synthetic)
-        out.append(bar)
-    return out, tuple(filled)
+def _check_bars(open_times: np.ndarray, prices: np.ndarray) -> None:
+    """Raise InvariantViolation for the first bar, in array order, that is not a
+    positive finite OHLC with low <= open/close <= high and a finite volume >= 0.
+
+    ``prices`` is the (5, n) block of open, high, low, close and volume rows.
+    """
+    o, h, l, c, v = prices
+    good = (
+        np.isfinite(prices).all(axis=0)
+        & (prices[:4] > 0.0).all(axis=0)
+        & (v >= 0.0)
+        & (l <= np.minimum(o, c))
+        & (np.maximum(o, c) <= h)
+    )
+    if good.all():
+        return
+    i = int(np.argmin(good))
+    o, h, l, c, v = prices[:, i].tolist()
+    for name, value in zip(CSV_HEADER[1:5], (o, h, l, c)):
+        if not math.isfinite(value) or value <= 0.0:
+            raise InvariantViolation(f"{name}={value!r} must be a positive finite price")
+    if not math.isfinite(v) or v < 0.0:
+        raise InvariantViolation(f"volume={v!r} must be finite and >= 0")
+    raise InvariantViolation(
+        f"bar at {open_times[i]} breaks low <= open/close <= high: o={o} h={h} l={l} c={c}"
+    )
+
+
+def fill_gaps(
+    open_times: np.ndarray, prices: np.ndarray, interval_ms: int
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Insert forward-filled bars wherever consecutive open_times skip intervals.
+
+    ``open_times`` must be sorted and ``prices`` is the (5, n) block of open,
+    high, low, close and volume rows. A filled bar copies the previous close
+    into its OHLC and has volume zero. Returns the filled open_times, the
+    filled price block and the indices of the synthesized bars.
+    """
+    gaps = np.diff(open_times)
+    bad = (gaps <= 0) | (gaps % interval_ms != 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        prev, t = int(open_times[i]), int(open_times[i + 1])
+        if t <= prev:
+            raise InvariantViolation(f"duplicate open_time {t}")
+        raise InvariantViolation(
+            f"open_time {t} not aligned to interval {interval_ms} after {prev}"
+        )
+    steps = gaps // interval_ms
+    if (steps == 1).all():
+        return open_times, prices, ()
+    # source bar of every output bar; a filled bar repeats the bar before the gap
+    source = np.repeat(np.arange(len(open_times)), np.append(steps, 1))
+    filled = np.ones(len(source), dtype=bool)
+    filled[np.concatenate(([0], np.cumsum(steps)))] = False
+    out = prices[:, source]
+    out[:4, filled] = out[3, filled]
+    out[4, filled] = 0.0
+    out_times = open_times[0] + interval_ms * np.arange(len(source), dtype=np.int64)
+    return out_times, out, tuple(np.flatnonzero(filled).tolist())
 
 
 def parse_klines(
@@ -175,15 +186,27 @@ def parse_klines(
 
     Accepts exchange-style array rows (``[openTime, open, high, low, close,
     volume, ...]`` with string prices) or mappings keyed by the CSV header.
+    Bars are validated in input order, then stably sorted by open_time.
     """
-    bars = [_bar_from_row(row) for row in rows]
-    if not bars:
+    fields = [_row_fields(row) for row in rows]
+    if not fields:
         raise EmptyInput("no kline rows to parse")
-    for bar in bars:
-        bar.validate()
-    bars.sort(key=lambda b: b.open_time)
-    bars, filled = fill_gaps(bars, interval_ms)
-    return KlineSeries(symbol=symbol, interval_ms=interval_ms, bars=bars, filled_indices=filled)
+    n = len(fields)
+    columns = zip(*fields)
+    try:
+        open_times = np.fromiter(map(int, next(columns)), dtype=np.int64, count=n)
+        prices = np.empty((5, n))
+        for row, column in zip(prices, columns):
+            row[:] = np.fromiter(map(float, column), dtype=np.float64, count=n)
+    except (TypeError, ValueError) as exc:
+        bad = next(row for row in fields if not _converts(row))
+        raise MalformedRow(f"non-numeric field in row {bad!r}") from exc
+    _check_bars(open_times, prices)
+    if (np.diff(open_times) < 0).any():
+        order = np.argsort(open_times, kind="stable")
+        open_times, prices = open_times[order], prices[:, order]
+    open_times, prices, filled = fill_gaps(open_times, prices, interval_ms)
+    return KlineSeries(symbol, interval_ms, open_times, *prices, filled_indices=filled)
 
 
 def split_train_test(series: KlineSeries, train_fraction: float) -> tuple[KlineSeries, KlineSeries]:
@@ -194,28 +217,15 @@ def split_train_test(series: KlineSeries, train_fraction: float) -> tuple[KlineS
     if n < 2:
         raise TooShort(f"need at least 2 bars to split, got {n}")
     cut = int(math.floor(n * train_fraction))
-    train = KlineSeries(
-        symbol=series.symbol,
-        interval_ms=series.interval_ms,
-        bars=series.bars[:cut],
-        filled_indices=tuple(i for i in series.filled_indices if i < cut),
-    )
-    test = KlineSeries(
-        symbol=series.symbol,
-        interval_ms=series.interval_ms,
-        bars=series.bars[cut:],
-        filled_indices=tuple(i - cut for i in series.filled_indices if i >= cut),
-    )
-    return train, test
+    return series[:cut], series[cut:]
 
 
 def save_klines_csv(series: KlineSeries, path) -> None:
+    """Write the header and one row per bar; floats are written as their repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for bar in series.bars:
-            writer.writerow([bar.open_time, repr(bar.open), repr(bar.high),
-                             repr(bar.low), repr(bar.close), repr(bar.volume)])
+        writer.writerows(zip(*(column.tolist() for column in series.columns())))
 
 
 def load_klines_csv(path, symbol: str = "", interval_ms: int = FOUR_HOURS_MS) -> KlineSeries:
@@ -226,8 +236,7 @@ def load_klines_csv(path, symbol: str = "", interval_ms: int = FOUR_HOURS_MS) ->
             raise EmptyInput(f"{path} is empty")
         if [h.strip() for h in header] != CSV_HEADER:
             raise MalformedRow(f"{path} header {header!r} != {CSV_HEADER!r}")
-        rows = [row for row in reader if row]
-    return parse_klines(rows, symbol=symbol, interval_ms=interval_ms)
+        return parse_klines(filter(None, reader), symbol=symbol, interval_ms=interval_ms)
 
 
 def _default_transport(url: str, params: dict, timeout: float):

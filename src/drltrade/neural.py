@@ -100,27 +100,41 @@ class Mlp:
             activations.append(a)
         return a, activations
 
-    def backward(self, cache, grad_out: np.ndarray):
-        """Given d(loss)/d(output), return (param grad, d(loss)/d(input)).
-
-        The param grad is one vector in the layout of ``params()``.
-        """
-        activations = cache
+    @staticmethod
+    def _check_grad_out(activations, grad_out: np.ndarray) -> np.ndarray:
         g = np.asarray(grad_out, dtype=float)
         if g.shape != activations[-1].shape:
             raise ShapeMismatch(
                 f"grad_out shape {g.shape} != output shape {activations[-1].shape}"
             )
+        return g
+
+    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
+        """Given d(loss)/d(output), return d(loss)/d(params).
+
+        The gradient is one vector in the layout of ``params()``. The input
+        gradient is not computed; ``input_grad`` returns it.
+        """
+        activations = cache
+        g = self._check_grad_out(activations, grad_out)
         grads: list[np.ndarray] = []
         for i in range(len(self.weights) - 1, -1, -1):
-            a_prev = activations[i]
             grads.append(g.sum(axis=0))  # db
-            grads.append(a_prev.T @ g)  # dW
+            grads.append(activations[i].T @ g)  # dW
+            if i > 0:
+                g = (g @ self.weights[i].T) * (1.0 - activations[i] ** 2)  # through tanh
+        grads.reverse()
+        return flatten_params(grads)
+
+    def input_grad(self, cache, grad_out: np.ndarray) -> np.ndarray:
+        """Given d(loss)/d(output), return d(loss)/d(input) and no parameter gradient."""
+        activations = cache
+        g = self._check_grad_out(activations, grad_out)
+        for i in range(len(self.weights) - 1, -1, -1):
             g = g @ self.weights[i].T
             if i > 0:
                 g = g * (1.0 - activations[i] ** 2)  # through tanh
-        grads.reverse()
-        return flatten_params(grads), g
+        return g
 
     def jvp(self, x: np.ndarray, tangent: np.ndarray) -> np.ndarray:
         """Directional derivative of the output along a parameter tangent vector."""

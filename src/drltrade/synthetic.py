@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .market_data import FOUR_HOURS_MS, Kline, KlineSeries
+from .market_data import FOUR_HOURS_MS, KlineSeries
 
 
 def make_sine_series(
@@ -28,17 +28,13 @@ def make_sine_series(
     opens = np.empty(n_bars)
     opens[0] = closes[0]
     opens[1:] = closes[:-1]
-    bars = []
-    for i in range(n_bars):
-        o, c = float(opens[i]), float(closes[i])
-        bars.append(
-            Kline(
-                open_time=start_time + i * interval_ms,
-                open=o,
-                high=max(o, c),
-                low=min(o, c),
-                close=c,
-                volume=volume,
-            )
-        )
-    return KlineSeries(symbol=symbol, interval_ms=interval_ms, bars=bars)
+    return KlineSeries(
+        symbol,
+        interval_ms,
+        open_times=np.asarray(start_time + t * interval_ms, dtype=np.int64),
+        opens=opens,
+        highs=np.maximum(opens, closes),
+        lows=np.minimum(opens, closes),
+        closes=closes,
+        volumes=np.full(n_bars, volume, dtype=np.float64),
+    )

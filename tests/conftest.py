@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from drltrade.market_data import FOUR_HOURS_MS, Kline, KlineSeries
+from drltrade.market_data import FOUR_HOURS_MS, KlineSeries, parse_klines
 from drltrade.synthetic import make_sine_series
 
 # Acceptance tests append their PASS/FAIL lines here so they show up in the
@@ -27,29 +27,26 @@ def make_random_series(
     interval_ms: int = FOUR_HOURS_MS,
     symbol: str = "RND",
 ) -> KlineSeries:
-    """Geometric random walk closes with consistent OHLC brackets."""
+    """Geometric random walk closes with consistent OHLC brackets.
+
+    Per bar it draws the high spread, the low spread and the volume, in that
+    order, after all closes; the series goes through ``parse_klines`` so every
+    fixture is a validated, gapless series.
+    """
     closes = base * np.exp(np.cumsum(rng.normal(0.0, vol, size=n)))
-    bars = []
-    prev_close = base
-    for i in range(n):
-        o, c = prev_close, float(closes[i])
-        spread_up = 1.0 + abs(rng.normal(0.0, vol / 2.0))
-        spread_dn = 1.0 + abs(rng.normal(0.0, vol / 2.0))
-        bars.append(
-            Kline(
-                open_time=start_time + i * interval_ms,
-                open=o,
-                high=max(o, c) * spread_up,
-                low=min(o, c) / spread_dn,
-                close=c,
-                volume=float(abs(rng.normal(1000.0, 250.0))),
-            )
-        )
-        prev_close = c
-    series = KlineSeries(symbol=symbol, interval_ms=interval_ms, bars=bars)
-    for bar in bars:
-        bar.validate()
-    return series
+    draws = rng.normal([0.0, 0.0, 1000.0], [vol / 2.0, vol / 2.0, 250.0], size=(n, 3))
+    spread_up, spread_dn = 1.0 + np.abs(draws[:, 0]), 1.0 + np.abs(draws[:, 1])
+    opens = np.concatenate(([base], closes[:-1]))
+    columns = (
+        start_time + interval_ms * np.arange(n),
+        opens,
+        np.maximum(opens, closes) * spread_up,
+        np.minimum(opens, closes) / spread_dn,
+        closes,
+        np.abs(draws[:, 2]),
+    )
+    rows = zip(*(c.tolist() for c in columns))
+    return parse_klines(rows, symbol=symbol, interval_ms=interval_ms)
 
 
 @pytest.fixture

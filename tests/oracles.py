@@ -11,10 +11,14 @@ DI sum zero -> DX 0.
 """
 
 import math
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from drltrade.errors import EmptyInput, InvariantViolation, MalformedRow
+
 NAN = float("nan")
+KLINE_FIELDS = ("open_time", "open", "high", "low", "close", "volume")
 
 
 def brute_sma(values, period):
@@ -36,6 +40,91 @@ def brute_ema(values, period):
     for i in range(period, len(values)):
         out[i] = alpha * values[i] + (1.0 - alpha) * out[i - 1]
     return out
+
+
+def loop_wilder_smooth(x, period, first_index):
+    """Wilder smoothing as a loop over numpy scalars, seeded with np.mean.
+
+    The same arithmetic, in the same order, as ``indicators.wilder_smooth``:
+    the two must agree bit for bit.
+    """
+    n = len(x)
+    start = first_index + period - 1
+    out = np.full(n, np.nan)
+    if start >= n:
+        return out
+    out[start] = np.mean(x[first_index:first_index + period])
+    for i in range(start + 1, n):
+        out[i] = (out[i - 1] * (period - 1) + x[i]) / period
+    return out
+
+
+def loop_ema(x, period):
+    """EMA as a loop over numpy scalars, bit for bit like ``indicators.ema``."""
+    n = len(x)
+    out = np.full(n, np.nan)
+    if n >= period:
+        alpha = 2.0 / (period + 1.0)
+        out[period - 1] = np.mean(x[:period])
+        for i in range(period, n):
+            out[i] = alpha * x[i] + (1.0 - alpha) * out[i - 1]
+    return out
+
+
+def brute_parse_klines(rows, interval_ms):
+    """Per-bar kline parse: returns (bars, filled_indices), bars as 6-tuples.
+
+    Row by row: take the six fields, convert them, validate every bar in input
+    order, stable-sort by open_time, then walk the bars and insert a
+    forward-filled bar (previous close as OHLC, volume 0) for each missing
+    interval. Raises the error classes and bar messages ``parse_klines`` uses.
+    """
+    bars = []
+    for row in rows:
+        if isinstance(row, Mapping):
+            if not all(k in row for k in KLINE_FIELDS):
+                raise MalformedRow(f"row missing a field: {row!r}")
+            fields = [row[k] for k in KLINE_FIELDS]
+        elif isinstance(row, Sequence) and not isinstance(row, (str, bytes)):
+            if len(row) < 6:
+                raise MalformedRow(f"row has {len(row)} fields, need 6: {row!r}")
+            fields = list(row[:6])
+        else:
+            raise MalformedRow(f"unsupported row type {type(row).__name__}")
+        try:
+            bars.append((int(fields[0]), *[float(v) for v in fields[1:6]]))
+        except (TypeError, ValueError) as exc:
+            raise MalformedRow(f"non-numeric field in row {row!r}") from exc
+    if not bars:
+        raise EmptyInput("no kline rows to parse")
+    for t, o, h, l, c, v in bars:
+        for name, value in zip(KLINE_FIELDS[1:5], (o, h, l, c)):
+            if not math.isfinite(value) or value <= 0.0:
+                raise InvariantViolation(f"{name}={value!r} must be a positive finite price")
+        if not math.isfinite(v) or v < 0.0:
+            raise InvariantViolation(f"volume={v!r} must be finite and >= 0")
+        if l > min(o, c) or max(o, c) > h:
+            raise InvariantViolation(
+                f"bar at {t} breaks low <= open/close <= high: o={o} h={h} l={l} c={c}"
+            )
+    bars.sort(key=lambda bar: bar[0])
+    out = [bars[0]]
+    filled = []
+    for bar in bars[1:]:
+        prev_time = out[-1][0]
+        gap = bar[0] - prev_time
+        if gap <= 0:
+            raise InvariantViolation(f"duplicate open_time {bar[0]}")
+        if gap % interval_ms != 0:
+            raise InvariantViolation(
+                f"open_time {bar[0]} not aligned to interval {interval_ms} after {prev_time}"
+            )
+        while bar[0] - out[-1][0] > interval_ms:
+            close = out[-1][4]
+            filled.append(len(out))
+            out.append((out[-1][0] + interval_ms, close, close, close, close, 0.0))
+        out.append(bar)
+    return out, tuple(filled)
 
 
 def brute_typical_price(highs, lows, closes):

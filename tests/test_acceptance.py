@@ -8,7 +8,7 @@ with ``pytest -s tests/test_acceptance.py`` to see the lines as they appear.
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -43,7 +43,7 @@ from drltrade.features import (
     normalize,
 )
 from drltrade.agents.gail import discriminator_objective
-from drltrade.market_data import Kline, KlineSeries
+from drltrade.market_data import KlineSeries
 from drltrade.neural import GaussianPolicy, Mlp
 from drltrade.synthetic import make_sine_series
 
@@ -103,12 +103,13 @@ def test_criterion_01_indicator_oracles():
 
 
 def scaled_shifted(series, scale, shift):
-    bars = [
-        Kline(b.open_time, b.open * scale + shift, b.high * scale + shift,
-              b.low * scale + shift, b.close * scale + shift, b.volume)
-        for b in series.bars
-    ]
-    return KlineSeries(symbol=series.symbol, interval_ms=series.interval_ms, bars=bars)
+    return replace(
+        series,
+        opens=series.opens * scale + shift,
+        highs=series.highs * scale + shift,
+        lows=series.lows * scale + shift,
+        closes=series.closes * scale + shift,
+    )
 
 
 def test_criterion_02_bounds_and_invariance():
@@ -141,11 +142,7 @@ def test_criterion_02_bounds_and_invariance():
 
 
 def truncated(series, last_index):
-    return KlineSeries(
-        symbol=series.symbol,
-        interval_ms=series.interval_ms,
-        bars=series.bars[: last_index + 1],
-    )
+    return series[: last_index + 1]
 
 
 def test_criterion_03_no_look_ahead():
@@ -248,7 +245,7 @@ def test_criterion_05_mlp_gradients():
             x = rng.normal(size=(3, sizes[0]))
             w = rng.normal(size=sizes[-1])
             out, cache = net.forward_cached(x)
-            grads, _ = net.backward(cache, np.tile(w, (len(x), 1)) / len(x))
+            grads = net.backward(cache, np.tile(w, (len(x), 1)) / len(x))
 
             def loss_of(flat):
                 probe = net.copy()

@@ -19,28 +19,24 @@ from drltrade.backtest import (
 from drltrade.env import EnvConfig, TradingEnv
 from drltrade.errors import ZeroBegin
 from drltrade.features import FeatureConfig, build_feature_matrix, fit_normalizer, normalize
-from drltrade.market_data import FOUR_HOURS_MS, Kline, KlineSeries
+from drltrade.market_data import FOUR_HOURS_MS, KlineSeries
 
 FEB_24_2021_MS = 1_614_124_800_000
 
 
 def price_series(closes, start_time=FEB_24_2021_MS):
-    bars = []
-    prev = float(closes[0])
-    for i, c in enumerate(closes):
-        c = float(c)
-        bars.append(
-            Kline(
-                open_time=start_time + i * FOUR_HOURS_MS,
-                open=prev,
-                high=max(prev, c),
-                low=min(prev, c),
-                close=c,
-                volume=10.0,
-            )
-        )
-        prev = c
-    return KlineSeries(symbol="FIX", interval_ms=FOUR_HOURS_MS, bars=bars)
+    closes = np.asarray(closes, dtype=np.float64)
+    opens = np.concatenate((closes[:1], closes[:-1]))
+    return KlineSeries(
+        "FIX",
+        FOUR_HOURS_MS,
+        open_times=start_time + FOUR_HOURS_MS * np.arange(len(closes)),
+        opens=opens,
+        highs=np.maximum(opens, closes),
+        lows=np.minimum(opens, closes),
+        closes=closes,
+        volumes=np.full(len(closes), 10.0),
+    )
 
 
 def build_env(closes, **config_overrides):

@@ -90,6 +90,25 @@ def test_config_validation_rejects(tmp_path, patch):
         cli.load_run_config(str(cfg), {})
 
 
+@pytest.mark.parametrize(
+    "patch,where",
+    [
+        ({"split_fracton": 0.5}, "config"),
+        ({"features": {"window": 4, "windw": 4}}, "features"),
+        ({"data": {"synthetic": {"n_bars": 80, "amplitud": 0.2}}}, "data.synthetic"),
+        ({"data": {"fetch": {"start": "2021-01-01", "ende": "2021-02-01"}}}, "data.fetch"),
+        ({"data": {"csv": "x.csv", "sythetic": {}}}, "data"),
+    ],
+)
+def test_unknown_config_keys_are_refused(tmp_path, capsys, patch, where):
+    cfg = write_config(tmp_path / "c.json", tmp_path / "run", **patch)
+    with pytest.raises(ValueError, match=f"unknown key.* in {where};"):
+        cli.load_run_config(str(cfg), {})
+    assert cli.main(["--config", str(cfg), "fetch"]) == cli.EXIT_MISSING
+    assert "invalid configuration: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_config_file_exits_missing(tmp_path, capsys):
     code = cli.main(["--config", str(tmp_path / "absent.json"), "fetch"])
     assert code == cli.EXIT_MISSING

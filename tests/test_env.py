@@ -1,5 +1,7 @@
 """Trading environment ledger arithmetic and reward bracketing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from drltrade.env import (
 )
 from drltrade.errors import NonPositivePrice, SteppedAfterDone, WindowUnderflow
 from drltrade.features import FeatureConfig, build_feature_matrix, fit_normalizer, normalize
+from drltrade.market_data import KlineSeries
 
 FEE = 0.0075
 
@@ -85,6 +88,23 @@ def test_env_episode_validation(rng):
         TradingEnv(series, norm, EnvConfig(window=3), range(5, 6))
 
 
+def test_default_max_buy_uses_first_bar_of_whole_series():
+    """On the test split of a market that doubles, the default order size still
+    comes from bar 0, so a full buy asks for 100 units and is clamped."""
+    n = 40
+    closes = np.linspace(100.0, 200.0, n)
+    opens = np.concatenate((closes[:1], closes[:-1]))
+    series = KlineSeries("UP", 1000, 1000 * np.arange(n), opens, closes, opens, closes,
+                         np.ones(n))
+    test_start = 30
+    env = build_env(series, episode=range(test_start, n), fee_rate=0.0)
+    assert env.max_buy_amount == 100.0  # 10 000 / closes[0], not / closes[30]
+    info = env.step(1.0).info
+    assert info.desired_units == 100.0
+    assert info.clamped
+    assert info.executed_units == pytest.approx(10_000.0 / closes[test_start])
+
+
 def test_env_default_episode_and_max_buy(rng):
     series = make_random_series(rng, 40)
     env = build_env(series, window=3)
@@ -126,9 +146,8 @@ def test_step_ledger_and_reward(rng):
 def test_clamped_step_adds_penalty_flat_price():
     """Oversell on a flat price: reward is the penalty minus the scaled fee."""
     series = make_random_series(np.random.default_rng(5), 30)
-    flat_bars = [type(b)(b.open_time, 100.0, 100.0, 100.0, 100.0, b.volume)
-                 for b in series.bars]
-    flat = type(series)(symbol="F", interval_ms=series.interval_ms, bars=flat_bars)
+    price = np.full(len(series), 100.0)
+    flat = replace(series, symbol="F", opens=price, highs=price, lows=price, closes=price)
     env = build_env(flat, columns=("volume",))
     env.step(0.5)  # buy 50 units at 100
     fee_before = env.total_cost

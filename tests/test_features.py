@@ -25,7 +25,6 @@ from drltrade.features import (
     normalizer_from_json,
     normalizer_to_json,
 )
-from drltrade.market_data import KlineSeries
 
 
 def test_default_columns_and_dims():
@@ -149,8 +148,7 @@ def test_no_look_ahead_rows_and_observations(rng):
     for _ in range(5):
         series = make_random_series(rng, 90)
         cut = int(rng.integers(40, 80))
-        prefix = KlineSeries(symbol=series.symbol, interval_ms=series.interval_ms,
-                             bars=series.bars[:cut])
+        prefix = series[:cut]
         full = build_feature_matrix(series, config)
         part = build_feature_matrix(prefix, config)
         assert np.array_equal(full.rows[:cut], part.rows, equal_nan=True)

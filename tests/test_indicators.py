@@ -1,5 +1,7 @@
 """Indicator correctness against brute-force oracles, bounds, and edge cases."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_random_series
 from drltrade import indicators as ind
 from drltrade.errors import PeriodZero, TooShort
-from drltrade.market_data import Kline, KlineSeries
+from drltrade.market_data import KlineSeries
 from oracles import (
     brute_atr,
     brute_bollinger,
@@ -19,24 +21,24 @@ from oracles import (
     brute_rsi,
     brute_sma,
     brute_true_range,
+    loop_ema,
+    loop_wilder_smooth,
 )
 
 ATOL = 1e-9
 
 
 def flat_series(n, price=50.0):
-    bars = [Kline(i * 1000, price, price, price, price, 1.0) for i in range(n)]
-    return KlineSeries(symbol="FLAT", interval_ms=1000, bars=bars)
+    flat = np.full(n, price)
+    return KlineSeries("FLAT", 1000, 1000 * np.arange(n), flat, flat, flat, flat, np.ones(n))
 
 
 def monotonic_series(n, start=10.0, step=1.0):
-    bars = []
-    for i in range(n):
-        c = start + i * step
-        o = c - step if i else c
-        lo, hi = min(o, c), max(o, c)
-        bars.append(Kline(i * 1000, o, hi, lo, c, 1.0))
-    return KlineSeries(symbol="MONO", interval_ms=1000, bars=bars)
+    closes = start + np.arange(n) * step
+    opens = closes - step
+    opens[0] = closes[0]
+    return KlineSeries("MONO", 1000, 1000 * np.arange(n), opens,
+                       np.maximum(opens, closes), np.minimum(opens, closes), closes, np.ones(n))
 
 
 def assert_matches(series_values, oracle_values, warmup):
@@ -57,6 +59,23 @@ def test_ema_matches_oracle(rng):
     values = rng.uniform(10, 20, size=60)
     out = ind.ema(values, 10)
     assert_matches(out.values, brute_ema(values, 10), out.warmup_len)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 40),
+    period=st.integers(1, 15),
+    first_index=st.integers(0, 5),
+)
+def test_recurrences_match_numpy_scalar_loops_bit_for_bit(seed, n, period, first_index):
+    """The Python-float recurrences repeat the numpy-scalar loops' arithmetic exactly,
+    including series shorter than the seed window and a late first index."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    got = ind.wilder_smooth(x, period, first_index)
+    assert got.tobytes() == loop_wilder_smooth(x, period, first_index).tobytes()
+    assert ind.ema(x, period).values.tobytes() == loop_ema(x, period).tobytes()
 
 
 def test_true_range_first_bar_is_high_minus_low(random_series):
@@ -161,12 +180,13 @@ def test_bounds_and_ordering_properties(seed, period):
 
 
 def scaled_shifted(series, scale=1.0, shift=0.0):
-    bars = [
-        Kline(b.open_time, b.open * scale + shift, b.high * scale + shift,
-              b.low * scale + shift, b.close * scale + shift, b.volume)
-        for b in series.bars
-    ]
-    return KlineSeries(symbol=series.symbol, interval_ms=series.interval_ms, bars=bars)
+    return replace(
+        series,
+        opens=series.opens * scale + shift,
+        highs=series.highs * scale + shift,
+        lows=series.lows * scale + shift,
+        closes=series.closes * scale + shift,
+    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -188,7 +208,7 @@ def test_truncation_leaves_prefix_unchanged(rng):
     """No look-ahead: values at i depend only on bars up to i."""
     s = make_random_series(rng, 100)
     cut = 60
-    prefix = KlineSeries(symbol=s.symbol, interval_ms=s.interval_ms, bars=s.bars[:cut])
+    prefix = s[:cut]
     for full, part in [
         (ind.rsi(s, 14), ind.rsi(prefix, 14)),
         (ind.cci(s, 14), ind.cci(prefix, 14)),

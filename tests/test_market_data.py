@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_series
+from oracles import brute_parse_klines
 from drltrade.errors import (
     EmptyInput,
     EmptyRange,
@@ -19,7 +20,6 @@ from drltrade.market_data import (
     CSV_HEADER,
     FOUR_HOURS_MS,
     BinanceClient,
-    Kline,
     fill_gaps,
     load_klines_csv,
     parse_klines,
@@ -40,14 +40,14 @@ def test_parse_exchange_rows_with_string_decimals():
     series = parse_klines(rows, symbol="ETHUSDT")
     assert len(series) == 3
     assert series.symbol == "ETHUSDT"
-    assert series[0].open == 10.0 and series[0].close == 10.5
+    assert series.opens[0] == 10.0 and series.closes[0] == 10.5
     assert series.closes.dtype == np.float64
 
 
 def test_parse_mapping_rows():
     rows = [dict(zip(CSV_HEADER, [H, "2", "3", "1", "2.5", "7"]))]
     series = parse_klines(rows)
-    assert series[0].high == 3.0 and series[0].volume == 7.0
+    assert series.highs[0] == 3.0 and series.volumes[0] == 7.0
 
 
 def test_parse_sorts_by_open_time():
@@ -93,29 +93,38 @@ def test_parse_rejects_missing_mapping_key():
 )
 def test_bar_validation_rejects(o, h, l, c, v):
     with pytest.raises(InvariantViolation):
-        Kline(0, o, h, l, c, v).validate()
+        parse_klines([[0, o, h, l, c, v]])
+
+
+def test_bar_validation_names_first_bad_bar_in_input_order():
+    rows = [
+        exchange_row(2 * H, 10, 11, 9, 10, 1),
+        exchange_row(H, 10, 11, 9, 10, -1),  # first bad row in input order
+        exchange_row(0, -10, 11, 9, 10, 1),  # first bad bar in time order
+    ]
+    with pytest.raises(InvariantViolation, match="volume="):
+        parse_klines(rows)
 
 
 def test_fill_gaps_inserts_forward_filled_bars():
-    bars = [
-        Kline(0, 10.0, 11.0, 9.0, 10.5, 1.0),
-        Kline(3 * H, 10.0, 11.0, 9.0, 10.0, 1.0),
-    ]
-    filled, idx = fill_gaps(bars, H)
-    assert len(filled) == 4
+    times = np.array([0, 3 * H], dtype=np.int64)
+    prices = np.array([[10.0, 10.0], [11.0, 11.0], [9.0, 9.0], [10.5, 10.0], [1.0, 1.0]])
+    out_times, out, idx = fill_gaps(times, prices, H)
+    assert out.shape == (5, 4)
     assert idx == (1, 2)
+    assert list(out_times) == [0, H, 2 * H, 3 * H]
     for i in (1, 2):
-        bar = filled[i]
-        assert bar.open == bar.high == bar.low == bar.close == 10.5
-        assert bar.volume == 0.0
-        assert bar.open_time == i * H
+        assert np.all(out[:4, i] == 10.5)
+        assert out[4, i] == 0.0
+    assert np.array_equal(out[:, [0, 3]], prices)
 
 
 def test_fill_gaps_rejects_duplicates_and_misalignment():
-    with pytest.raises(InvariantViolation):
-        fill_gaps([Kline(0, 1, 1, 1, 1, 0), Kline(0, 1, 1, 1, 1, 0)], H)
-    with pytest.raises(InvariantViolation):
-        fill_gaps([Kline(0, 1, 1, 1, 1, 0), Kline(H + 1, 1, 1, 1, 1, 0)], H)
+    prices = np.ones((5, 2))
+    with pytest.raises(InvariantViolation, match="duplicate"):
+        fill_gaps(np.array([0, 0]), prices, H)
+    with pytest.raises(InvariantViolation, match="not aligned"):
+        fill_gaps(np.array([0, H + 1]), prices, H)
 
 
 def test_parse_gap_flags_survive_split(rng):
@@ -133,7 +142,7 @@ def test_split_floor_fraction(rng):
     train, test = split_train_test(series, 0.95)
     assert len(train) == 95  # floor(101 * 0.95)
     assert len(test) == 6
-    assert train[-1].open_time < test[0].open_time
+    assert train.open_times[-1] < test.open_times[0]
 
 
 def test_split_rejects_bad_inputs(rng):
@@ -150,8 +159,9 @@ def test_csv_round_trip_is_exact(rng, tmp_path):
     save_klines_csv(series, path)
     loaded = load_klines_csv(path, symbol=series.symbol)
     assert len(loaded) == len(series)
-    for a, b in zip(series.bars, loaded.bars):
-        assert a == b  # repr round-trips floats bit for bit
+    for a, b in zip(series.columns(), loaded.columns()):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)  # repr round-trips floats bit for bit
 
 
 def test_csv_rejects_wrong_header(tmp_path):
@@ -173,11 +183,123 @@ def test_csv_rejects_empty_file(tmp_path):
 def test_random_series_parse_round_trip(seed, n):
     rng = np.random.default_rng(seed)
     series = make_random_series(rng, n)
-    rows = [[b.open_time, b.open, b.high, b.low, b.close, b.volume] for b in series.bars]
+    rows = [list(row) for row in zip(*(c.tolist() for c in series.columns()))]
     parsed = parse_klines(rows, symbol="RND")
     diffs = np.diff(parsed.open_times)
     assert np.all(diffs == FOUR_HOURS_MS)
     assert len(parsed) == n
+
+
+FAULTS = (
+    "empty", "short", "non_numeric", "none_field", "missing_key", "bad_price",
+    "bad_volume", "non_finite", "swap_high_low", "duplicate", "misaligned",
+)
+
+
+def inject_fault(rows, fault, rng):
+    """Break one intact row (or the whole input) the way ``fault`` names."""
+    intact = [k for k, row in enumerate(rows)
+              if len(row) == 6 and all(isinstance(v, (int, float)) for v in row)]
+    if fault == "empty":
+        return []
+    if not intact:
+        return rows
+    i = intact[int(rng.integers(len(intact)))]
+    row = rows[i]
+    if fault in ("short", "missing_key"):
+        rows[i] = row[: int(rng.integers(0, 6))]
+    elif fault == "non_numeric":
+        row[int(rng.integers(0, 6))] = "x"
+    elif fault == "none_field":
+        row[int(rng.integers(0, 6))] = None
+    elif fault == "bad_price":
+        row[int(rng.integers(1, 5))] *= float(rng.choice([-1.0, 0.0]))
+    elif fault == "bad_volume":
+        row[5] = -1.0 - row[5]
+    elif fault == "non_finite":
+        row[int(rng.integers(1, 6))] = float(rng.choice([np.nan, np.inf, -np.inf]))
+    elif fault == "swap_high_low":
+        row[2], row[3] = row[3], row[2]
+    elif fault == "duplicate":
+        rows.append(list(row))
+    elif fault == "misaligned":
+        row[0] += int(rng.integers(1, H))
+    return rows
+
+
+def as_form(rows, form):
+    if form == "mapping":
+        return [dict(zip(CSV_HEADER, row)) for row in rows]
+    if form == "exchange":
+        return [
+            [repr(v) if isinstance(v, float) else v for v in row]
+            + ([0, "0"] if len(row) == 6 else [])
+            for row in rows
+        ]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    keep=st.floats(0.3, 1.0),
+    form=st.sampled_from(["list", "mapping", "exchange"]),
+    faults=st.lists(st.sampled_from(FAULTS), max_size=2),
+)
+def test_parse_matches_per_bar_reference(seed, n, keep, form, faults):
+    """Shuffled rows with random gaps parse to the reference's arrays and flags;
+    broken input raises the reference's error class and, for a bad bar, the
+    reference's message, which names the first bad bar in input order."""
+    rng = np.random.default_rng(seed)
+    series = make_random_series(rng, n)
+    rows = [list(row) for row in zip(*(c.tolist() for c in series.columns()))]
+    kept = rng.random(n) < keep
+    kept[0] = True
+    rows = [row for row, k in zip(rows, kept) if k]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    for fault in faults:
+        rows = inject_fault(rows, fault, rng)
+    rows = as_form(rows, form)
+    try:
+        bars, filled = brute_parse_klines(rows, H)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            parse_klines(rows, interval_ms=H)
+        assert type(got.value) is type(exc)
+        if isinstance(exc, InvariantViolation):
+            assert str(got.value) == str(exc)
+        return
+    parsed = parse_klines(rows, symbol="RND", interval_ms=H)
+    want = [np.array(col, dtype=np.int64 if k == 0 else np.float64)
+            for k, col in enumerate(zip(*bars))]
+    for got_col, want_col in zip(parsed.columns(), want):
+        assert got_col.dtype == want_col.dtype
+        assert got_col.tobytes() == want_col.tobytes()
+    assert parsed.filled_indices == filled
+
+
+def test_series_slice_keeps_views_and_shifts_flags():
+    rows = [exchange_row(i * H, 10, 11, 9, 10, 1) for i in (0, 1, 4, 5, 8)]
+    series = parse_klines(rows)
+    assert series.filled_indices == (2, 3, 6, 7)
+    part = series[3:7]
+    assert len(part) == 4 and part.filled_indices == (0, 3)
+    assert np.shares_memory(part.closes, series.closes)
+    assert len(series[7:3]) == 0
+    with pytest.raises(TypeError):
+        series[0]
+    with pytest.raises(ValueError):
+        series[::2]
+
+
+def test_save_writes_plain_float_reprs(tmp_path):
+    series = parse_klines([exchange_row(0, 0.1, 0.30000000000000004, 0.1, 0.2, 1e-05)])
+    path = tmp_path / "k.csv"
+    save_klines_csv(series, path)
+    assert path.read_bytes() == (
+        b"open_time,open,high,low,close,volume\r\n0,0.1,0.30000000000000004,0.1,0.2,1e-05\r\n"
+    )
 
 
 class ScriptedTransport:

@@ -42,7 +42,7 @@ def test_backward_param_grads_match_fd(rng, sizes):
         x = rng.normal(size=(4, sizes[0]))
         weights = rng.normal(size=(4, sizes[-1]))
         out, cache = net.forward_cached(x)
-        grads, _ = net.backward(cache, weights)
+        grads = net.backward(cache, weights)
         fd = fd_gradient(param_loss_fn(net, x, weights), net.params())
         assert vector_rel_error(grads, fd) < FD_TOL
 
@@ -52,7 +52,7 @@ def test_backward_input_grads_match_fd(rng):
     x0 = rng.normal(size=(3, 4))
     weights = rng.normal(size=(3, 2))
     _, cache = net.forward_cached(x0)
-    _, grad_x = net.backward(cache, weights)
+    grad_x = net.input_grad(cache, weights)
 
     def f(flat):
         return weighted_output_loss(net, flat.reshape(3, 4), weights)
@@ -82,7 +82,7 @@ def test_jvp_backward_adjoint_identity(rng):
     tangent = rng.normal(size=net.params().shape)
     g = rng.normal(size=(6, 3))
     _, cache = net.forward_cached(x)
-    vjp, _ = net.backward(cache, g)
+    vjp = net.backward(cache, g)
     lhs = float(np.sum(g * net.jvp(x, tangent)))
     rhs = float(vjp @ tangent)
     assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -95,6 +95,8 @@ def test_forward_shape_checks(rng):
     with pytest.raises(ShapeMismatch):
         out, cache = net.forward_cached(np.zeros((2, 3)))
         net.backward(cache, np.zeros((3, 2)))
+    with pytest.raises(ShapeMismatch):
+        net.input_grad(cache, np.zeros((3, 2)))
     with pytest.raises(ValueError):
         Mlp((3,), rng)
 

@@ -52,7 +52,7 @@ def brute_fisher(policy, obs, cache, damping):
         for k in range(act_dim):
             grad_out = np.zeros_like(mean)
             grad_out[i, k] = 1.0
-            row, _ = policy.mean_net.backward(cache, grad_out)
+            row = policy.mean_net.backward(cache, grad_out)
             fisher[:net_size, :net_size] += np.outer(row, row) / var[k] / n
     mask = log_std_mask(policy)
     for k in range(act_dim):
