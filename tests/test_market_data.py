@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_series
-from oracles import brute_parse_klines
 from drltrade.errors import (
     EmptyInput,
     EmptyRange,
@@ -26,6 +25,7 @@ from drltrade.market_data import (
     save_klines_csv,
     split_train_test,
 )
+from oracles import brute_parse_klines
 
 H = FOUR_HOURS_MS
 
