@@ -10,15 +10,14 @@ the fee accumulator.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 
 import numpy as np
 
-from .env import TradingEnv, execute_trade, gross_value
+from .env import TradingEnv, gross_value
 from .errors import ZeroBegin
-from .neural import GaussianPolicy
+from .neural import GaussianPolicy, write_json
 
 
 @dataclass(frozen=True)
@@ -109,18 +108,11 @@ def run_backtest(policy: GaussianPolicy, env: TradingEnv) -> tuple[BacktestRepor
         obs = result.observation
         done = result.done
     final_t = env.t
-    final_price = float(closes[final_t])
-    units_held = env.asset_units
-    env.cash, env.asset_units, info = execute_trade(
-        env.cash, env.asset_units, final_price, -units_held, env.config.fee_rate
-    )
-    if info.executed_units != 0.0:
-        env.trade_count += 1
-    env.total_cost += info.fee
+    info = env.liquidate()
     rows.append(
         AnnotatedRow(
             timestamp=int(open_times[final_t]),
-            price=final_price,
+            price=info.price,
             gross_value=env.cash,
             marker=_marker(info.executed_units),
             executed_units=float(info.executed_units),
@@ -195,6 +187,4 @@ def save_report_json(report: BacktestReport, path) -> None:
         "span_days": report.span_days,
         "profit_ratio": report.profit_ratio,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, doc)

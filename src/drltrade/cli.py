@@ -58,7 +58,7 @@ from .market_data import (
     save_klines_csv,
     split_train_test,
 )
-from .neural import GaussianPolicy, Mlp, load_checkpoint, save_checkpoint
+from .neural import GaussianPolicy, load_checkpoint, save_checkpoint, write_json
 from .synthetic import make_sine_series
 
 EXIT_OK = 0
@@ -202,15 +202,10 @@ def resolved_config_json(config: RunConfig) -> dict:
     }
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def _echo_config(config: RunConfig) -> None:
-    _write_json(Path(config.out) / "config_resolved.json", resolved_config_json(config))
+    out = Path(config.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_json(out / "config_resolved.json", resolved_config_json(config))
 
 
 def _date_ms(text: str) -> int:
@@ -241,38 +236,60 @@ def resolve_series(config: RunConfig, transport=None) -> KlineSeries:
             interval_ms=interval_ms,
             symbol=config.symbol,
         )
+    # The cache serves only the request that filled it: its key is written
+    # after the CSV and removed before a new fetch overwrites the CSV.
     fetch = data["fetch"]
-    cache = Path(config.out) / "data" / "klines.csv"
-    if cache.exists():
+    cache, key_path = _kline_cache(config)
+    key = {
+        "symbol": config.symbol,
+        "interval": config.interval,
+        "start_ms": _date_ms(fetch["start"]),
+        "end_ms": _date_ms(fetch["end"]),
+    }
+    if cache.exists() and key_path.exists() and json.loads(key_path.read_text()) == key:
         return load_klines_csv(cache, symbol=config.symbol, interval_ms=interval_ms)
     client = BinanceClient(transport=transport) if transport else BinanceClient()
-    series = client.fetch_klines(
-        config.symbol, config.interval, _date_ms(fetch["start"]), _date_ms(fetch["end"])
-    )
+    series = client.fetch_klines(config.symbol, config.interval, key["start_ms"], key["end_ms"])
     cache.parent.mkdir(parents=True, exist_ok=True)
+    key_path.unlink(missing_ok=True)
     save_klines_csv(series, cache)
+    write_json(key_path, key)
     return series
+
+
+def _kline_cache(config: RunConfig) -> tuple[Path, Path]:
+    """The kline CSV under ``out/data`` and the key of the fetch that wrote it."""
+    data_dir = Path(config.out) / "data"
+    return data_dir / "klines.csv", data_dir / "klines.key.json"
 
 
 def _series_summary(series: KlineSeries) -> str:
     first = datetime.fromtimestamp(int(series.open_times[0]) // 1000, tz=timezone.utc)
     last = datetime.fromtimestamp(int(series.open_times[-1]) // 1000, tz=timezone.utc)
-    return (
+    text = (
         f"{len(series)} bars {series.symbol} "
         f"{first.date().isoformat()}..{last.date().isoformat()}"
     )
+    filled = np.asarray(series.filled_indices)
+    if filled.size:
+        run_ends = np.append(np.flatnonzero(np.diff(filled) != 1), filled.size - 1)
+        longest = int(np.diff(run_ends, prepend=-1).max())
+        text += f" ({filled.size} filled, longest {longest})"
+    return text
 
 
 def cmd_fetch(config: RunConfig, force: bool) -> int:
-    dest = Path(config.out) / "data" / "klines.csv"
+    dest, key_path = _kline_cache(config)
     if dest.exists() and not force:
         print(f"refusing to overwrite {dest} (use --force)", file=sys.stderr)
         return EXIT_REFUSED
-    if dest.exists():
-        dest.unlink()  # a stale cache would short-circuit resolve_series
+    # --force fetches again; a CSV from another source never keeps a fetch key
+    dest.unlink(missing_ok=True)
+    key_path.unlink(missing_ok=True)
     series = resolve_series(config)
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    save_klines_csv(series, dest)
+    if "fetch" not in config.data:  # a fetch source saved its cache already
+        dest.parent.mkdir(parents=True, exist_ok=True)
+        save_klines_csv(series, dest)
     _echo_config(config)
     print(f"wrote {dest}: {_series_summary(series)}")
     return EXIT_OK

@@ -198,3 +198,21 @@ class TradingEnv:
         self.last_gross_value = gv
         self.done = self.t == self.episode.stop - 1
         return StepResult(self.observe(), reward, self.done, info)
+
+    def liquidate(self) -> TradeInfo:
+        """Sell every held unit at the current close with the standard fee.
+
+        The sale counts as a trade and its fee as cost, as in ``step``, but
+        time does not advance and no reward is paid. Flat, it is a no-op.
+        """
+        self.cash, self.asset_units, info = execute_trade(
+            self.cash,
+            self.asset_units,
+            float(self.series.closes[self.t]),
+            -self.asset_units,
+            self.config.fee_rate,
+        )
+        if info.executed_units != 0.0:
+            self.trade_count += 1
+        self.total_cost += info.fee
+        return info

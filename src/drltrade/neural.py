@@ -16,12 +16,14 @@ plain vector operations.
 
 Checkpoints are plain JSON with sorted keys; Python's shortest-repr float
 serialization round-trips exactly, so reloading reproduces parameters bit for
-bit and identical runs produce identical files.
+bit and identical runs produce identical files. ``write_json`` writes every
+JSON artifact of the package.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,11 +336,7 @@ class GaussianPolicy:
 
 def save_checkpoint(path, kind: str, payload: dict) -> None:
     """Write a sorted-keys JSON checkpoint; identical state -> identical bytes."""
-    doc = {"format_version": CHECKPOINT_FORMAT_VERSION, "kind": kind}
-    doc.update(payload)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, {"format_version": CHECKPOINT_FORMAT_VERSION, "kind": kind, **payload})
 
 
 def load_checkpoint(path) -> dict:
@@ -348,3 +346,62 @@ def load_checkpoint(path) -> dict:
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {version!r}")
     return doc
+
+
+_encode = json.JSONEncoder().encode  # the C encoder: no indent, allow_nan, ASCII
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as JSON with sorted keys and indent 1, then a newline.
+
+    The bytes equal ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"``, at
+    about the cost of an unindented dump: an indent switches the stdlib to
+    its pure-Python encoder, one generator frame per value. Dicts (with str
+    keys) and lists are walked here, and each list of plain floats is encoded
+    in one call to the C encoder and re-indented, which is safe because no
+    float repr contains ", ". The document is written piece by piece, one
+    ``write`` per key or float row, so it is never held as one string.
+    """
+    with open(path, "w") as fh:
+        _write_value(fh.write, doc, 1)
+        fh.write("\n")
+
+
+def _write_value(write, value, level: int) -> None:
+    """Write one value whose items sit ``level`` spaces deep."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        write(_scalar(value))
+        return
+    inner = "\n" + " " * level
+    close = "\n" + " " * (level - 1)
+    if isinstance(value, dict):
+        sep = "{" + inner
+        for key in sorted(value):
+            write(sep + json.encoder.encode_basestring_ascii(key) + ": ")
+            _write_value(write, value[key], level + 1)
+            sep = "," + inner
+        write(close + "}")
+    elif set(map(type, value)) == {float}:
+        write("[" + inner + _encode(value)[1:-1].replace(", ", "," + inner) + close + "]")
+    else:
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _write_value(write, item, level + 1)
+            sep = "," + inner
+        write(close + "]")
+
+
+def _scalar(value) -> str:
+    """A scalar or an empty container as JSON.
+
+    Strings, ints and finite floats take the stdlib encoder's own functions
+    directly; the rest go through the C encoder, whose set-up per call costs
+    more than the encoding of one number.
+    """
+    kind = type(value)
+    if kind is str:
+        return json.encoder.encode_basestring_ascii(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return kind.__repr__(value)
+    return _encode(value)

@@ -10,6 +10,7 @@ average loss -> RSI 100, zero average gain -> RSI 0, both zero -> RSI 50;
 DI sum zero -> DX 0.
 """
 
+import json
 import math
 from collections.abc import Mapping, Sequence
 
@@ -295,3 +296,8 @@ def vector_rel_error(a, b):
     if denom == 0.0:
         return 0.0
     return float(np.linalg.norm(a - b) / denom)
+
+
+def reference_json(doc) -> str:
+    """The stdlib rendering that every JSON artifact must match byte for byte."""
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"

@@ -133,10 +133,53 @@ def test_fetch_synthetic_and_overwrite_protocol(tmp_path, capsys):
     assert cli.main(["--config", str(cfg), "fetch"]) == cli.EXIT_OK
     assert (out / "data" / "klines.csv").exists()
     assert (out / "config_resolved.json").exists()
-    assert "80 bars SINE" in capsys.readouterr().out
+    out_text = capsys.readouterr().out
+    assert "80 bars SINE" in out_text
+    assert "filled" not in out_text
     assert cli.main(["--config", str(cfg), "fetch"]) == cli.EXIT_REFUSED
     assert "use --force" in capsys.readouterr().err
     assert cli.main(["--config", str(cfg), "--force", "fetch"]) == cli.EXIT_OK
+
+
+def test_fetch_reports_filled_bars(tmp_path, capsys):
+    minute = 60_000
+    times = [*range(0, 120), *range(123, 240), *range(240 + 1440, 300 + 1440)]
+    lines = ["open_time,open,high,low,close,volume"]
+    lines += [f"{t * minute},10.0,10.0,10.0,10.0,1.0" for t in times]
+    csv = tmp_path / "minutes.csv"
+    csv.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path / "c.json", tmp_path / "run", interval="1m",
+                       data={"csv": str(csv)})
+    assert cli.main(["--config", str(cfg), "fetch"]) == cli.EXIT_OK
+    # a 3-minute hole and a one-day hole are forward-filled, and said so
+    assert "1740 bars SINE 1970-01-01..1970-01-02 (1443 filled, longest 1440)" in (
+        capsys.readouterr().out
+    )
+
+
+def test_fetch_cache_is_keyed_by_request(tmp_path):
+    calls = []
+
+    def transport(url, params, timeout):
+        calls.append(params["symbol"])
+        price = {"AAA": "10.0", "BBB": "20.0"}[params["symbol"]]
+        hour = 3_600_000
+        rows = [[params["startTime"] + i * 4 * hour] + [price] * 4 + ["1.0"] for i in range(5)]
+        return 200, rows
+
+    def resolve(symbol):
+        cfg = write_config(tmp_path / "c.json", tmp_path / "run", symbol=symbol,
+                           data={"fetch": {"start": "2021-01-01", "end": "2021-01-02"}})
+        return cli.resolve_series(cli.load_run_config(str(cfg), {}), transport=transport)
+
+    assert resolve("AAA").closes[0] == 10.0
+    assert resolve("AAA").closes[0] == 10.0
+    assert calls == ["AAA"]  # the same request reads the cache
+    assert resolve("BBB").closes[0] == 20.0
+    assert calls == ["AAA", "BBB"]
+    key = json.loads((tmp_path / "run" / "data" / "klines.key.json").read_text())
+    assert key == {"symbol": "BBB", "interval": "4h",
+                   "start_ms": 1609459200000, "end_ms": 1609545600000}
 
 
 def test_fetch_missing_csv_exits_missing(tmp_path, capsys):

@@ -143,6 +143,29 @@ def test_step_ledger_and_reward(rng):
     assert result.observation[0] == pytest.approx(env.cash / 10_000.0)
 
 
+def test_liquidate_sells_held_units(rng):
+    series = make_random_series(rng, 30)
+    env = build_env(series)
+    env.step(0.5)
+    t, cash, units, cost = env.t, env.cash, env.asset_units, env.total_cost
+    price = float(series.closes[t])
+    info = env.liquidate()
+    assert info.executed_units == -units and info.price == price and not info.clamped
+    assert info.fee == units * price * FEE
+    assert env.cash == cash + units * price * (1.0 - FEE)
+    assert env.asset_units == 0.0
+    assert env.trade_count == 2
+    assert env.total_cost == cost + info.fee
+    assert env.t == t
+
+
+def test_liquidate_flat_is_not_a_trade(rng):
+    env = build_env(make_random_series(rng, 30))
+    info = env.liquidate()
+    assert info.executed_units == 0.0 and info.fee == 0.0
+    assert (env.cash, env.asset_units, env.trade_count, env.total_cost) == (10_000.0, 0.0, 0, 0.0)
+
+
 def test_clamped_step_adds_penalty_flat_price():
     """Oversell on a flat price: reward is the penalty minus the scaled fee."""
     series = make_random_series(np.random.default_rng(5), 30)
