@@ -246,7 +246,7 @@ def resolve_series(config: RunConfig, transport=None) -> KlineSeries:
         "start_ms": _date_ms(fetch["start"]),
         "end_ms": _date_ms(fetch["end"]),
     }
-    if cache.exists() and key_path.exists() and json.loads(key_path.read_text()) == key:
+    if cache.exists() and _read_key(key_path) == key:
         return load_klines_csv(cache, symbol=config.symbol, interval_ms=interval_ms)
     client = BinanceClient(transport=transport) if transport else BinanceClient()
     series = client.fetch_klines(config.symbol, config.interval, key["start_ms"], key["end_ms"])
@@ -261,6 +261,14 @@ def _kline_cache(config: RunConfig) -> tuple[Path, Path]:
     """The kline CSV under ``out/data`` and the key of the fetch that wrote it."""
     data_dir = Path(config.out) / "data"
     return data_dir / "klines.csv", data_dir / "klines.key.json"
+
+
+def _read_key(key_path: Path):
+    """The stored fetch key, or None when it is missing or unreadable."""
+    try:
+        return json.loads(key_path.read_text())
+    except (OSError, ValueError):
+        return None
 
 
 def _series_summary(series: KlineSeries) -> str:

@@ -182,13 +182,7 @@ class TradingEnv:
             raise SteppedAfterDone(f"episode finished at t={self.t}")
         a = float(np.clip(np.asarray(action).reshape(-1)[0], -1.0, 1.0))
         price = float(self.series.closes[self.t])
-        desired = a * self.max_buy_amount
-        self.cash, self.asset_units, info = execute_trade(
-            self.cash, self.asset_units, price, desired, self.config.fee_rate
-        )
-        if info.executed_units != 0.0:
-            self.trade_count += 1
-        self.total_cost += info.fee
+        info = self._trade(price, a * self.max_buy_amount)
         self.t += 1
         next_price = float(self.series.closes[self.t])
         gv = gross_value(self.cash, self.asset_units, next_price)
@@ -205,12 +199,12 @@ class TradingEnv:
         The sale counts as a trade and its fee as cost, as in ``step``, but
         time does not advance and no reward is paid. Flat, it is a no-op.
         """
+        return self._trade(float(self.series.closes[self.t]), -self.asset_units)
+
+    def _trade(self, price: float, desired: float) -> TradeInfo:
+        """Execute one trade, counting it when units moved and booking its fee."""
         self.cash, self.asset_units, info = execute_trade(
-            self.cash,
-            self.asset_units,
-            float(self.series.closes[self.t]),
-            -self.asset_units,
-            self.config.fee_rate,
+            self.cash, self.asset_units, price, desired, self.config.fee_rate
         )
         if info.executed_units != 0.0:
             self.trade_count += 1

@@ -23,7 +23,6 @@ JSON artifact of the package.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,7 +369,7 @@ def write_json(path, doc) -> None:
 def _write_value(write, value, level: int) -> None:
     """Write one value whose items sit ``level`` spaces deep."""
     if not isinstance(value, (dict, list, tuple)) or not value:
-        write(_scalar(value))
+        write(_encode(value))
         return
     inner = "\n" + " " * level
     close = "\n" + " " * (level - 1)
@@ -390,18 +389,3 @@ def _write_value(write, value, level: int) -> None:
             _write_value(write, item, level + 1)
             sep = "," + inner
         write(close + "]")
-
-
-def _scalar(value) -> str:
-    """A scalar or an empty container as JSON.
-
-    Strings, ints and finite floats take the stdlib encoder's own functions
-    directly; the rest go through the C encoder, whose set-up per call costs
-    more than the encoding of one number.
-    """
-    kind = type(value)
-    if kind is str:
-        return json.encoder.encode_basestring_ascii(value)
-    if kind is int or (kind is float and math.isfinite(value)):
-        return kind.__repr__(value)
-    return _encode(value)

@@ -180,6 +180,11 @@ def test_fetch_cache_is_keyed_by_request(tmp_path):
     key = json.loads((tmp_path / "run" / "data" / "klines.key.json").read_text())
     assert key == {"symbol": "BBB", "interval": "4h",
                    "start_ms": 1609459200000, "end_ms": 1609545600000}
+    # a key cut short by an interrupted run is a cache miss, not an error
+    (tmp_path / "run" / "data" / "klines.key.json").write_text('{"symbol": "BB')
+    assert resolve("BBB").closes[0] == 20.0
+    assert calls == ["AAA", "BBB", "BBB"]
+    assert json.loads((tmp_path / "run" / "data" / "klines.key.json").read_text()) == key
 
 
 def test_fetch_missing_csv_exits_missing(tmp_path, capsys):
