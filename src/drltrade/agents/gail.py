@@ -16,7 +16,7 @@ import numpy as np
 
 from ..env import TradingEnv
 from ..errors import DivergenceDetected, EmptyDataset
-from ..neural import Adam, GaussianPolicy, Mlp, softplus
+from ..neural import Adam, GaussianPolicy, Mlp, first_non_finite, softplus
 from .buffers import collect_rollout, compute_gae, normalize_advantages
 from .trpo import trpo_step
 
@@ -67,15 +67,35 @@ class ExpertDataset:
         return len(self.obs)
 
 
+class _FloatReprs(dict):
+    """float -> repr(float), formatting each distinct value once.
+
+    Zeros are never stored, because 0.0 and -0.0 are one key but two reprs;
+    NaNs are not stored either, since they never compare equal as keys.
+    """
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value and value == value:
+            self[value] = text
+        return text
+
+
 def save_expert_dataset(dataset: ExpertDataset, path) -> None:
+    """One CSV row per pair, each value written as its shortest round-trip repr.
+
+    Observation windows repeat each feature value over consecutive rows, so
+    every distinct value is formatted once per call.
+    """
     obs_dim = dataset.obs.shape[1]
     act_dim = dataset.actions.shape[1]
     header = [f"obs_{i}" for i in range(obs_dim)] + [f"act_{i}" for i in range(act_dim)]
+    reprs = _FloatReprs()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for o, a in zip(dataset.obs, dataset.actions):
-            writer.writerow([repr(float(v)) for v in o] + [repr(float(v)) for v in a])
+            writer.writerow([reprs[v] for v in o.tolist() + a.tolist()])
 
 
 def load_expert_dataset(path) -> ExpertDataset:
@@ -271,9 +291,10 @@ def gail_train(
         }
         history.append(row)
         finite_keys = ("episode_return", "kl", "surrogate", "disc_loss", "entropy")
-        if not all(np.isfinite(row[k]) for k in finite_keys):
+        bad = first_non_finite({k: row[k] for k in finite_keys})
+        if bad is not None:
             raise DivergenceDetected(
-                f"non-finite training statistic at step {step}",
+                f"non-finite {bad} at step {step}",
                 policy=policy.to_json(),
                 step=step,
             )

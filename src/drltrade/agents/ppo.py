@@ -20,6 +20,7 @@ from ..neural import (
     Adam,
     GaussianPolicy,
     Mlp,
+    first_non_finite,
     flatten_params,
 )
 from .buffers import RolloutBuffer, collect_rollout, compute_gae, normalize_advantages
@@ -138,14 +139,13 @@ class PpoResult:
 
 
 def _check_finite(policy: GaussianPolicy, value_net: Mlp, loss: float, step: int):
-    if (
-        np.isfinite(loss)
-        and np.isfinite(policy.params()).all()
-        and np.isfinite(value_net.params()).all()
-    ):
+    bad = first_non_finite(
+        {"loss": loss, "policy": policy.params(), "value_net": value_net.params()}
+    )
+    if bad is None:
         return
     raise DivergenceDetected(
-        f"non-finite loss or parameters at step {step}",
+        f"non-finite {bad} at step {step}",
         policy=policy.to_json(),
         value_net=value_net.to_json(),
         step=step,

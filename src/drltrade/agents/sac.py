@@ -20,7 +20,7 @@ import numpy as np
 
 from ..env import TradingEnv
 from ..errors import BufferTooSmall, DivergenceDetected
-from ..neural import Adam, GaussianPolicy, Mlp, flatten_params
+from ..neural import Adam, GaussianPolicy, Mlp, first_non_finite, flatten_params
 from .buffers import ReplayBuffer
 from .ppo import log_std_mask
 
@@ -198,15 +198,19 @@ def sac_update(nets: SacNets, buffer: ReplayBuffer, config: SacConfig,
 
 
 def _check_finite(nets: SacNets, stats: dict, step: int) -> None:
-    networks = (nets.policy, nets.q1, nets.q2, nets.q1_target, nets.q2_target)
-    if (
-        all(np.isfinite(v) for v in stats.values())
-        and all(np.isfinite(net.params()).all() for net in networks)
-        and np.isfinite(nets.log_alpha).all()
-    ):
+    bad = first_non_finite({
+        **stats,
+        "policy": nets.policy.params(),
+        "q1": nets.q1.params(),
+        "q2": nets.q2.params(),
+        "q1_target": nets.q1_target.params(),
+        "q2_target": nets.q2_target.params(),
+        "log_alpha": nets.log_alpha,
+    })
+    if bad is None:
         return
     raise DivergenceDetected(
-        f"non-finite training statistic or parameters at step {step}",
+        f"non-finite {bad} at step {step}",
         policy=nets.policy.to_json(),
         step=step,
     )

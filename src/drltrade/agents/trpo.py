@@ -47,11 +47,15 @@ def fisher_vector_product(
     vec: np.ndarray,
     damping: float,
 ) -> np.ndarray:
-    """(F + damping*I) v for the KL Fisher at the current parameters."""
+    """(F + damping*I) v for the KL Fisher at the current parameters.
+
+    ``cache`` is the mean network's ``forward_cached`` cache on ``obs`` at
+    those parameters.
+    """
     n_net = policy.mean_net.theta.size
     n = len(obs)
     var = policy.std() ** 2
-    dmean = policy.mean_net.jvp(obs, vec[:n_net])
+    dmean = policy.mean_net.jvp(cache, vec[:n_net])
     net_product = policy.mean_net.backward(cache, dmean / var / n)
     logstd_product = 2.0 * vec[n_net:] * log_std_mask(policy)
     return np.concatenate([net_product, logstd_product]) + damping * vec
@@ -105,12 +109,11 @@ def trpo_step(
     theta_old = policy.params().copy()
     mean_old, cache = policy.mean_net.forward_cached(obs)
     std_old = np.broadcast_to(policy.std(), mean_old.shape)
-    surr_old = surrogate(policy, obs, pre_actions, advantages, old_log_probs, ent_coef)
-
-    # Gradient of the surrogate at the current parameters (ratio = 1 here
+    # The surrogate and its gradient at the current parameters (ratio = 1 here
     # whenever old_log_probs came from these parameters).
     lp_now = policy.log_prob_from_mean(mean_old, pre_actions)
     ratio_now = np.exp(lp_now - old_log_probs)
+    surr_old = float(np.mean(ratio_now * advantages)) + ent_coef * policy.entropy()
     dsurr_dlogp = ratio_now * advantages / n
     ent_grad = ent_coef * np.ones(policy.act_dim)
     g = policy_param_grads(policy, cache, mean_old, pre_actions, dsurr_dlogp, ent_grad)

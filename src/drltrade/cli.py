@@ -448,6 +448,12 @@ def cmd_backtest(config: RunConfig, checkpoint: str | None, force: bool) -> int:
     if report_path.exists() and not force:
         print(f"refusing to overwrite {report_path} (use --force)", file=sys.stderr)
         return EXIT_REFUSED
+    policy = GaussianPolicy.from_json(doc["policy"])
+    if not np.isfinite(policy.params()).all():
+        # A NaN mean would read as "hold" on every bar and pass for a report.
+        print(f"refusing to backtest {ckpt_path}: its policy has non-finite parameters",
+              file=sys.stderr)
+        return EXIT_RUNTIME
     feature_config = feature_config_from_json(doc["feature_config"])
     env_config = EnvConfig(**doc["env_config"])
     normalizer = normalizer_from_json(doc["normalizer"])
@@ -458,7 +464,6 @@ def cmd_backtest(config: RunConfig, checkpoint: str | None, force: bool) -> int:
         split_fraction=doc["split_fraction"],
     )
     prepared = prepare(run, normalizer=normalizer)
-    policy = GaussianPolicy.from_json(doc["policy"])
     test_env = TradingEnv(
         prepared.series, prepared.norm_matrix, env_config, _test_episode(prepared)
     )

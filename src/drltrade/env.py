@@ -180,7 +180,9 @@ class TradingEnv:
     def step(self, action) -> StepResult:
         if self.done:
             raise SteppedAfterDone(f"episode finished at t={self.t}")
-        a = float(np.clip(np.asarray(action).reshape(-1)[0], -1.0, 1.0))
+        # In this argument order, min/max give np.clip's value for +-inf, -0.0
+        # and NaN, at a fraction of its dispatch cost.
+        a = min(max(float(np.asarray(action).reshape(-1)[0]), -1.0), 1.0)
         price = float(self.series.closes[self.t])
         info = self._trade(price, a * self.max_buy_amount)
         self.t += 1

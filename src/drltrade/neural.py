@@ -32,6 +32,7 @@ from .errors import DimensionMismatch, ShapeMismatch
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+LOG_2 = np.log(2.0)
 CHECKPOINT_FORMAT_VERSION = 1
 
 
@@ -80,7 +81,8 @@ class Mlp:
         return self.sizes[-1]
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if not (type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64):
+            x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.in_dim:
             raise DimensionMismatch(f"input has {x.shape[1]} features, net expects {self.in_dim}")
         return x
@@ -137,23 +139,22 @@ class Mlp:
                 g = g * (1.0 - activations[i] ** 2)  # through tanh
         return g
 
-    def jvp(self, x: np.ndarray, tangent: np.ndarray) -> np.ndarray:
-        """Directional derivative of the output along a parameter tangent vector."""
-        x = self._check_input(x)
+    def jvp(self, cache, tangent: np.ndarray) -> np.ndarray:
+        """Directional derivative of the output along a parameter tangent vector.
+
+        ``cache`` is the one ``forward_cached`` returned at the current
+        parameters; its activations are reused, so no forward pass runs here.
+        """
+        activations = cache
         tangents = unflatten_params(tangent, self._shapes())
-        a = x
-        da = np.zeros_like(x)
         last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, w in enumerate(self.weights):
+            a = activations[i]
             dw = tangents[2 * i]
             db = tangents[2 * i + 1]
-            z = a @ w + b
-            dz = da @ w + a @ dw + db
-            if i == last:
-                a, da = z, dz
-            else:
-                a = np.tanh(z)
-                da = (1.0 - a**2) * dz
+            # The input does not depend on the parameters: layer 0 has no da @ w.
+            dz = a @ dw + db if i == 0 else (da @ w + a @ dw) + db
+            da = dz if i == last else (1.0 - activations[i + 1] ** 2) * dz
         return da
 
     def params(self) -> np.ndarray:
@@ -213,6 +214,14 @@ def _assign(theta: np.ndarray, values: np.ndarray) -> None:
     theta[:] = values
 
 
+def first_non_finite(values: dict) -> str | None:
+    """The first key whose value, a scalar or an array, holds a NaN or an inf."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            return name
+    return None
+
+
 class Adam:
     """Adam with bias correction; first step reduces to -lr * g / (|g| + eps)."""
 
@@ -240,7 +249,15 @@ class Adam:
 
 def tanh_log_det_jacobian(pre: np.ndarray) -> np.ndarray:
     """log(1 - tanh(u)^2) per element, in the overflow-safe form."""
-    return 2.0 * (np.log(2.0) - pre - softplus(-2.0 * pre))
+    return 2.0 * (LOG_2 - pre - softplus(-2.0 * pre))
+
+
+def _log_density(mean: np.ndarray, pre: np.ndarray, log_std: np.ndarray,
+                 std: np.ndarray) -> np.ndarray:
+    """Log density of tanh(pre) under tanh(Normal(mean, std)), summed per row."""
+    z = (pre - mean) / std
+    gaussian = -HALF_LOG_2PI - log_std - 0.5 * z**2
+    return (gaussian - tanh_log_det_jacobian(pre)).sum(axis=1)
 
 
 class GaussianPolicy:
@@ -268,34 +285,28 @@ class GaussianPolicy:
         return self.mean_net.out_dim
 
     def clamped_log_std(self) -> np.ndarray:
-        return np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX)
+        # np.clip's values, NaN included, without its dispatch cost.
+        return np.minimum(np.maximum(self.log_std, LOG_STD_MIN), LOG_STD_MAX)
 
     def std(self) -> np.ndarray:
         return np.exp(self.clamped_log_std())
 
-    def distribution(self, obs: np.ndarray):
-        """Pre-squash (mean, std); std broadcasts over the batch."""
-        mean = self.mean_net.forward(obs)
-        std = np.broadcast_to(self.std(), mean.shape)
-        return mean, std
-
     def sample(self, obs: np.ndarray, rng: np.random.Generator):
         """Returns (action, pre_squash, log_prob); all batched."""
-        mean, std = self.distribution(obs)
+        mean = self.mean_net.forward(obs)
+        log_std = self.clamped_log_std()
+        std = np.exp(log_std)
         noise = rng.standard_normal(mean.shape)
         pre = mean + std * noise
         action = np.tanh(pre)
-        return action, pre, self.log_prob_from_mean(mean, pre)
+        return action, pre, _log_density(mean, pre, log_std, std)
 
     def mean_action(self, obs: np.ndarray) -> np.ndarray:
         return np.tanh(self.mean_net.forward(obs))
 
     def log_prob_from_mean(self, mean: np.ndarray, pre: np.ndarray) -> np.ndarray:
         log_std = self.clamped_log_std()
-        std = np.exp(log_std)
-        z = (pre - mean) / std
-        gaussian = -HALF_LOG_2PI - log_std - 0.5 * z**2
-        return (gaussian - tanh_log_det_jacobian(pre)).sum(axis=1)
+        return _log_density(mean, pre, log_std, np.exp(log_std))
 
     def log_prob(self, obs: np.ndarray, pre_actions: np.ndarray) -> np.ndarray:
         """Log density of tanh(pre_actions) given obs; expects pre-squash values."""

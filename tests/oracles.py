@@ -10,6 +10,7 @@ average loss -> RSI 100, zero average gain -> RSI 0, both zero -> RSI 50;
 DI sum zero -> DX 0.
 """
 
+import csv
 import json
 import math
 from collections.abc import Mapping, Sequence
@@ -17,6 +18,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from drltrade.errors import EmptyInput, InvariantViolation, MalformedRow
+from drltrade.neural import LOG_STD_MAX, LOG_STD_MIN
 
 NAN = float("nan")
 KLINE_FIELDS = ("open_time", "open", "high", "low", "close", "volume")
@@ -301,3 +303,72 @@ def vector_rel_error(a, b):
 def reference_json(doc) -> str:
     """The stdlib rendering that every JSON artifact must match byte for byte."""
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+# The forms below are the earlier, slower implementations of paths that were
+# reworked for speed. The reworked code must match them bit for bit.
+
+
+def recomputing_jvp(net, x, tangent):
+    """Forward-mode derivative that re-runs the forward pass from ``x``.
+
+    Starts from a zero input tangent and sums ``da @ w + a @ dw + db`` at
+    every layer, layer 0 included.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    tangents, offset = [], 0
+    for w, b in zip(net.weights, net.biases):
+        for shape in (w.shape, b.shape):
+            size = int(np.prod(shape))
+            tangents.append(tangent[offset:offset + size].reshape(shape))
+            offset += size
+    a = x
+    da = np.zeros_like(x)
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        dw = tangents[2 * i]
+        db = tangents[2 * i + 1]
+        z = a @ w + b
+        dz = da @ w + a @ dw + db
+        if i == last:
+            a, da = z, dz
+        else:
+            a = np.tanh(z)
+            da = (1.0 - a**2) * dz
+    return da
+
+
+def clip_log_prob_from_mean(policy, mean, pre):
+    """Squashed-Gaussian log density with ``log_std`` clamped by ``np.clip``."""
+    log_std = np.clip(policy.log_std, LOG_STD_MIN, LOG_STD_MAX)
+    std = np.exp(log_std)
+    z = (pre - mean) / std
+    gaussian = -0.5 * np.log(2.0 * np.pi) - log_std - 0.5 * z**2
+    log_det = 2.0 * (np.log(2.0) - pre - np.logaddexp(0.0, -2.0 * pre))
+    return (gaussian - log_det).sum(axis=1)
+
+
+def clip_sample(policy, obs, rng):
+    """(action, pre, log_prob) with a broadcast std and ``np.clip`` clamping."""
+    mean = policy.mean_net.forward(obs)
+    std = np.broadcast_to(np.exp(np.clip(policy.log_std, LOG_STD_MIN, LOG_STD_MAX)), mean.shape)
+    noise = rng.standard_normal(mean.shape)
+    pre = mean + std * noise
+    return np.tanh(pre), pre, clip_log_prob_from_mean(policy, mean, pre)
+
+
+def clip_action(action):
+    """The env's action clamp: first element, through ``np.clip`` into [-1, 1]."""
+    return float(np.clip(np.asarray(action).reshape(-1)[0], -1.0, 1.0))
+
+
+def per_value_expert_csv(dataset, path):
+    """The expert CSV with every cell formatted by ``repr(float(v))``."""
+    obs_dim = dataset.obs.shape[1]
+    act_dim = dataset.actions.shape[1]
+    header = [f"obs_{i}" for i in range(obs_dim)] + [f"act_{i}" for i in range(act_dim)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for o, a in zip(dataset.obs, dataset.actions):
+            writer.writerow([repr(float(v)) for v in o] + [repr(float(v)) for v in a])

@@ -263,6 +263,25 @@ def test_backtest_explicit_checkpoint_flag(trained, tmp_path, capsys):
     assert (other / "reports" / "ppo_report.json").exists()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_backtest_refuses_non_finite_policy(trained, tmp_path, capsys, bad):
+    """A NaN weight would hold on every bar and print a normal report."""
+    cfg, out = trained
+    doc = json.loads((out / "checkpoints" / "ppo.json").read_text())
+    doc["policy"]["mean_net"]["weights"][0][0][0] = float(bad)
+    ckpt = tmp_path / "ppo_diverged.json"
+    ckpt.write_text(json.dumps(doc))
+    other = tmp_path / "elsewhere"
+    code = cli.main(
+        ["--config", str(cfg), "--out", str(other), "backtest", "--checkpoint", str(ckpt)]
+    )
+    assert code == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert str(ckpt) in captured.err and "non-finite" in captured.err
+    assert captured.out == ""
+    assert not (other / "reports").exists()
+
+
 def test_report_prints_metrics(trained, capsys):
     cfg, _ = trained
     assert cli.main(["--config", str(cfg), "report"]) == cli.EXIT_OK

@@ -17,6 +17,7 @@ from drltrade.env import (
 from drltrade.errors import NonPositivePrice, SteppedAfterDone, WindowUnderflow
 from drltrade.features import FeatureConfig, build_feature_matrix, fit_normalizer, normalize
 from drltrade.market_data import KlineSeries
+from oracles import clip_action
 
 FEE = 0.0075
 
@@ -193,6 +194,24 @@ def test_action_clipped_to_unit_interval(rng):
     env = build_env(series)
     result = env.step(7.5)
     assert result.info.desired_units == pytest.approx(env.max_buy_amount)
+
+
+CLAMP_CASES = [7.5, -3.0, 1.0 + 2**-52, 0.3, -0.0, 0.0, np.inf, -np.inf, np.nan,
+               np.float32(1.7), np.float32(0.1), 5e-324, -1.0]
+
+
+@pytest.mark.parametrize("wrap", ["0-d", "1-d", "list"])
+def test_action_clamp_is_bit_identical_to_np_clip(rng, wrap):
+    """The scalar clamp matches np.clip for every kind of value and container."""
+    series = make_random_series(rng, 30)
+    form = {"0-d": np.asarray, "1-d": lambda v: np.array([v]), "list": lambda v: [v]}[wrap]
+    for value in CLAMP_CASES:
+        action = form(value)
+        env = build_env(series)
+        env.step(np.array([0.5]))  # hold units, so sells execute too
+        result = env.step(action)
+        want = np.float64(clip_action(action) * env.max_buy_amount)
+        assert np.float64(result.info.desired_units).tobytes() == want.tobytes()
 
 
 def test_done_at_final_bar_and_stepped_after_done(rng):

@@ -15,12 +15,13 @@ from drltrade.agents import (
     load_expert_dataset,
     save_expert_dataset,
 )
+from drltrade.agents import gail
 from drltrade.agents.gail import discriminator_objective, discriminator_probability
 from drltrade.env import EnvConfig, TradingEnv
-from drltrade.errors import EmptyDataset
+from drltrade.errors import DivergenceDetected, EmptyDataset
 from drltrade.features import FeatureConfig, build_feature_matrix, fit_normalizer, normalize
 from drltrade.neural import Adam, GaussianPolicy, Mlp, softplus
-from oracles import fd_gradient, vector_rel_error
+from oracles import fd_gradient, per_value_expert_csv, vector_rel_error
 
 
 def make_env(rng, episode=range(4, 20)):
@@ -47,6 +48,23 @@ def test_dataset_round_trip(rng, tmp_path):
     loaded = load_expert_dataset(path)
     assert np.array_equal(loaded.obs, dataset.obs)  # repr/float round trip is exact
     assert np.array_equal(loaded.actions, dataset.actions)
+
+
+def test_expert_csv_is_byte_identical_to_per_value_repr(rng, tmp_path):
+    """Repeated values, signed zeros, NaN, infinities and subnormals."""
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+               2.2250738585072014e-308 / 3, 1e16, 0.1, -0.1]
+    pool = np.concatenate([special, rng.normal(size=6)])
+    obs = rng.choice(pool, size=(40, 9))
+    obs[1:, :-1] = obs[:-1, 1:]  # each value recurs on the next rows, as in windows
+    actions = rng.choice(pool, size=(40, 2))
+    dataset = ExpertDataset(obs=obs, actions=actions)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    save_expert_dataset(dataset, got)
+    per_value_expert_csv(dataset, want)
+    assert got.read_bytes() == want.read_bytes()
+    cells = set(got.read_text().replace("\n", ",").split(","))
+    assert {"0.0", "-0.0", "nan", "inf", "-inf", "5e-324"} <= cells
 
 
 def test_load_header_only_raises(tmp_path):
@@ -160,6 +178,23 @@ def test_train_below_horizon_is_empty(rng):
     config = GailConfig(total_timesteps=10, horizon=32, hidden=(8,))
     result = gail_train(env, expert, config, np.random.default_rng(0))
     assert result.history == []
+
+
+def test_train_names_the_non_finite_statistic(rng, monkeypatch):
+    env = make_env(np.random.default_rng(7))
+    expert_policy = GaussianPolicy(env.observation_dim, 1, (4,), np.random.default_rng(11))
+    expert = generate_expert_dataset(expert_policy, env, n_episodes=2)
+    real_update = gail.gail_discriminator_update
+
+    def update(*args):
+        return {**real_update(*args), "disc_loss": float("nan")}
+
+    monkeypatch.setattr(gail, "gail_discriminator_update", update)
+    config = GailConfig(total_timesteps=64, horizon=32, hidden=(8,))
+    with pytest.raises(DivergenceDetected) as info:
+        gail_train(env, expert, config, np.random.default_rng(0))
+    assert str(info.value) == "non-finite disc_loss at step 32"
+    assert info.value.artifacts["step"] == 32
 
 
 def test_train_history_and_determinism(rng):

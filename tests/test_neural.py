@@ -17,7 +17,13 @@ from drltrade.neural import (
     tanh_log_det_jacobian,
     unflatten_params,
 )
-from oracles import fd_gradient, vector_rel_error
+from oracles import (
+    clip_log_prob_from_mean,
+    clip_sample,
+    fd_gradient,
+    recomputing_jvp,
+    vector_rel_error,
+)
 
 FD_TOL = 1e-4
 
@@ -65,7 +71,8 @@ def test_jvp_matches_directional_fd(rng):
     net = Mlp((3, 5, 2), rng)
     x = rng.normal(size=(4, 3))
     tangent = rng.normal(size=net.params().shape)
-    got = net.jvp(x, tangent)
+    _, cache = net.forward_cached(x)
+    got = net.jvp(cache, tangent)
     h = 1e-6
     flat = net.params()
     up, down = net.copy(), net.copy()
@@ -83,9 +90,21 @@ def test_jvp_backward_adjoint_identity(rng):
     g = rng.normal(size=(6, 3))
     _, cache = net.forward_cached(x)
     vjp = net.backward(cache, g)
-    lhs = float(np.sum(g * net.jvp(x, tangent)))
+    lhs = float(np.sum(g * net.jvp(cache, tangent)))
     rhs = float(vjp @ tangent)
     assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize("sizes", [(3, 1), (26, 64, 64, 1), (5, 6, 6, 2)])
+@pytest.mark.parametrize("batch", [1, 7, 512])
+def test_jvp_from_cache_is_bit_identical_to_recomputing_jvp(rng, sizes, batch):
+    for _ in range(3):
+        net = Mlp(sizes, rng)
+        x = rng.normal(size=(batch, sizes[0]))
+        tangent = rng.normal(size=net.params().shape)
+        _, cache = net.forward_cached(x)
+        got = net.jvp(cache, tangent)
+        assert got.tobytes() == recomputing_jvp(net, x, tangent).tobytes()
 
 
 def test_forward_shape_checks(rng):
@@ -107,8 +126,9 @@ def test_set_params_shape_checks(rng):
         net.set_params(np.zeros(6))
     with pytest.raises(ShapeMismatch):
         net.set_params(np.zeros((2, 4)))
+    _, cache = net.forward_cached(np.zeros((1, 3)))
     with pytest.raises(ShapeMismatch):
-        net.jvp(np.zeros((1, 3)), np.zeros(9))
+        net.jvp(cache, np.zeros(9))
 
 
 def test_flatten_unflatten_round_trip(rng):
@@ -217,6 +237,34 @@ def test_policy_log_std_clamp(rng):
     assert policy.std()[0] == pytest.approx(np.exp(2.0))
     policy.log_std[:] = -30.0
     assert policy.clamped_log_std()[0] == -20.0
+
+
+@pytest.mark.parametrize("log_std", [[0.3, -0.2], [-25.0, -20.0], [2.0, 7.5], [np.nan, 0.1]])
+@pytest.mark.parametrize("batch", [1, 256])
+def test_sample_is_bit_identical_to_clip_form(rng, log_std, batch):
+    """Inside, at and beyond both ends of the clamp, and a NaN log_std."""
+    policy = GaussianPolicy(obs_dim=5, act_dim=2, hidden=(16, 16), rng=rng)
+    policy.log_std[:] = log_std
+    obs = rng.normal(size=(batch, 5))
+    seed = int(rng.integers(2**32))
+    with np.errstate(invalid="ignore"):  # a NaN log_std makes every pre NaN
+        got = policy.sample(obs, np.random.default_rng(seed))
+        want = clip_sample(policy, obs, np.random.default_rng(seed))
+        mean = policy.mean_net.forward(obs)
+        lp = policy.log_prob_from_mean(mean, got[1])
+        lp_want = clip_log_prob_from_mean(policy, mean, got[1])
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    assert lp.tobytes() == lp_want.tobytes()
+
+
+def test_forward_converts_lists_vectors_and_float32(rng):
+    net = Mlp((3, 2), rng)
+    row = [0.5, -1.0, 2.0]
+    want = net.forward(np.array([row])).tobytes()
+    for x in (row, np.array(row), np.array([row], dtype=np.float32), [[0.5, -1, 2]]):
+        assert net.forward(x).tobytes() == want
 
 
 def test_policy_out_scale_shrinks_final_layer(rng):

@@ -166,9 +166,15 @@ def test_check_finite_raises_with_artifacts(rng):
     with pytest.raises(DivergenceDetected) as info:
         _check_finite(policy, value_net, float("nan"), 10)
     assert info.value.artifacts["step"] == 10
+    assert str(info.value) == "non-finite loss at step 10"
+    value_net.params()[-1] = np.nan
+    with pytest.raises(DivergenceDetected) as info:
+        _check_finite(policy, value_net, 1.0, 11)
+    assert str(info.value) == "non-finite value_net at step 11"
     policy.log_std[:] = np.inf
     with pytest.raises(DivergenceDetected) as info:
         _check_finite(policy, value_net, 1.0, 42)
+    assert str(info.value) == "non-finite policy at step 42"
     artifacts = info.value.artifacts
     assert set(artifacts) == {"policy", "value_net", "step"}
     assert artifacts["step"] == 42

@@ -189,6 +189,7 @@ def test_train_checks_finiteness_after_every_update(rng, monkeypatch, poison):
     with pytest.raises(DivergenceDetected) as info:
         sac_train(make_env(rng), config, np.random.default_rng(1))
     assert info.value.artifacts["step"] == bad_step
+    assert str(info.value) == f"non-finite {poison} at step {bad_step}"
     assert len(calls) == bad_step - config.learning_starts + 1
 
 
