@@ -8,7 +8,8 @@ its own ``perfbench/``. Then, for every end-to-end metric of BENCHMARK.json,
 it prints base -> change as median [first quartile, third quartile], the ratio
 of the medians, how many pairs the change won (ties count for neither side;
 the direction comes from BENCHMARK.json) and whether the gap between the
-medians exceeds the base's quartile spread.
+medians exceeds the base's quartile spread. Every run lasts the
+``run_seconds`` of BENCHMARK.json, on both sides.
 
 The metrics are medians of host-speed-scaled times. The unscaled median op
 times (``wall_s`` of the untraced samples in each run's record) are printed
@@ -41,8 +42,11 @@ OPS = ("train", "fetch", "backtest")
 def export_revision(rev: str, dest: Path) -> None:
     """Write the files of ``rev`` into ``dest``, as ``git archive`` gives them."""
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
+    # The "data" filter exists from Python 3.12 and in the 3.10.12 and 3.11.4
+    # backports; the archive is this repository's own, so it is only a guard.
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(dest, filter="data")
+        tar.extractall(dest, **safe)
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -50,13 +54,17 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    # run.py prints its result, correct or not, as the last line; it exits 1
+    # for an incorrect run and for a run with no result.
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if not lines:
         raise RuntimeError(f"{root}: exit {proc.returncode}\n{proc.stderr.strip()}")
     result = json.loads(lines[-1])
     if not result["correct"]:
         raise RuntimeError(f"{root}: run not correct ({result['failed']} of "
                            f"{result['attempted']} ops failed)\n{proc.stderr.strip()}")
+    if proc.returncode != 0:
+        raise RuntimeError(f"{root}: exit {proc.returncode}\n{proc.stderr.strip()}")
     record = json.loads((root / ".perfbench" / workload / f"result-seed{seed}-trace0.json")
                         .read_text())
     unscaled = {op: statistics.median(s["wall_s"] for s in record["samples"]
@@ -92,11 +100,9 @@ def main() -> int:
                         help="workload to run (repeatable; default: every workload)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json)")
     args = parser.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         base_root = Path(tmp)
@@ -113,7 +119,7 @@ def main() -> int:
                 for side in order:
                     root = base_root if side == "base" else ROOT
                     try:
-                        runs[side].append(run_side(root, workload, seed, seconds))
+                        runs[side].append(run_side(root, workload, seed, spec["run_seconds"]))
                     except RuntimeError as exc:
                         print(f"{workload} seed {seed} {side}: {exc}", file=sys.stderr)
                         return 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NonFiniteDirection
+from ..errors import NonFiniteDirection, ShapeMismatch
 from ..neural import GaussianPolicy
 from .ppo import log_std_mask, policy_param_grads
 
@@ -71,10 +71,13 @@ def gaussian_kl(mean0, std0, mean1, std1) -> float:
     return float(np.mean(per_dim.sum(axis=1)))
 
 
-def surrogate(policy, obs, pre_actions, advantages, old_log_probs, ent_coef) -> float:
-    lp = policy.log_prob(obs, pre_actions)
-    ratio = np.exp(lp - old_log_probs)
+def _surrogate(policy, ratio, advantages, ent_coef) -> float:
     return float(np.mean(ratio * advantages)) + ent_coef * policy.entropy()
+
+
+def surrogate(policy, obs, pre_actions, advantages, old_log_probs, ent_coef) -> float:
+    ratio = np.exp(policy.log_prob(obs, pre_actions) - old_log_probs)
+    return _surrogate(policy, ratio, advantages, ent_coef)
 
 
 @dataclass
@@ -108,12 +111,14 @@ def trpo_step(
     n = len(obs)
     theta_old = policy.params().copy()
     mean_old, cache = policy.mean_net.forward_cached(obs)
+    if np.shape(pre_actions) != mean_old.shape:
+        raise ShapeMismatch(f"pre_actions shape {np.shape(pre_actions)} "
+                            f"!= mean shape {mean_old.shape}")
     std_old = np.broadcast_to(policy.std(), mean_old.shape)
     # The surrogate and its gradient at the current parameters (ratio = 1 here
     # whenever old_log_probs came from these parameters).
-    lp_now = policy.log_prob_from_mean(mean_old, pre_actions)
-    ratio_now = np.exp(lp_now - old_log_probs)
-    surr_old = float(np.mean(ratio_now * advantages)) + ent_coef * policy.entropy()
+    ratio_now = np.exp(policy.log_prob_from_mean(mean_old, pre_actions) - old_log_probs)
+    surr_old = _surrogate(policy, ratio_now, advantages, ent_coef)
     dsurr_dlogp = ratio_now * advantages / n
     ent_grad = ent_coef * np.ones(policy.act_dim)
     g = policy_param_grads(policy, cache, mean_old, pre_actions, dsurr_dlogp, ent_grad)
@@ -136,7 +141,8 @@ def trpo_step(
         mean_new = policy.mean_net.forward(obs)
         std_new = np.broadcast_to(policy.std(), mean_new.shape)
         kl = gaussian_kl(mean_old, std_old, mean_new, std_new)
-        surr_new = surrogate(policy, obs, pre_actions, advantages, old_log_probs, ent_coef)
+        ratio_new = np.exp(policy.log_prob_from_mean(mean_new, pre_actions) - old_log_probs)
+        surr_new = _surrogate(policy, ratio_new, advantages, ent_coef)
         improvement = surr_new - surr_old
         if np.isfinite(kl) and np.isfinite(surr_new) and improvement > 0.0 and kl <= max_kl:
             return TrpoStats(accepted=True, step_fraction=frac, kl=kl,

@@ -6,7 +6,7 @@ import pytest
 from drltrade.agents import conjugate_gradient, fisher_vector_product, gaussian_kl, trpo_step
 from drltrade.agents.ppo import log_std_mask
 from drltrade.agents.trpo import surrogate
-from drltrade.errors import NonFiniteDirection
+from drltrade.errors import NonFiniteDirection, ShapeMismatch
 from drltrade.neural import GaussianPolicy
 
 
@@ -120,6 +120,16 @@ def test_accepted_steps_respect_kl_budget():
         assert stats.improvement == pytest.approx(gain, abs=1e-12)
         assert stats.step_fraction in {0.5**k for k in range(10)}
     assert accepted >= 10  # the budget check must actually exercise accepts
+
+
+def test_pre_actions_must_match_the_mean_shape():
+    # A (1, act_dim) batch would broadcast against the means without an error.
+    policy, obs, pre, advantages, log_probs = make_batch(0)
+    before = policy.params().copy()
+    for bad in (pre[:1], pre.ravel()):
+        with pytest.raises(ShapeMismatch, match="pre_actions shape"):
+            trpo_step(policy, obs, bad, advantages, log_probs)
+        assert np.array_equal(policy.params(), before)
 
 
 def test_zero_budget_restores_bit_identical():
