@@ -9,6 +9,7 @@ the agent learned to buy troughs and sell crests despite the 0.75% fee.
 
 import argparse
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -46,9 +47,8 @@ def main() -> None:
 
     report, annotated = run_backtest(result.policy, test_env)
     print(render_report(report))
-    counts = annotated.marker_counts()
-    print(f"markers\tbuy={counts.get('buy', 0)} sell={counts.get('sell', 0)} "
-          f"hold={counts.get('hold', 0)}")
+    counts = Counter(row.marker for row in annotated)
+    print(f"markers\tbuy={counts['buy']} sell={counts['sell']} hold={counts['hold']}")
 
 
 if __name__ == "__main__":

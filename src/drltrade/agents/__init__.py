@@ -21,7 +21,6 @@ from .gail import (
     gail_reward,
     gail_train,
     generate_expert_dataset,
-    load_expert_dataset,
     save_expert_dataset,
 )
 from .ppo import PpoConfig, PpoResult, ppo_surrogate, ppo_train

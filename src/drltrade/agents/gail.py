@@ -18,6 +18,7 @@ from ..env import TradingEnv
 from ..errors import DivergenceDetected, EmptyDataset
 from ..neural import Adam, GaussianPolicy, Mlp, first_non_finite, softplus
 from .buffers import collect_rollout, compute_gae, normalize_advantages
+from .ppo import actor_critic_json
 from .trpo import trpo_step
 
 D_CLAMP = 1e-8  # keeps -log D within [~0, 18.42]
@@ -46,6 +47,8 @@ class GailConfig:
             raise ValueError(f"max_kl must be positive, got {self.max_kl}")
         if self.entropy_weight < 0.0:
             raise ValueError(f"entropy_weight must be >= 0, got {self.entropy_weight}")
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
 
 @dataclass
@@ -96,22 +99,6 @@ def save_expert_dataset(dataset: ExpertDataset, path) -> None:
         writer.writerow(header)
         for o, a in zip(dataset.obs, dataset.actions):
             writer.writerow([reprs[v] for v in o.tolist() + a.tolist()])
-
-
-def load_expert_dataset(path) -> ExpertDataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        act_dim = sum(1 for name in header if name.startswith("act_"))
-        obs_dim = len(header) - act_dim
-        obs_rows, act_rows = [], []
-        for row in reader:
-            values = [float(v) for v in row]
-            obs_rows.append(values[:obs_dim])
-            act_rows.append(values[obs_dim:])
-    if not obs_rows:
-        raise EmptyDataset(f"no expert pairs in {path}")
-    return ExpertDataset(obs=np.array(obs_rows), actions=np.array(act_rows))
 
 
 def generate_expert_dataset(
@@ -218,6 +205,13 @@ class GailResult:
     value_net: Mlp
     discriminator: Mlp
     history: list[dict] = field(default_factory=list)
+
+    def networks_json(self) -> dict:
+        """The trained networks a checkpoint stores, keyed by name."""
+        return {
+            **actor_critic_json(self.policy, self.value_net),
+            "discriminator": self.discriminator.to_json(),
+        }
 
 
 def gail_train(

@@ -40,6 +40,10 @@ class PpoConfig:
     hidden: tuple[int, ...] = (64, 64)
 
     def __post_init__(self):
+        if self.n_steps < 1:
+            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if self.n_epochs < 1:
+            raise ValueError(f"n_epochs must be >= 1, got {self.n_epochs}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if not 0.0 < self.clip < 1.0:
@@ -131,11 +135,20 @@ def ppo_surrogate(
     return stats, policy_grads, value_grads
 
 
+def actor_critic_json(policy: GaussianPolicy, value_net: Mlp) -> dict:
+    """The policy and its value baseline, as a checkpoint stores them."""
+    return {"policy": policy.to_json(), "value_net": value_net.to_json()}
+
+
 @dataclass
 class PpoResult:
     policy: GaussianPolicy
     value_net: Mlp
     history: list[dict] = field(default_factory=list)
+
+    def networks_json(self) -> dict:
+        """The trained networks a checkpoint stores, keyed by name."""
+        return actor_critic_json(self.policy, self.value_net)
 
 
 def _check_finite(policy: GaussianPolicy, value_net: Mlp, loss: float, step: int):
@@ -146,8 +159,7 @@ def _check_finite(policy: GaussianPolicy, value_net: Mlp, loss: float, step: int
         return
     raise DivergenceDetected(
         f"non-finite {bad} at step {step}",
-        policy=policy.to_json(),
-        value_net=value_net.to_json(),
+        **actor_critic_json(policy, value_net),
         step=step,
     )
 

@@ -44,6 +44,10 @@ class SacConfig:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
         if self.alpha_init <= 0.0:
             raise ValueError(f"alpha_init must be positive, got {self.alpha_init}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.log_every < 1:
+            raise ValueError(f"log_every must be >= 1, got {self.log_every}")
 
 
 @dataclass
@@ -63,6 +67,11 @@ class SacNets:
     @property
     def alpha(self) -> float:
         return float(np.exp(self.log_alpha[0]))
+
+    def named_nets(self) -> dict:
+        """The policy and the four critics, under their checkpoint names."""
+        return {"policy": self.policy, "q1": self.q1, "q2": self.q2,
+                "q1_target": self.q1_target, "q2_target": self.q2_target}
 
 
 def make_sac_nets(obs_dim: int, act_dim: int, config: SacConfig,
@@ -200,11 +209,7 @@ def sac_update(nets: SacNets, buffer: ReplayBuffer, config: SacConfig,
 def _check_finite(nets: SacNets, stats: dict, step: int) -> None:
     bad = first_non_finite({
         **stats,
-        "policy": nets.policy.params(),
-        "q1": nets.q1.params(),
-        "q2": nets.q2.params(),
-        "q1_target": nets.q1_target.params(),
-        "q2_target": nets.q2_target.params(),
+        **{name: net.params() for name, net in nets.named_nets().items()},
         "log_alpha": nets.log_alpha,
     })
     if bad is None:
@@ -220,6 +225,11 @@ def _check_finite(nets: SacNets, stats: dict, step: int) -> None:
 class SacResult:
     nets: SacNets
     history: list[dict] = field(default_factory=list)
+
+    def networks_json(self) -> dict:
+        """The trained networks a checkpoint stores, keyed by name."""
+        named = {name: net.to_json() for name, net in self.nets.named_nets().items()}
+        return {**named, "log_alpha": self.nets.log_alpha.tolist()}
 
 
 def sac_train(env: TradingEnv, config: SacConfig, rng: np.random.Generator) -> SacResult:

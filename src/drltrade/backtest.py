@@ -41,20 +41,6 @@ class AnnotatedRow:
     executed_units: float
 
 
-@dataclass
-class AnnotatedSeries:
-    rows: list[AnnotatedRow]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def marker_counts(self) -> dict:
-        counts = {"buy": 0, "sell": 0, "hold": 0}
-        for row in self.rows:
-            counts[row.marker] += 1
-        return counts
-
-
 def make_report(
     begin_value, end_value, total_cost, total_trades,
     start_date: date, end_date: date,
@@ -85,7 +71,9 @@ def _marker(executed_units: float) -> str:
     return "hold"
 
 
-def run_backtest(policy: GaussianPolicy, env: TradingEnv) -> tuple[BacktestReport, AnnotatedSeries]:
+def run_backtest(
+    policy: GaussianPolicy, env: TradingEnv
+) -> tuple[BacktestReport, list[AnnotatedRow]]:
     """Deterministic rollout over every test bar, then forced liquidation."""
     obs = env.reset()
     closes = env.series.closes
@@ -126,19 +114,19 @@ def run_backtest(policy: GaussianPolicy, env: TradingEnv) -> tuple[BacktestRepor
         start_date=bar_date(int(open_times[env.episode.start])),
         end_date=bar_date(int(open_times[final_t])),
     )
-    return report, AnnotatedSeries(rows=rows)
+    return report, rows
 
 
 ANNOTATED_HEADER = ["timestamp", "price", "gross_value", "marker", "executed_units"]
 
 
-def export_annotated_series(series: AnnotatedSeries, path) -> None:
-    if not series.rows:
+def export_annotated_series(rows: list[AnnotatedRow], path) -> None:
+    if not rows:
         raise ValueError("refusing to export an empty annotated series")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ANNOTATED_HEADER)
-        for row in series.rows:
+        for row in rows:
             writer.writerow(
                 [
                     row.timestamp,

@@ -14,11 +14,13 @@ import json
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import date, datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .agents import (
+    ExpertDataset,
     GailConfig,
     PpoConfig,
     SacConfig,
@@ -66,7 +68,14 @@ EXIT_RUNTIME = 1
 EXIT_MISSING = 2
 EXIT_REFUSED = 3
 
-ALGOS = ("ppo", "sac", "gail")
+# Each algorithm's config class and train function. GAIL's train function
+# also takes the expert dataset, which cmd_train builds for it.
+ALGORITHMS = {
+    "ppo": (PpoConfig, ppo_train),
+    "sac": (SacConfig, sac_train),
+    "gail": (GailConfig, gail_train),
+}
+ALGOS = tuple(ALGORITHMS)
 
 
 @dataclass
@@ -122,12 +131,6 @@ def _check_config_keys(raw: dict) -> None:
             _check_keys(data["fetch"], FETCH_KEYS, "data.fetch")
 
 
-def _algo_config_from_json(cls, block: dict):
-    if "hidden" in block:
-        block = dict(block, hidden=tuple(block["hidden"]))
-    return cls(**block)
-
-
 def load_run_config(path: str | None, overrides: dict) -> RunConfig:
     """Read the config file (if any), apply flag overrides, validate."""
     raw: dict = {}
@@ -150,12 +153,12 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
     env_block = dict(raw.get("env", {}))
     env_block.setdefault("window", config.features.window)
     config.env = EnvConfig(**{**asdict(EnvConfig()), **env_block})
-    if "ppo" in raw:
-        config.ppo = _algo_config_from_json(PpoConfig, raw["ppo"])
-    if "sac" in raw:
-        config.sac = _algo_config_from_json(SacConfig, raw["sac"])
-    if "gail" in raw:
-        config.gail = _algo_config_from_json(GailConfig, raw["gail"])
+    for name, (config_class, _) in ALGORITHMS.items():
+        if name in raw:
+            block = raw[name]
+            if "hidden" in block:
+                block = dict(block, hidden=tuple(block["hidden"]))
+            setattr(config, name, config_class(**block))
     for key, value in overrides.items():
         if value is not None:
             setattr(config, key, value)
@@ -163,6 +166,8 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
         config.data = {"synthetic": dict(DEFAULT_SYNTHETIC)}
     if config.algo not in ALGOS:
         raise ValueError(f"algo must be one of {ALGOS}, got {config.algo!r}")
+    if type(config.seed) is not int or config.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {config.seed!r}")
     if config.interval not in INTERVAL_MS:
         raise ValueError(f"unknown interval {config.interval!r}")
     sources = [k for k in DATA_SOURCES if k in config.data]
@@ -196,9 +201,7 @@ def resolved_config_json(config: RunConfig) -> dict:
         "out": config.out,
         "features": feature_config_to_json(config.features),
         "env": asdict(config.env),
-        "ppo": _algo_config_json(config.ppo),
-        "sac": _algo_config_json(config.sac),
-        "gail": _algo_config_json(config.gail),
+        **{name: _algo_config_json(getattr(config, name)) for name in ALGOS},
     }
 
 
@@ -363,78 +366,49 @@ def cmd_train(config: RunConfig, force: bool) -> int:
     ckpt_path.parent.mkdir(parents=True, exist_ok=True)
     (out / "logs").mkdir(parents=True, exist_ok=True)
     _echo_config(config)
+    train = ALGORITHMS[config.algo][1]
     try:
-        if config.algo == "ppo":
-            result = ppo_train(train_env, config.ppo, rng)
-            payload = {
-                **base,
-                "train_config": _algo_config_json(config.ppo),
-                "policy": result.policy.to_json(),
-                "value_net": result.value_net.to_json(),
-            }
-            history = result.history
-        elif config.algo == "sac":
-            result = sac_train(train_env, config.sac, rng)
-            nets = result.nets
-            payload = {
-                **base,
-                "train_config": _algo_config_json(config.sac),
-                "policy": nets.policy.to_json(),
-                "q1": nets.q1.to_json(),
-                "q2": nets.q2.to_json(),
-                "q1_target": nets.q1_target.to_json(),
-                "q2_target": nets.q2_target.to_json(),
-                "log_alpha": nets.log_alpha.tolist(),
-            }
-            history = result.history
-        else:
-            expert_policy, expert_history = _expert_policy(config, prepared, train_env, rng)
-            if expert_history is not None:
-                write_training_log(expert_history, out / "logs" / "ppo_train.csv")
-            expert = generate_expert_dataset(
-                expert_policy,
-                train_env,
-                n_episodes=config.gail.n_expert_episodes,
-                traj_limitation=config.gail.traj_limitation,
-            )
-            (out / "data").mkdir(parents=True, exist_ok=True)
-            save_expert_dataset(expert, out / "data" / "expert.csv")
-            result = gail_train(train_env, expert, config.gail, rng)
-            payload = {
-                **base,
-                "train_config": _algo_config_json(config.gail),
-                "policy": result.policy.to_json(),
-                "value_net": result.value_net.to_json(),
-                "discriminator": result.discriminator.to_json(),
-            }
-            history = result.history
+        if config.algo == "gail":
+            train = partial(train, expert=_expert_dataset(config, base, train_env))
+        result = train(train_env, config=getattr(config, config.algo), rng=rng)
     except DivergenceDetected as exc:
         crash_path = out / "checkpoints" / f"{config.algo}_diverged.json"
         save_checkpoint(crash_path, config.algo, {**base, **exc.artifacts})
         print(f"training diverged: {exc}; state saved to {crash_path}", file=sys.stderr)
         return EXIT_RUNTIME
-    save_checkpoint(ckpt_path, config.algo, payload)
-    write_training_log(history, out / "logs" / f"{config.algo}_train.csv")
+    _save_trained(config, config.algo, base, result)
     print(f"wrote {ckpt_path}")
     return EXIT_OK
 
 
-def _expert_policy(config: RunConfig, prepared: Prepared, train_env: TradingEnv, rng):
-    """Load a PPO expert checkpoint if present, else train one now."""
-    ppo_ckpt = Path(config.out) / "checkpoints" / "ppo.json"
-    if ppo_ckpt.exists():
-        doc = load_checkpoint(ppo_ckpt)
-        return GaussianPolicy.from_json(doc["policy"]), None
-    expert_rng = np.random.default_rng(config.seed)
-    result = ppo_train(train_env, config.ppo, expert_rng)
+def _save_trained(config: RunConfig, algo: str, base: dict, result) -> None:
+    """Write an algorithm's checkpoint and its training log under ``out``."""
+    out = Path(config.out)
     payload = {
-        **_checkpoint_payload(config, prepared),
-        "train_config": _algo_config_json(config.ppo),
-        "policy": result.policy.to_json(),
-        "value_net": result.value_net.to_json(),
+        **base,
+        "train_config": _algo_config_json(getattr(config, algo)),
+        **result.networks_json(),
     }
-    save_checkpoint(ppo_ckpt, "ppo", payload)
-    return result.policy, result.history
+    save_checkpoint(out / "checkpoints" / f"{algo}.json", algo, payload)
+    write_training_log(result.history, out / "logs" / f"{algo}_train.csv")
+
+
+def _expert_dataset(config: RunConfig, base: dict, train_env: TradingEnv) -> ExpertDataset:
+    """GAIL's expert pairs, from the PPO checkpoint in ``out`` or one trained now."""
+    out = Path(config.out)
+    ppo_ckpt = out / "checkpoints" / "ppo.json"
+    if ppo_ckpt.exists():
+        policy = GaussianPolicy.from_json(load_checkpoint(ppo_ckpt)["policy"])
+    else:
+        result = ppo_train(train_env, config.ppo, np.random.default_rng(config.seed))
+        _save_trained(config, "ppo", base, result)
+        policy = result.policy
+    gail = config.gail
+    expert = generate_expert_dataset(policy, train_env, gail.n_expert_episodes,
+                                     gail.traj_limitation)
+    (out / "data").mkdir(parents=True, exist_ok=True)
+    save_expert_dataset(expert, out / "data" / "expert.csv")
+    return expert
 
 
 def cmd_backtest(config: RunConfig, checkpoint: str | None, force: bool) -> int:

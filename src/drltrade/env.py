@@ -42,6 +42,17 @@ class EnvConfig:
     violation_penalty: float = -0.01
     window: int = 60
 
+    def __post_init__(self):
+        # Written so that NaN fails each test too.
+        if not self.initial_balance > 0.0:
+            raise ValueError(f"initial_balance must be positive, got {self.initial_balance}")
+        if not 0.0 <= self.fee_rate < 1.0:
+            raise ValueError(f"fee_rate must be in [0, 1), got {self.fee_rate}")
+        if self.max_buy_amount is not None and not self.max_buy_amount > 0.0:
+            raise ValueError(f"max_buy_amount must be positive, got {self.max_buy_amount}")
+        if not self.window >= 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
+
 
 @dataclass
 class TradeInfo:

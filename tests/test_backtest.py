@@ -1,5 +1,6 @@
 """Backtest ledger, forced liquidation, and the five-line report format."""
 
+from collections import Counter
 from datetime import date
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from drltrade.backtest import (
     ANNOTATED_HEADER,
-    AnnotatedSeries,
     bar_date,
     evaluate_profit_metrics,
     export_annotated_series,
@@ -126,16 +126,16 @@ def test_backtest_hand_ledger():
     assert report.profit_ratio == pytest.approx(1.0395, abs=1e-9)
 
     assert len(annotated) == len(env.episode)
-    markers = [row.marker for row in annotated.rows]
+    markers = [row.marker for row in annotated]
     assert markers == ["buy", "hold", "sell", "sell"]
-    executed = [row.executed_units for row in annotated.rows]
+    executed = [row.executed_units for row in annotated]
     assert executed == pytest.approx([5.0, 0.0, -2.5, -2.5])
     # holdings valued at each trade bar's close; final row is the cash balance
-    values = [row.gross_value for row in annotated.rows]
+    values = [row.gross_value for row in annotated]
     assert values == pytest.approx([995.0, 1045.0, 1092.0, 1039.5], abs=1e-9)
-    prices = [row.price for row in annotated.rows]
+    prices = [row.price for row in annotated]
     assert prices == [100.0, 110.0, 120.0, 100.0]
-    timestamps = [row.timestamp for row in annotated.rows]
+    timestamps = [row.timestamp for row in annotated]
     assert timestamps == [int(env.series.open_times[t]) for t in range(2, 6)]
 
 
@@ -146,14 +146,14 @@ def test_backtest_idle_policy_keeps_balance():
     assert report.total_cost == 0.0
     assert report.total_trades == 0
     assert report.profit_ratio == 1.0
-    assert annotated.marker_counts() == {"buy": 0, "sell": 0, "hold": len(annotated)}
+    assert Counter(row.marker for row in annotated) == {"hold": len(annotated)}
 
 
 def test_marker_counts_match_trade_count():
     env = build_env([100, 105, 95, 108, 97, 103, 100], initial_balance=2000.0)
     policy = ScriptedPolicy([0.8, -0.3, 0.5, -1.0])
     report, annotated = run_backtest(policy, env)
-    counts = annotated.marker_counts()
+    counts = Counter(row.marker for row in annotated)
     assert counts["buy"] + counts["sell"] == report.total_trades
     assert sum(counts.values()) == len(annotated)
 
@@ -166,7 +166,7 @@ def test_annotated_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(ANNOTATED_HEADER)
     assert len(lines) == len(annotated) + 1
-    for line, row in zip(lines[1:], annotated.rows):
+    for line, row in zip(lines[1:], annotated):
         timestamp, price, value, marker, units = line.split(",")
         # repr round trip preserves every float bit
         assert (int(timestamp), marker) == (row.timestamp, row.marker)
@@ -177,7 +177,7 @@ def test_annotated_round_trip(tmp_path):
 
 def test_annotated_export_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
-        export_annotated_series(AnnotatedSeries(rows=[]), tmp_path / "x.csv")
+        export_annotated_series([], tmp_path / "x.csv")
 
 
 def test_report_json_deterministic(tmp_path):

@@ -72,6 +72,11 @@ def test_env_window_follows_features(tmp_path):
     assert config.env.window == 7
 
 
+def _algo_patch(algo, **block):
+    """Select ``algo`` and change its block of BASE_CONFIG."""
+    return {"algo": algo, algo: {**BASE_CONFIG[algo], **block}}
+
+
 @pytest.mark.parametrize(
     "patch",
     [
@@ -82,12 +87,31 @@ def test_env_window_follows_features(tmp_path):
         {"env": {"window": 9}},
         {"split_fraction": 1.0},
         {"split_fraction": 0.0},
+        {"env": {"window": 4, "initial_balance": 0}},
+        {"env": {"window": 4, "initial_balance": float("nan")}},
+        {"env": {"window": 4, "fee_rate": 1.5}},
+        {"env": {"window": 4, "fee_rate": -0.1}},
+        {"env": {"window": 4, "max_buy_amount": -50}},
+        {"features": {"window": 0, "columns": ["close", "return"]}, "env": {"window": 0}},
+        {"seed": 1.5},
+        {"seed": "7"},
+        {"seed": -1},
+        {"seed": True},
+        _algo_patch("ppo", n_steps=0),
+        _algo_patch("ppo", n_epochs=0),
+        _algo_patch("sac", log_every=0),
+        _algo_patch("sac", batch_size=0),
+        _algo_patch("gail", horizon=0),
     ],
 )
-def test_config_validation_rejects(tmp_path, patch):
+def test_config_validation_rejects(tmp_path, capsys, patch):
     cfg = write_config(tmp_path / "c.json", tmp_path / "run", **patch)
     with pytest.raises(ValueError):
         cli.load_run_config(str(cfg), {})
+    # train refuses the same config with exit 2, before it writes anything
+    assert cli.main(["--config", str(cfg), "train"]) == cli.EXIT_MISSING
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(
@@ -336,3 +360,14 @@ def test_gail_trains_expert_then_reuses_it(tmp_path):
     assert cli.main(["--config", str(cfg), "--force", "train"]) == cli.EXIT_OK
     assert (out / "checkpoints" / "ppo.json").read_bytes() == expert_bytes
     assert (out / "checkpoints" / "gail.json").read_bytes() == gail_bytes
+
+
+def test_gail_trains_the_expert_a_ppo_run_trains(tmp_path):
+    """Without a PPO checkpoint in ``out``, GAIL writes the one ``train --algo ppo`` writes."""
+    ppo_out, gail_out = tmp_path / "ppo", tmp_path / "gail"
+    ppo_cfg = write_config(tmp_path / "ppo.json", ppo_out)
+    gail_cfg = write_config(tmp_path / "gail.json", gail_out, algo="gail")
+    assert cli.main(["--config", str(ppo_cfg), "train"]) == cli.EXIT_OK
+    assert cli.main(["--config", str(gail_cfg), "train"]) == cli.EXIT_OK
+    for rel in ("checkpoints/ppo.json", "logs/ppo_train.csv"):
+        assert (gail_out / rel).read_bytes() == (ppo_out / rel).read_bytes(), rel
