@@ -3,8 +3,7 @@ imitation with trust-region policy steps."""
 
 from __future__ import annotations
 
-import csv
-
+from ..market_data import write_csv
 from .buffers import (
     ReplayBuffer,
     RolloutBuffer,
@@ -41,18 +40,11 @@ from .trpo import conjugate_gradient, fisher_vector_product, gaussian_kl, trpo_s
 
 def write_training_log(history: list[dict], path) -> None:
     """Newline-delimited CSV of per-update diagnostics; NaN cells left empty."""
-    if not history:
-        fields: list[str] = ["step"]
-    else:
-        fields = list(history[0].keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in history:
-            out = {}
-            for key in fields:
-                value = row.get(key, "")
-                if isinstance(value, float) and value != value:
-                    value = ""
-                out[key] = value
-            writer.writerow(out)
+    fields = list(history[0]) if history else ["step"]
+
+    def cells(row: dict):
+        for key in fields:
+            value = row.get(key, "")
+            yield "" if isinstance(value, float) and value != value else value
+
+    write_csv(path, fields, (tuple(cells(row)) for row in history))

@@ -9,13 +9,13 @@ from the relabeled rewards; actions enter the discriminator pre-squash.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..env import TradingEnv
 from ..errors import DivergenceDetected, EmptyDataset
+from ..market_data import CSV_CHUNK_ROWS, write_csv
 from ..neural import Adam, GaussianPolicy, Mlp, first_non_finite, softplus
 from .buffers import collect_rollout, compute_gae, normalize_advantages
 from .ppo import actor_critic_json
@@ -94,11 +94,16 @@ def save_expert_dataset(dataset: ExpertDataset, path) -> None:
     act_dim = dataset.actions.shape[1]
     header = [f"obs_{i}" for i in range(obs_dim)] + [f"act_{i}" for i in range(act_dim)]
     reprs = _FloatReprs()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for o, a in zip(dataset.obs, dataset.actions):
-            writer.writerow([reprs[v] for v in o.tolist() + a.tolist()])
+
+    def rows():
+        for start in range(0, len(dataset), CSV_CHUNK_ROWS):
+            stop = start + CSV_CHUNK_ROWS
+            pairs = np.hstack([dataset.obs[start:stop], dataset.actions[start:stop]])
+            cells = map(reprs.__getitem__, pairs.ravel().tolist())
+            # zip over one iterator repeated once per column groups it into rows
+            yield from zip(*[cells] * len(header))
+
+    write_csv(path, header, rows())
 
 
 def generate_expert_dataset(
@@ -107,22 +112,26 @@ def generate_expert_dataset(
     n_episodes: int = 10,
     traj_limitation: int = 7000,
 ) -> ExpertDataset:
-    """Deterministic expert rollouts, concatenated then truncated."""
-    obs_rows, act_rows = [], []
-    for _ in range(n_episodes):
-        obs = env.reset()
-        done = False
-        while not done:
-            pre = policy.mean_net.forward(obs[None, :])
-            obs_rows.append(obs)
-            act_rows.append(pre[0])
-            result = env.step(np.tanh(pre[0]))
-            obs = result.observation
-            done = result.done
-    if not obs_rows:
+    """Deterministic expert rollouts, concatenated then truncated.
+
+    ``env.reset()`` starts the same episode every time and the expert acts on
+    its mean, so every rollout is the same: it runs once and is repeated
+    ``n_episodes`` times.
+    """
+    if n_episodes < 1:
         raise EmptyDataset("expert rollouts produced no transitions")
-    obs_arr = np.array(obs_rows)[:traj_limitation]
-    act_arr = np.array(act_rows)[:traj_limitation]
+    obs_rows, act_rows = [], []
+    obs = env.reset()
+    done = False
+    while not done:
+        pre = policy.mean_net.forward(obs[None, :])
+        obs_rows.append(obs)
+        act_rows.append(pre[0])
+        result = env.step(np.tanh(pre[0]))
+        obs = result.observation
+        done = result.done
+    obs_arr = np.tile(np.array(obs_rows), (n_episodes, 1))[:traj_limitation]
+    act_arr = np.tile(np.array(act_rows), (n_episodes, 1))[:traj_limitation]
     return ExpertDataset(obs=obs_arr, actions=act_arr)
 
 

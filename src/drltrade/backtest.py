@@ -9,7 +9,6 @@ the fee accumulator.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from .env import TradingEnv, gross_value
 from .errors import ZeroBegin
+from .market_data import write_csv
 from .neural import GaussianPolicy, write_json
 
 
@@ -123,19 +123,11 @@ ANNOTATED_HEADER = ["timestamp", "price", "gross_value", "marker", "executed_uni
 def export_annotated_series(rows: list[AnnotatedRow], path) -> None:
     if not rows:
         raise ValueError("refusing to export an empty annotated series")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ANNOTATED_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.timestamp,
-                    repr(row.price),
-                    repr(row.gross_value),
-                    row.marker,
-                    repr(row.executed_units),
-                ]
-            )
+    write_csv(
+        path,
+        ANNOTATED_HEADER,
+        ((r.timestamp, r.price, r.gross_value, r.marker, r.executed_units) for r in rows),
+    )
 
 
 def evaluate_profit_metrics(report: BacktestReport) -> dict:

@@ -131,6 +131,28 @@ def _check_config_keys(raw: dict) -> None:
             _check_keys(data["fetch"], FETCH_KEYS, "data.fetch")
 
 
+def _check_int_fields(config) -> None:
+    """Refuse a float, string or bool in an ``int`` field of ``config``'s blocks.
+
+    A field is an integer when its annotation says so; ``hidden`` is a tuple
+    of integers. A value of another type would pass the range checks and fail
+    later, deep inside a run.
+    """
+    blocks = {"features": config.features, "env": config.env,
+              **{name: getattr(config, name) for name in ALGOS}}
+    for where, block in blocks.items():
+        for f in fields(block):
+            value = getattr(block, f.name)
+            if f.type == "int":
+                ok = type(value) is int
+            elif f.type == "tuple[int, ...]":
+                ok = all(type(v) is int for v in value)
+            else:
+                continue
+            if not ok:
+                raise ValueError(f"{where}.{f.name} must be an integer, got {value!r}")
+
+
 def load_run_config(path: str | None, overrides: dict) -> RunConfig:
     """Read the config file (if any), apply flag overrides, validate."""
     raw: dict = {}
@@ -159,6 +181,7 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
             if "hidden" in block:
                 block = dict(block, hidden=tuple(block["hidden"]))
             setattr(config, name, config_class(**block))
+    _check_int_fields(config)
     for key, value in overrides.items():
         if value is not None:
             setattr(config, key, value)

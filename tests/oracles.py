@@ -11,6 +11,7 @@ DI sum zero -> DX 0.
 """
 
 import csv
+import io
 import json
 import math
 from collections.abc import Mapping, Sequence
@@ -305,6 +306,15 @@ def reference_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
+def reference_csv(header, rows) -> str:
+    """The ``csv.writer`` rendering that every CSV artifact must match byte for byte."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 # The forms below are the earlier, slower implementations of paths that were
 # reworked for speed. The reworked code must match them bit for bit.
 
@@ -372,3 +382,20 @@ def per_value_expert_csv(dataset, path):
         writer.writerow(header)
         for o, a in zip(dataset.obs, dataset.actions):
             writer.writerow([repr(float(v)) for v in o] + [repr(float(v)) for v in a])
+
+
+def rerun_expert_dataset(policy, env, n_episodes, traj_limitation):
+    """(obs, actions) of ``n_episodes`` expert rollouts, each one run afresh,
+    concatenated then truncated to ``traj_limitation`` rows."""
+    obs_rows, act_rows = [], []
+    for _ in range(n_episodes):
+        obs = env.reset()
+        done = False
+        while not done:
+            pre = policy.mean_net.forward(obs[None, :])
+            obs_rows.append(obs)
+            act_rows.append(pre[0])
+            result = env.step(np.tanh(pre[0]))
+            obs = result.observation
+            done = result.done
+    return np.array(obs_rows)[:traj_limitation], np.array(act_rows)[:traj_limitation]

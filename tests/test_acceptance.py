@@ -2,8 +2,10 @@
 
 Each test prints exactly one line, ``criterion NN: PASS/FAIL - detail``, and
 fails the run when its criterion is not met. Criteria 9 and 10 train real
-agents and dominate the runtime; everything else finishes in seconds. Run
-with ``pytest -s tests/test_acceptance.py`` to see the lines as they appear.
+agents and dominate the runtime, so they carry the ``slow`` marker
+(``pytest -m "not slow"`` leaves them out); everything else finishes in
+seconds. Run with ``pytest -s tests/test_acceptance.py`` to see the lines as
+they appear.
 """
 
 import json
@@ -425,6 +427,7 @@ def ppo_runs(sine_lab):
     return runs
 
 
+@pytest.mark.slow
 def test_criterion_09_sine_profitability(sine_lab, ppo_runs):
     ppo_hits = sum(run["profit"] > 0.0 for run in ppo_runs)
     ppo_max_s = max(run["seconds"] for run in ppo_runs)
@@ -446,6 +449,7 @@ def test_criterion_09_sine_profitability(sine_lab, ppo_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_imitation_recovers_expert(sine_lab, ppo_runs):
     best = max(ppo_runs, key=lambda run: run["profit"])
     bar = 0.5 * best["profit"]

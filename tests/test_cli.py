@@ -102,6 +102,15 @@ def _algo_patch(algo, **block):
         _algo_patch("sac", log_every=0),
         _algo_patch("sac", batch_size=0),
         _algo_patch("gail", horizon=0),
+        _algo_patch("ppo", n_steps=16.5),
+        _algo_patch("ppo", total_timesteps="64"),
+        _algo_patch("sac", batch_size=8.0),
+        {"features": {"window": 4.0, "columns": ["close", "return"]}, "env": {"window": 4.0}},
+        _algo_patch("gail", horizon=16.0),
+        _algo_patch("ppo", hidden=[8.0]),
+        _algo_patch("sac", hidden=[True]),
+        _algo_patch("gail", n_expert_episodes=False),
+        {"features": {"window": 4, "columns": ["close", "return"], "bollinger_n": 20.0}},
     ],
 )
 def test_config_validation_rejects(tmp_path, capsys, patch):

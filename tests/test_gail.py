@@ -20,7 +20,7 @@ from drltrade.env import EnvConfig, TradingEnv
 from drltrade.errors import DivergenceDetected, EmptyDataset
 from drltrade.features import FeatureConfig, build_feature_matrix, fit_normalizer, normalize
 from drltrade.neural import Adam, GaussianPolicy, Mlp, softplus
-from oracles import fd_gradient, per_value_expert_csv, vector_rel_error
+from oracles import fd_gradient, per_value_expert_csv, rerun_expert_dataset, vector_rel_error
 
 
 def make_env(rng, episode=range(4, 20)):
@@ -82,6 +82,32 @@ def test_generate_expert_dataset_uses_pre_squash_means(rng):
     truncated = generate_expert_dataset(policy, env, n_episodes=2, traj_limitation=5)
     assert len(truncated) == 5
     assert np.array_equal(truncated.obs, dataset.obs[:5])
+
+
+@pytest.mark.parametrize("n_episodes", [1, 2, 3])
+@pytest.mark.parametrize("limit", [7000, 45, 22, 9])
+def test_expert_episode_runs_once_and_repeats(rng, monkeypatch, n_episodes, limit):
+    """Byte-equal to rerunning every episode, also when the limit cuts one
+    (15 steps per episode: 9 and 22 cut the first and second)."""
+    env = make_env(rng)
+    policy = GaussianPolicy(env.observation_dim, 1, (4,), rng)
+    want_obs, want_act = rerun_expert_dataset(policy, env, n_episodes, limit)
+    steps = []
+    step = env.step
+    monkeypatch.setattr(env, "step", lambda action: steps.append(1) or step(action))
+    got = generate_expert_dataset(policy, env, n_episodes=n_episodes, traj_limitation=limit)
+    assert len(steps) == len(env.episode) - 1
+    assert got.obs.tobytes() == want_obs.tobytes()
+    assert got.actions.tobytes() == want_act.tobytes()
+    assert got.obs.shape == want_obs.shape and got.actions.shape == want_act.shape
+
+
+def test_expert_without_episodes_is_empty(rng):
+    env = make_env(rng)
+    policy = GaussianPolicy(env.observation_dim, 1, (4,), rng)
+    for n_episodes in (0, -1):
+        with pytest.raises(EmptyDataset):
+            generate_expert_dataset(policy, env, n_episodes=n_episodes)
 
 
 def test_objective_at_half_is_minus_two_log_two():

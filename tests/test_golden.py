@@ -2,8 +2,9 @@
 
 Criterion 11 compares two runs of the same code, so a change that alters the
 numbers would pass it unnoticed. This test pins the sha256 of every artifact
-a short PPO, SAC and GAIL train + backtest writes. A change that moves a
-digest on purpose regenerates ``golden.json`` with ``--regen`` and says why.
+that a fetch and a short PPO, SAC and GAIL train + backtest write. A change
+that moves a digest on purpose regenerates ``golden.json`` with ``--regen``
+and says why.
 
 ``config_resolved.json`` is left out: it embeds the absolute ``out`` path.
 
@@ -51,12 +52,14 @@ GOLDEN_RUN = {
 
 # GAIL runs last so it reuses the PPO checkpoint as its expert.
 ALGOS = ("ppo", "sac", "gail")
-DIGESTED = ("checkpoints/*", "logs/*_train.csv", "reports/*", "data/expert.csv")
+DIGESTED = ("checkpoints/*", "logs/*_train.csv", "reports/*", "data/expert.csv",
+            "data/klines.csv")
 
 
 def run_digests(out: Path) -> dict:
     cfg = out.parent / "golden_config.json"
     cfg.write_text(json.dumps({**GOLDEN_RUN, "out": str(out)}))
+    assert cli.main(["--config", str(cfg), "fetch"]) == 0
     for algo in ALGOS:
         assert cli.main(["--config", str(cfg), "train", "--algo", algo]) == 0
         assert cli.main(["--config", str(cfg), "backtest", "--algo", algo]) == 0
