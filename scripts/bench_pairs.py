@@ -11,6 +11,10 @@ the direction comes from BENCHMARK.json) and whether the gap between the
 medians exceeds the base's quartile spread. Every run lasts the
 ``run_seconds`` of BENCHMARK.json, on both sides.
 
+Each pair also reports whether both runs wrote the same artifacts: their
+records' ``artifacts`` digests (sha256 of every file the first repeat wrote)
+are compared, and a summary line counts the pairs in which they match.
+
 The metrics are medians of host-speed-scaled times. The unscaled median op
 times (``wall_s`` of the untraced samples in each run's record) are printed
 beside them, so that a shift caused by the scaling alone shows.
@@ -71,7 +75,12 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
                                       if s["op"] == op and not s["traced"])
                 for op in OPS}
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "unscaled": unscaled}
+            "unscaled": unscaled, "artifacts": record.get("artifacts")}
+
+
+def same_artifacts(base: dict, change: dict) -> bool:
+    """Whether two run records hold the same, non-empty ``artifacts`` digests."""
+    return bool(base.get("artifacts")) and base.get("artifacts") == change.get("artifacts")
 
 
 def quartiles(values: list) -> tuple[float, float, float]:
@@ -113,6 +122,7 @@ def main() -> int:
             return 2
         for workload in workloads:
             runs = {"base": [], "change": []}
+            same = 0
             for i in range(args.pairs):
                 seed = args.first_seed + i
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -124,11 +134,15 @@ def main() -> int:
                         print(f"{workload} seed {seed} {side}: {exc}", file=sys.stderr)
                         return 1
                 b, c = runs["base"][-1], runs["change"][-1]
+                match = same_artifacts(b, c)
+                same += match
                 print(f"{workload} seed {seed} ({order[0]} first): " + ", ".join(
                     f"{k} {b['metrics'][k]:.5g} -> {c['metrics'][k]:.5g}"
-                    for k in higher), flush=True)
+                    for k in higher) + f", same artifacts: {'yes' if match else 'no'}",
+                    flush=True)
             print(f"{workload}: {args.pairs} pairs, {args.base} -> working tree, "
                   f"median [quartiles]")
+            print(f"  same artifacts in {same}/{args.pairs} pairs")
             for metric, up in higher.items():
                 print(compare(metric, [r["metrics"][metric] for r in runs["base"]],
                               [r["metrics"][metric] for r in runs["change"]], up, ".5g"))

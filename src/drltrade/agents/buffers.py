@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import EmptyBuffer
 from ..env import TradingEnv
-from ..neural import GaussianPolicy, Mlp
+from ..neural import GaussianPolicy, Mlp, stacked_forward
 
 
 @dataclass
@@ -45,31 +45,39 @@ def collect_rollout(
     n_steps: int,
     rng: np.random.Generator,
 ) -> RolloutBuffer:
-    """Step the env n_steps times with sampled actions, resetting on done."""
+    """Step the env n_steps times with sampled actions, resetting on done.
+
+    Each step runs one stacked forward pass for the policy mean and the
+    value, so both nets need the same ``sizes`` (and the action is scalar).
+    The rollout's noise is drawn in one call; the stored pre-squash actions
+    and their log-probs are computed after the loop. The buffer, and the
+    state ``rng`` is left in, are those of one ``policy.sample`` and one
+    ``value_net.forward`` per step, bit for bit.
+    """
+    forward = stacked_forward((policy.mean_net, value_net))
+    scaled_noise = policy.std() * rng.standard_normal((n_steps, policy.act_dim))
     obs_rows = np.empty((n_steps, env.observation_dim))
-    pre_rows = np.empty((n_steps, policy.act_dim))
-    logp_rows = np.empty(n_steps)
+    outputs = np.empty((n_steps, 2))  # the policy mean and the value, per step
     reward_rows = np.empty(n_steps)
     done_rows = np.zeros(n_steps)
-    value_rows = np.empty(n_steps)
     obs = env.reset() if env.done else env.observe()
     for i in range(n_steps):
-        action, pre, logp = policy.sample(obs[None, :], rng)
-        result = env.step(action[0])
+        out = forward(obs[None, :])
+        outputs[i] = out[:, 0, 0]
+        result = env.step(np.tanh(out[0, 0] + scaled_noise[i]))
         obs_rows[i] = obs
-        pre_rows[i] = pre[0]
-        logp_rows[i] = logp[0]
-        value_rows[i] = value_net.forward(obs[None, :])[0, 0]
         reward_rows[i] = result.reward
         done_rows[i] = float(result.done)
         obs = env.reset() if result.done else result.observation
+    means = outputs[:, :1]
+    pre_rows = means + scaled_noise
     return RolloutBuffer(
         obs=obs_rows,
         pre_actions=pre_rows,
-        log_probs=logp_rows,
+        log_probs=policy.log_prob_from_mean(means, pre_rows),
         rewards=reward_rows,
         dones=done_rows,
-        values=value_rows,
+        values=outputs[:, 1],
         last_obs=obs,
         last_done=bool(done_rows[-1]),
     )

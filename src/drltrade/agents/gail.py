@@ -49,6 +49,10 @@ class GailConfig:
             raise ValueError(f"entropy_weight must be >= 0, got {self.entropy_weight}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if self.n_expert_episodes < 1:
+            raise ValueError(f"n_expert_episodes must be >= 1, got {self.n_expert_episodes}")
+        if self.traj_limitation < 1:
+            raise ValueError(f"traj_limitation must be >= 1, got {self.traj_limitation}")
 
 
 @dataclass

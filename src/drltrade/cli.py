@@ -417,11 +417,20 @@ def _save_trained(config: RunConfig, algo: str, base: dict, result) -> None:
 
 
 def _expert_dataset(config: RunConfig, base: dict, train_env: TradingEnv) -> ExpertDataset:
-    """GAIL's expert pairs, from the PPO checkpoint in ``out`` or one trained now."""
+    """GAIL's expert pairs, from the PPO checkpoint in ``out`` or one trained now.
+
+    A stored expert is refused when it saw other features or another
+    normalizer than this run: its observations would mean something else.
+    """
     out = Path(config.out)
     ppo_ckpt = out / "checkpoints" / "ppo.json"
     if ppo_ckpt.exists():
-        policy = GaussianPolicy.from_json(load_checkpoint(ppo_ckpt)["policy"])
+        doc = load_checkpoint(ppo_ckpt)
+        for key in ("feature_config", "normalizer"):
+            if json.dumps(doc.get(key), sort_keys=True) != json.dumps(base[key], sort_keys=True):
+                raise ValueError(f"expert {ppo_ckpt} was trained with another {key} "
+                                 f"than this run; remove it or train with --out elsewhere")
+        policy = GaussianPolicy.from_json(doc["policy"])
     else:
         result = ppo_train(train_env, config.ppo, np.random.default_rng(config.seed))
         _save_trained(config, "ppo", base, result)

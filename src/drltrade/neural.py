@@ -188,6 +188,32 @@ class Mlp:
         return net
 
 
+def stacked_forward(nets):
+    """One forward pass through several MLPs of equal ``sizes``, run as a stack.
+
+    Each layer's weights are copied once into a ``(K, fan_in, fan_out)``
+    array and its biases into ``(K, 1, fan_out)``, so the returned function
+    sees the parameters as they were at this call. It maps a ``(B, in_dim)``
+    input to a ``(K, B, out_dim)`` output whose member k equals
+    ``nets[k].forward(x)`` bit for bit: every slice of a stacked matmul is
+    the same ``(B, fan_in) @ (fan_in, fan_out)`` product.
+    """
+    sizes = {net.sizes for net in nets}
+    if len(sizes) != 1:
+        raise ShapeMismatch(f"stacked nets need equal sizes, got {sorted(sizes)}")
+    weights = [np.stack(ws) for ws in zip(*(net.weights for net in nets))]
+    biases = [np.stack(bs)[:, None, :] for bs in zip(*(net.biases for net in nets))]
+    hidden = list(zip(weights[:-1], biases[:-1]))
+    w_out, b_out = weights[-1], biases[-1]
+
+    def forward(x: np.ndarray) -> np.ndarray:
+        for w, b in hidden:
+            x = np.tanh(x @ w + b)
+        return x @ w_out + b_out
+
+    return forward
+
+
 def flatten_params(params: list[np.ndarray]) -> np.ndarray:
     """Concatenate arrays, each raveled, into one new float64 vector."""
     return np.concatenate([np.asarray(p, dtype=float).reshape(-1) for p in params])

@@ -399,3 +399,27 @@ def rerun_expert_dataset(policy, env, n_episodes, traj_limitation):
             obs = result.observation
             done = result.done
     return np.array(obs_rows)[:traj_limitation], np.array(act_rows)[:traj_limitation]
+
+
+def per_step_rollout(env, policy, value_net, n_steps, rng):
+    """The rollout buffer's arrays, keyed by field, from one ``policy.sample``
+    and one ``value_net.forward`` per step."""
+    obs_rows = np.empty((n_steps, env.observation_dim))
+    pre_rows = np.empty((n_steps, policy.act_dim))
+    logp_rows = np.empty(n_steps)
+    reward_rows = np.empty(n_steps)
+    done_rows = np.zeros(n_steps)
+    value_rows = np.empty(n_steps)
+    obs = env.reset() if env.done else env.observe()
+    for i in range(n_steps):
+        action, pre, logp = policy.sample(obs[None, :], rng)
+        result = env.step(action[0])
+        obs_rows[i] = obs
+        pre_rows[i] = pre[0]
+        logp_rows[i] = logp[0]
+        value_rows[i] = value_net.forward(obs[None, :])[0, 0]
+        reward_rows[i] = result.reward
+        done_rows[i] = float(result.done)
+        obs = env.reset() if result.done else result.observation
+    return {"obs": obs_rows, "pre_actions": pre_rows, "log_probs": logp_rows,
+            "rewards": reward_rows, "dones": done_rows, "values": value_rows, "last_obs": obs}

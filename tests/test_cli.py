@@ -110,6 +110,9 @@ def _algo_patch(algo, **block):
         _algo_patch("ppo", hidden=[8.0]),
         _algo_patch("sac", hidden=[True]),
         _algo_patch("gail", n_expert_episodes=False),
+        _algo_patch("gail", n_expert_episodes=0),
+        _algo_patch("gail", traj_limitation=0),
+        _algo_patch("gail", traj_limitation=-5),
         {"features": {"window": 4, "columns": ["close", "return"], "bollinger_n": 20.0}},
     ],
 )
@@ -380,3 +383,26 @@ def test_gail_trains_the_expert_a_ppo_run_trains(tmp_path):
     assert cli.main(["--config", str(gail_cfg), "train"]) == cli.EXIT_OK
     for rel in ("checkpoints/ppo.json", "logs/ppo_train.csv"):
         assert (gail_out / rel).read_bytes() == (ppo_out / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize(
+    "gail_patch,key",
+    [
+        # equal observation widths: 2 + 4 windows x 2 columns
+        ({"features": {"window": 4, "columns": ["open", "return"]}}, "feature_config"),
+        ({"split_fraction": 0.7}, "normalizer"),
+    ],
+)
+def test_gail_refuses_an_expert_of_other_features(tmp_path, capsys, gail_patch, key):
+    out = tmp_path / "run"
+    ppo_cfg = write_config(tmp_path / "ppo.json", out)
+    gail_cfg = write_config(tmp_path / "gail.json", out, algo="gail", **gail_patch)
+    assert cli.main(["--config", str(ppo_cfg), "train"]) == cli.EXIT_OK
+    expert_bytes = (out / "checkpoints" / "ppo.json").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["--config", str(gail_cfg), "train"]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert f"trained with another {key}" in err and "ppo.json" in err
+    assert not (out / "checkpoints" / "gail.json").exists()
+    assert not (out / "data" / "expert.csv").exists()
+    assert (out / "checkpoints" / "ppo.json").read_bytes() == expert_bytes

@@ -13,10 +13,10 @@ from drltrade.agents import (
     normalize_advantages,
 )
 from drltrade.env import EnvConfig, TradingEnv
-from drltrade.errors import EmptyBuffer
+from drltrade.errors import EmptyBuffer, ShapeMismatch
 from drltrade.features import FeatureConfig, build_feature_matrix, fit_normalizer, normalize
 from drltrade.neural import GaussianPolicy, Mlp
-from oracles import brute_gae
+from oracles import brute_gae, per_step_rollout
 
 
 def test_gae_undiscounted_example():
@@ -122,6 +122,46 @@ def test_collect_rollout_continues_across_calls(rng):
     assert first.dones.tolist() == [0, 0]
     assert second.dones.tolist() == [1, 0]  # picks up mid-episode
     assert np.array_equal(second.obs[0], first.last_obs)
+
+
+@pytest.mark.parametrize("hidden", [(4,), (64, 64)])
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_collect_rollout_is_bit_identical_to_per_step_sampling(seed, hidden, wide):
+    """Two rollouts in a row, each crossing episode resets, against the per-step loop."""
+    rng = np.random.default_rng(seed)
+    series = make_random_series(rng, 520 if wide else 40)
+    # 500 bars x 2 columns gives 1002 observation features
+    config = FeatureConfig(window=500 if wide else 3, columns=("close", "return"))
+    matrix = build_feature_matrix(series, config)
+    norm = normalize(matrix, fit_normalizer(matrix, range(matrix.valid_from, len(series))))
+    first_t = matrix.valid_from + config.window - 1
+    episode = range(first_t, first_t + 4)  # 3 steps per episode
+    envs = [TradingEnv(series, norm, EnvConfig(window=config.window), episode)
+            for _ in range(2)]
+    policy = GaussianPolicy(envs[0].observation_dim, 1, hidden, rng, out_scale=1.0)
+    policy.log_std[:] = rng.normal()
+    value_net = Mlp((envs[0].observation_dim,) + hidden + (1,), rng)
+    assert wide == (envs[0].observation_dim >= 1000)
+    got_rng = np.random.default_rng(seed + 100)
+    want_rng = np.random.default_rng(seed + 100)
+    for n_steps in (7, 5):
+        got = collect_rollout(envs[0], policy, value_net, n_steps, got_rng)
+        want = per_step_rollout(envs[1], policy, value_net, n_steps, want_rng)
+        for name, expected in want.items():
+            value = getattr(got, name)
+            assert value.shape == expected.shape and value.tobytes() == expected.tobytes(), name
+        assert got.last_done == bool(want["dones"][-1])
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert got.dones.sum() >= 1  # the second rollout crosses a reset too
+
+
+def test_collect_rollout_needs_equal_net_sizes(rng):
+    env = make_env(rng)
+    policy = GaussianPolicy(env.observation_dim, 1, (4,), rng)
+    value_net = Mlp((env.observation_dim, 5, 1), rng)
+    with pytest.raises(ShapeMismatch):
+        collect_rollout(env, policy, value_net, 4, rng)
 
 
 def test_replay_buffer_ring_and_sampling(rng):

@@ -14,6 +14,7 @@ from drltrade.neural import (
     load_checkpoint,
     save_checkpoint,
     softplus,
+    stacked_forward,
     tanh_log_det_jacobian,
     unflatten_params,
 )
@@ -105,6 +106,32 @@ def test_jvp_from_cache_is_bit_identical_to_recomputing_jvp(rng, sizes, batch):
         _, cache = net.forward_cached(x)
         got = net.jvp(cache, tangent)
         assert got.tobytes() == recomputing_jvp(net, x, tangent).tobytes()
+
+
+@pytest.mark.parametrize("sizes", [(3, 1), (27, 64, 64, 1), (1082, 64, 64, 1), (5, 4, 3)])
+@pytest.mark.parametrize("batch", [1, 7])
+def test_stacked_forward_members_equal_mlp_forward(rng, sizes, batch):
+    nets = [Mlp(sizes, rng) for _ in range(3)]
+    x = rng.normal(size=(batch, sizes[0]))
+    out = stacked_forward(nets)(x)
+    assert out.shape == (3, batch, sizes[-1])
+    for k, net in enumerate(nets):
+        assert out[k].tobytes() == net.forward(x).tobytes()
+
+
+def test_stacked_forward_keeps_the_parameters_it_was_built_with(rng):
+    nets = [Mlp((4, 5, 1), rng) for _ in range(2)]
+    x = rng.normal(size=(1, 4))
+    forward = stacked_forward(nets)
+    before = forward(x).tobytes()
+    nets[0].params()[:] += 1.0
+    assert forward(x).tobytes() == before
+
+
+@pytest.mark.parametrize("other", [(4, 5, 2), (4, 6, 1), (3, 5, 1), (4, 5, 5, 1)])
+def test_stacked_forward_refuses_unequal_sizes(rng, other):
+    with pytest.raises(ShapeMismatch):
+        stacked_forward([Mlp((4, 5, 1), rng), Mlp(other, rng)])
 
 
 def test_forward_shape_checks(rng):

@@ -1,5 +1,6 @@
 """The scripts under ``scripts/`` run end to end."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -27,3 +28,20 @@ def test_sine_demo_prints_report_and_markers():
     ]
     markers = proc.stdout.splitlines()[-1].split("\t")[1].split()
     assert [m.split("=")[0] for m in markers] == ["buy", "sell", "hold"]
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_compares_artifact_digests():
+    same_artifacts = load_script("bench_pairs").same_artifacts
+    record = {"correct": True, "artifacts": {"out/a.csv": "ab12", "out/b.json": "cd34"}}
+    assert same_artifacts(record, {**record, "correct": False})
+    assert not same_artifacts(record, {"artifacts": {"out/a.csv": "ab12", "out/b.json": "ff"}})
+    assert not same_artifacts(record, {"artifacts": {"out/a.csv": "ab12"}})
+    assert not same_artifacts(record, {})
+    assert not same_artifacts({"artifacts": {}}, {"artifacts": {}})
