@@ -9,7 +9,7 @@ the fee accumulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -157,14 +157,5 @@ def render_report(report: BacktestReport) -> str:
 
 
 def save_report_json(report: BacktestReport, path) -> None:
-    doc = {
-        "begin_value": report.begin_value,
-        "end_value": report.end_value,
-        "total_cost": report.total_cost,
-        "total_trades": report.total_trades,
-        "start_date": report.start_date.isoformat(),
-        "end_date": report.end_date.isoformat(),
-        "span_days": report.span_days,
-        "profit_ratio": report.profit_ratio,
-    }
-    write_json(path, doc)
+    write_json(path, {**asdict(report), "start_date": report.start_date.isoformat(),
+                      "end_date": report.end_date.isoformat()})

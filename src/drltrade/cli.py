@@ -12,10 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from datetime import date, datetime, timezone
-from functools import partial
+from functools import cache, partial
+from inspect import signature
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -45,8 +47,6 @@ from .errors import DimensionMismatch, DivergenceDetected, NetworkError
 from .features import (
     FeatureConfig,
     build_feature_matrix,
-    feature_config_from_json,
-    feature_config_to_json,
     fit_normalizer,
     normalize,
     normalizer_from_json,
@@ -68,30 +68,10 @@ EXIT_RUNTIME = 1
 EXIT_MISSING = 2
 EXIT_REFUSED = 3
 
-# Each algorithm's config class and train function. GAIL's train function
-# also takes the expert dataset, which cmd_train builds for it.
-ALGORITHMS = {
-    "ppo": (PpoConfig, ppo_train),
-    "sac": (SacConfig, sac_train),
-    "gail": (GailConfig, gail_train),
-}
+# Each algorithm's train function. GAIL's also takes the expert dataset,
+# which cmd_train builds for it; each config block is a field of RunConfig.
+ALGORITHMS = {"ppo": ppo_train, "sac": sac_train, "gail": gail_train}
 ALGOS = tuple(ALGORITHMS)
-
-
-@dataclass
-class RunConfig:
-    symbol: str = "ETHUSDT"
-    interval: str = "4h"
-    data: dict | None = None  # exactly one of csv / fetch / synthetic
-    split_fraction: float = 0.95
-    algo: str = "ppo"
-    seed: int = 0
-    out: str = "runs/latest"
-    features: FeatureConfig = FeatureConfig()
-    env: EnvConfig = EnvConfig()
-    ppo: PpoConfig = PpoConfig()
-    sac: SacConfig = SacConfig()
-    gail: GailConfig = GailConfig()
 
 
 DEFAULT_SYNTHETIC = {
@@ -104,8 +84,31 @@ DEFAULT_SYNTHETIC = {
 }
 
 
+@dataclass
+class RunConfig:
+    symbol: str = "ETHUSDT"
+    interval: str = "4h"
+    # exactly one of csv / fetch / synthetic, kept as written
+    data: dict = field(default_factory=lambda: {"synthetic": dict(DEFAULT_SYNTHETIC)})
+    split_fraction: float = 0.95
+    algo: str = "ppo"
+    seed: int = 0
+    out: str = "runs/latest"
+    features: FeatureConfig = FeatureConfig()
+    env: EnvConfig = EnvConfig()
+    ppo: PpoConfig = PpoConfig()
+    sac: SacConfig = SacConfig()
+    gail: GailConfig = GailConfig()
+
+
 DATA_SOURCES = ("csv", "fetch", "synthetic")
 FETCH_KEYS = ("start", "end")
+
+
+@cache
+def _hints(owner) -> dict:
+    """The resolved annotations of a class's fields or a function's parameters."""
+    return get_type_hints(owner)
 
 
 def _check_keys(block, allowed, where: str) -> None:
@@ -117,88 +120,92 @@ def _check_keys(block, allowed, where: str) -> None:
         raise ValueError(f"unknown key(s) {unknown} in {where}; known: {sorted(allowed)}")
 
 
-def _check_config_keys(raw: dict) -> None:
-    """Refuse misspelled keys at the top level and in features and data."""
-    _check_keys(raw, [f.name for f in fields(RunConfig)], "config")
-    if "features" in raw:
-        _check_keys(raw["features"], [f.name for f in fields(FeatureConfig)], "features")
-    if "data" in raw:
-        data = raw["data"]
-        _check_keys(data, DATA_SOURCES, "data")
-        if "synthetic" in data:
-            _check_keys(data["synthetic"], DEFAULT_SYNTHETIC, "data.synthetic")
-        if "fetch" in data:
-            _check_keys(data["fetch"], FETCH_KEYS, "data.fetch")
+def _value(hint, value, name: str):
+    """``value`` if the annotation ``hint`` allows it; a list becomes a tuple.
 
-
-def _check_int_fields(config) -> None:
-    """Refuse a float, string or bool in an ``int`` field of ``config``'s blocks.
-
-    A field is an integer when its annotation says so; ``hidden`` is a tuple
-    of integers. A value of another type would pass the range checks and fail
-    later, deep inside a run.
+    An ``int`` takes no bool, float or string, a ``float`` takes an int as it
+    is but no bool or string, ``X | None`` also takes null, and a dataclass
+    takes an object, walked by ``_block``.
     """
-    blocks = {"features": config.features, "env": config.env,
-              **{name: getattr(config, name) for name in ALGOS}}
-    for where, block in blocks.items():
-        for f in fields(block):
-            value = getattr(block, f.name)
-            if f.type == "int":
-                ok = type(value) is int
-            elif f.type == "tuple[int, ...]":
-                ok = all(type(v) is int for v in value)
-            else:
-                continue
-            if not ok:
-                raise ValueError(f"{where}.{f.name} must be an integer, got {value!r}")
+    args = get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = (arg for arg in args if arg is not type(None))
+        args = get_args(hint)
+    if is_dataclass(hint):
+        return _block(hint, value, name)
+    if get_origin(hint) is tuple:
+        if type(value) is list:
+            return tuple(_value(args[0], item, f"{name}[{i}]") for i, item in enumerate(value))
+        raise ValueError(f"{name} must be a list of {args[0].__name__}, got {value!r}")
+    if type(value) is hint or hint is float and type(value) is int:
+        return value
+    raise ValueError(f"{name} must be of type {hint.__name__}, got {value!r}")
+
+
+def _values(hints: dict, block, where: str) -> dict:
+    """``block``'s entries, each checked against its key's annotation in ``hints``."""
+    _check_keys(block, hints, where)
+    prefix = f"{where}." if where != "config" else ""
+    return {key: _value(hints[key], value, prefix + key) for key, value in block.items()}
+
+
+def _block(cls, block, where: str, **defaults):
+    """The dataclass ``cls`` built from its JSON object ``block``.
+
+    ``defaults`` stand in for keys ``block`` leaves out, before the class's own.
+    """
+    return cls(**{**defaults, **_values(_hints(cls), block, where)})
+
+
+def _check_data(data) -> dict:
+    """Refuse a data block that does not name one well-typed source; return it as is."""
+    _check_keys(data, DATA_SOURCES, "data")
+    sources = [key for key in DATA_SOURCES if key in data]
+    if len(sources) != 1:
+        raise ValueError(
+            f"config must name exactly one data source (csv, fetch, or synthetic), "
+            f"got {sources}"
+        )
+    if "csv" in data:
+        _value(str, data["csv"], "data.csv")
+    if "fetch" in data:
+        _values(dict.fromkeys(FETCH_KEYS, str), data["fetch"], "data.fetch")
+    if "synthetic" in data:
+        hints = _hints(make_sine_series)
+        _values({key: hints[key] for key in DEFAULT_SYNTHETIC}, data["synthetic"],
+                "data.synthetic")
+    return data
 
 
 def load_run_config(path: str | None, overrides: dict) -> RunConfig:
-    """Read the config file (if any), apply flag overrides, validate."""
+    """Read the config file (if any), apply flag overrides, validate.
+
+    ``env.window`` defaults to ``features.window``, and the data block is
+    checked but kept as written.
+    """
     raw: dict = {}
     if path is not None:
         p = Path(path)
         if not p.exists():
             raise FileNotFoundError(f"config file not found: {p}")
         raw = json.loads(p.read_text())
-    _check_config_keys(raw)
-    config = RunConfig()
-    for key in ("symbol", "interval", "split_fraction", "algo", "seed", "out"):
-        if key in raw:
-            setattr(config, key, raw[key])
+    _check_keys(raw, _hints(RunConfig), "config")
+    config = _block(RunConfig, {k: v for k, v in raw.items() if k not in ("data", "env")},
+                    "config")
     if "data" in raw:
-        config.data = raw["data"]
-    if "features" in raw:
-        config.features = feature_config_from_json(
-            {**feature_config_to_json(FeatureConfig()), **raw["features"]}
-        )
-    env_block = dict(raw.get("env", {}))
-    env_block.setdefault("window", config.features.window)
-    config.env = EnvConfig(**{**asdict(EnvConfig()), **env_block})
-    for name, (config_class, _) in ALGORITHMS.items():
-        if name in raw:
-            block = raw[name]
-            if "hidden" in block:
-                block = dict(block, hidden=tuple(block["hidden"]))
-            setattr(config, name, config_class(**block))
-    _check_int_fields(config)
+        config.data = _check_data(raw["data"])
+    config.env = _block(EnvConfig, raw.get("env", {}), "env", window=config.features.window)
     for key, value in overrides.items():
         if value is not None:
             setattr(config, key, value)
-    if config.data is None:
-        config.data = {"synthetic": dict(DEFAULT_SYNTHETIC)}
     if config.algo not in ALGOS:
         raise ValueError(f"algo must be one of {ALGOS}, got {config.algo!r}")
-    if type(config.seed) is not int or config.seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {config.seed!r}")
+    if config.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {config.seed!r}")
     if config.interval not in INTERVAL_MS:
         raise ValueError(f"unknown interval {config.interval!r}")
-    sources = [k for k in DATA_SOURCES if k in config.data]
-    if len(sources) != 1:
-        raise ValueError(
-            f"config must name exactly one data source (csv, fetch, or synthetic), "
-            f"got {sources}"
-        )
     if config.env.window != config.features.window:
         raise ValueError(
             f"env window {config.env.window} != feature window {config.features.window}"
@@ -208,30 +215,10 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
     return config
 
 
-def _algo_config_json(algo_config) -> dict:
-    """An algorithm config as JSON; the hidden sizes become a list."""
-    return {**asdict(algo_config), "hidden": list(algo_config.hidden)}
-
-
-def resolved_config_json(config: RunConfig) -> dict:
-    return {
-        "symbol": config.symbol,
-        "interval": config.interval,
-        "data": config.data,
-        "split_fraction": config.split_fraction,
-        "algo": config.algo,
-        "seed": config.seed,
-        "out": config.out,
-        "features": feature_config_to_json(config.features),
-        "env": asdict(config.env),
-        **{name: _algo_config_json(getattr(config, name)) for name in ALGOS},
-    }
-
-
 def _echo_config(config: RunConfig) -> None:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "config_resolved.json", resolved_config_json(config))
+    write_json(out / "config_resolved.json", asdict(config))
 
 
 def _date_ms(text: str) -> int:
@@ -244,7 +231,7 @@ def _date_ms(text: str) -> int:
 def resolve_series(config: RunConfig, transport=None) -> KlineSeries:
     """Materialize the configured data source as a validated series."""
     interval_ms = INTERVAL_MS[config.interval]
-    data = config.data or {}
+    data = config.data
     if "csv" in data:
         path = Path(data["csv"])
         if not path.exists():
@@ -252,16 +239,7 @@ def resolve_series(config: RunConfig, transport=None) -> KlineSeries:
         return load_klines_csv(path, symbol=config.symbol, interval_ms=interval_ms)
     if "synthetic" in data:
         block = {**DEFAULT_SYNTHETIC, **data["synthetic"]}
-        return make_sine_series(
-            n_bars=block["n_bars"],
-            base=block["base"],
-            amplitude=block["amplitude"],
-            period=block["period"],
-            volume=block["volume"],
-            start_time=block["start_time"],
-            interval_ms=interval_ms,
-            symbol=config.symbol,
-        )
+        return make_sine_series(**block, interval_ms=interval_ms, symbol=config.symbol)
     # The cache serves only the request that filled it: its key is written
     # after the CSV and removed before a new fetch overwrites the CSV.
     fetch = data["fetch"]
@@ -368,7 +346,7 @@ def _checkpoint_payload(config: RunConfig, prepared: Prepared) -> dict:
         "interval": config.interval,
         "split_fraction": config.split_fraction,
         "seed": config.seed,
-        "feature_config": feature_config_to_json(config.features),
+        "feature_config": asdict(config.features),
         "env_config": asdict(config.env),
         "normalizer": normalizer_to_json(prepared.normalizer),
     }
@@ -389,7 +367,7 @@ def cmd_train(config: RunConfig, force: bool) -> int:
     ckpt_path.parent.mkdir(parents=True, exist_ok=True)
     (out / "logs").mkdir(parents=True, exist_ok=True)
     _echo_config(config)
-    train = ALGORITHMS[config.algo][1]
+    train = ALGORITHMS[config.algo]
     try:
         if config.algo == "gail":
             train = partial(train, expert=_expert_dataset(config, base, train_env))
@@ -409,7 +387,7 @@ def _save_trained(config: RunConfig, algo: str, base: dict, result) -> None:
     out = Path(config.out)
     payload = {
         **base,
-        "train_config": _algo_config_json(getattr(config, algo)),
+        "train_config": asdict(getattr(config, algo)),
         **result.networks_json(),
     }
     save_checkpoint(out / "checkpoints" / f"{algo}.json", algo, payload)
@@ -460,8 +438,8 @@ def cmd_backtest(config: RunConfig, checkpoint: str | None, force: bool) -> int:
         print(f"refusing to backtest {ckpt_path}: its policy has non-finite parameters",
               file=sys.stderr)
         return EXIT_RUNTIME
-    feature_config = feature_config_from_json(doc["feature_config"])
-    env_config = EnvConfig(**doc["env_config"])
+    feature_config = _block(FeatureConfig, doc["feature_config"], "feature_config")
+    env_config = _block(EnvConfig, doc["env_config"], "env_config")
     normalizer = normalizer_from_json(doc["normalizer"])
     run = replace(
         config,
@@ -494,14 +472,9 @@ def cmd_report(config: RunConfig) -> int:
     if not path.exists():
         raise FileNotFoundError(f"report not found: {path}")
     doc = json.loads(path.read_text())
-    report = make_report(
-        begin_value=doc["begin_value"],
-        end_value=doc["end_value"],
-        total_cost=doc["total_cost"],
-        total_trades=doc["total_trades"],
-        start_date=date.fromisoformat(doc["start_date"]),
-        end_date=date.fromisoformat(doc["end_date"]),
-    )
+    for key in ("start_date", "end_date"):
+        doc[key] = date.fromisoformat(doc[key])
+    report = make_report(**{name: doc[name] for name in signature(make_report).parameters})
     print(render_report(report))
     metrics = evaluate_profit_metrics(report)
     for key in ("profit_ratio", "net_profit", "cost_share"):

@@ -13,7 +13,7 @@ unchanged to test rows.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,24 +207,6 @@ def assemble_observation(
     out[1] = asset_units * price / initial_balance
     out[2:] = block.reshape(-1)
     return out
-
-
-def feature_config_to_json(config: FeatureConfig) -> dict:
-    return {
-        "window": config.window,
-        "columns": list(config.columns),
-        "bollinger_n": config.bollinger_n,
-        "bollinger_m": config.bollinger_m,
-    }
-
-
-def feature_config_from_json(payload: dict) -> FeatureConfig:
-    return FeatureConfig(
-        window=payload["window"],
-        columns=tuple(payload["columns"]),
-        bollinger_n=payload["bollinger_n"],
-        bollinger_m=payload["bollinger_m"],
-    )
 
 
 def normalizer_to_json(normalizer: Normalizer) -> dict:

@@ -127,7 +127,7 @@ def _converts(fields: Sequence) -> bool:
     return True
 
 
-def _check_bars(open_times: np.ndarray, prices: np.ndarray) -> None:
+def check_bars(open_times: np.ndarray, prices: np.ndarray) -> None:
     """Raise InvariantViolation for the first bar, in array order, that is not a
     positive finite OHLC with low <= open/close <= high and a finite volume >= 0.
 
@@ -213,7 +213,7 @@ def parse_klines(
     except (TypeError, ValueError) as exc:
         bad = next(row for row in fields if not _converts(row))
         raise MalformedRow(f"non-numeric field in row {bad!r}") from exc
-    _check_bars(open_times, prices)
+    check_bars(open_times, prices)
     if (np.diff(open_times) < 0).any():
         order = np.argsort(open_times, kind="stable")
         open_times, prices = open_times[order], prices[:, order]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .market_data import FOUR_HOURS_MS, KlineSeries
+from .market_data import FOUR_HOURS_MS, KlineSeries, check_bars
 
 
 def make_sine_series(
@@ -22,19 +22,16 @@ def make_sine_series(
     Opens carry the previous close so bars chain without gaps; highs and lows
     bracket open and close. A predictable oscillation like this is learnable by
     any working policy-gradient agent, which makes it a good end-to-end probe.
+    The bars are checked like parsed ones: a ``period`` of 0 (NaN prices) or an
+    ``amplitude`` that takes a close to 0 or below raises InvariantViolation.
     """
     t = np.arange(n_bars)
     closes = base * (1.0 + amplitude * np.sin(2.0 * np.pi * t / period))
     opens = np.empty(n_bars)
     opens[0] = closes[0]
     opens[1:] = closes[:-1]
-    return KlineSeries(
-        symbol,
-        interval_ms,
-        open_times=np.asarray(start_time + t * interval_ms, dtype=np.int64),
-        opens=opens,
-        highs=np.maximum(opens, closes),
-        lows=np.minimum(opens, closes),
-        closes=closes,
-        volumes=np.full(n_bars, volume, dtype=np.float64),
-    )
+    open_times = np.asarray(start_time + t * interval_ms, dtype=np.int64)
+    prices = np.stack([opens, np.maximum(opens, closes), np.minimum(opens, closes), closes,
+                       np.full(n_bars, volume, dtype=np.float64)])
+    check_bars(open_times, prices)
+    return KlineSeries(symbol, interval_ms, open_times, *prices)

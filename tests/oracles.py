@@ -15,6 +15,7 @@ import io
 import json
 import math
 from collections.abc import Mapping, Sequence
+from dataclasses import asdict
 
 import numpy as np
 
@@ -313,6 +314,37 @@ def reference_csv(header, rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return out.getvalue()
+
+
+def feature_config_to_json(config) -> dict:
+    """A checkpoint's ``feature_config`` block, written field by field."""
+    return {
+        "window": config.window,
+        "columns": list(config.columns),
+        "bollinger_n": config.bollinger_n,
+        "bollinger_m": config.bollinger_m,
+    }
+
+
+def algo_config_json(algo_config) -> dict:
+    """A checkpoint's ``train_config`` block; the hidden sizes become a list."""
+    return {**asdict(algo_config), "hidden": list(algo_config.hidden)}
+
+
+def resolved_config_json(config) -> dict:
+    """``config_resolved.json`` written field by field, block by block."""
+    return {
+        "symbol": config.symbol,
+        "interval": config.interval,
+        "data": config.data,
+        "split_fraction": config.split_fraction,
+        "algo": config.algo,
+        "seed": config.seed,
+        "out": config.out,
+        "features": feature_config_to_json(config.features),
+        "env": asdict(config.env),
+        **{name: algo_config_json(getattr(config, name)) for name in ("ppo", "sac", "gail")},
+    }
 
 
 # The forms below are the earlier, slower implementations of paths that were

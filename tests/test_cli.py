@@ -1,12 +1,17 @@
 """End-to-end command pipeline: config handling, exit codes, artifacts."""
 
 import json
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
+import oracles
 from drltrade import cli
-from drltrade.neural import load_checkpoint
+from drltrade.agents import GailConfig, PpoConfig, SacConfig
+from drltrade.env import EnvConfig
+from drltrade.features import FeatureConfig
+from drltrade.neural import load_checkpoint, write_json
 
 LABELS = [
     "Begin Account Value",
@@ -114,6 +119,18 @@ def _algo_patch(algo, **block):
         _algo_patch("gail", traj_limitation=0),
         _algo_patch("gail", traj_limitation=-5),
         {"features": {"window": 4, "columns": ["close", "return"], "bollinger_n": 20.0}},
+        _algo_patch("ppo", learning_rate="0.01"),
+        _algo_patch("ppo", ent_coef=True),
+        _algo_patch("sac", tau=True),
+        {"env": {"window": 4, "reward_scale": "1"}},
+        {"features": {"window": 4, "columns": ["close", "return"], "bollinger_m": "2"}},
+        {"features": {"window": 4, "columns": "close"}},
+        {"symbol": 5},
+        {"data": None},
+        {"data": {"csv": 5}},
+        {"data": {"fetch": {"start": 5, "end": "2021-02-01"}}},
+        {"data": {"synthetic": {"n_bars": "200"}}},
+        {"data": {"synthetic": {"amplitude": "0.1"}}},
     ],
 )
 def test_config_validation_rejects(tmp_path, capsys, patch):
@@ -143,6 +160,64 @@ def test_unknown_config_keys_are_refused(tmp_path, capsys, patch, where):
     assert cli.main(["--config", str(cfg), "fetch"]) == cli.EXIT_MISSING
     assert "invalid configuration: unknown key" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        FeatureConfig(window=12, columns=("close", "sma5"), bollinger_n=10, bollinger_m=2),
+        EnvConfig(max_buy_amount=2.5, fee_rate=0, reward_scale=1, window=7),
+        PpoConfig(learning_rate=0.01, hidden=(8, 4)),
+        SacConfig(target_entropy=-0.5, tau=1, hidden=()),
+        GailConfig(max_kl=5, hidden=(16,)),
+        replace(cli.RunConfig(), symbol="X", data={"csv": "x.csv"}, seed=3,
+                env=EnvConfig(max_buy_amount=None, initial_balance=100)),
+    ],
+    ids=lambda config: type(config).__name__,
+)
+def test_config_blocks_round_trip(tmp_path, config):
+    path, again = tmp_path / "block.json", tmp_path / "again.json"
+    write_json(path, asdict(config))
+    back = cli._block(type(config), json.loads(path.read_text()), "block")
+    assert back == config
+    write_json(again, asdict(back))  # int-valued floats stay ints
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        # floats given as JSON ints are written back as ints
+        {"env": {"window": 4, "initial_balance": 10000, "fee_rate": 0, "reward_scale": 1},
+         "ppo": {**BASE_CONFIG["ppo"], "gamma": 1, "ent_coef": 0}},
+        {"algo": "sac", "env": {"window": 4, "max_buy_amount": None},
+         "sac": {**BASE_CONFIG["sac"], "target_entropy": -2, "tau": 1}},
+        {"algo": "gail", "features": {"window": 4, "columns": ["close", "return"],
+                                      "bollinger_m": 2},
+         "gail": {**BASE_CONFIG["gail"], "max_kl": 5}},
+    ],
+    ids=["ppo", "sac", "gail"],
+)
+def test_written_config_matches_field_by_field_writer(tmp_path, patch):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.json", out, **patch)
+    assert cli.main(["--config", str(cfg), "train"]) == cli.EXIT_OK
+    config = cli.load_run_config(str(cfg), {})
+    resolved = (out / "config_resolved.json").read_text()
+    assert resolved == oracles.reference_json(oracles.resolved_config_json(config))
+    for block, given in patch.items():
+        if isinstance(given, dict):
+            written = json.loads(resolved)[block]
+            assert {k: oracles.reference_json(written[k]) for k in given} == {
+                k: oracles.reference_json(v) for k, v in given.items()}
+    doc = load_checkpoint(out / "checkpoints" / f"{config.algo}.json")
+    expected = {
+        "feature_config": oracles.feature_config_to_json(config.features),
+        "env_config": asdict(config.env),
+        "train_config": oracles.algo_config_json(getattr(config, config.algo)),
+    }
+    for key, block in expected.items():
+        assert oracles.reference_json(doc[key]) == oracles.reference_json(block), key
 
 
 def test_missing_config_file_exits_missing(tmp_path, capsys):
@@ -221,6 +296,19 @@ def test_fetch_cache_is_keyed_by_request(tmp_path):
     assert resolve("BBB").closes[0] == 20.0
     assert calls == ["AAA", "BBB", "BBB"]
     assert json.loads((tmp_path / "run" / "data" / "klines.key.json").read_text()) == key
+
+
+@pytest.mark.parametrize(
+    "synthetic",
+    [{"n_bars": 80, "period": 0}, {"n_bars": 80, "amplitude": 1.5}],
+    ids=["nan", "negative"],
+)
+def test_degenerate_synthetic_series_is_refused(tmp_path, capsys, synthetic):
+    cfg = write_config(tmp_path / "c.json", tmp_path / "run", data={"synthetic": synthetic})
+    for command in ("fetch", "train"):
+        assert cli.main(["--config", str(cfg), command]) == cli.EXIT_RUNTIME
+        assert "must be a positive finite price" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 def test_fetch_missing_csv_exits_missing(tmp_path, capsys):

@@ -18,8 +18,6 @@ from drltrade.features import (
     Normalizer,
     assemble_observation,
     build_feature_matrix,
-    feature_config_from_json,
-    feature_config_to_json,
     fit_normalizer,
     normalize,
     normalizer_from_json,
@@ -157,12 +155,6 @@ def test_no_look_ahead_rows_and_observations(rng):
         a = assemble_observation(normalize(full, norm), t, 1.0, 2.0, 3.0, 4, 1.0)
         b = assemble_observation(normalize(part, norm), t, 1.0, 2.0, 3.0, 4, 1.0)
         assert np.array_equal(a, b)
-
-
-def test_config_json_round_trip():
-    config = FeatureConfig(window=12, columns=("close", "sma5"), bollinger_n=10,
-                           bollinger_m=1.5)
-    assert feature_config_from_json(feature_config_to_json(config)) == config
 
 
 def test_normalizer_json_round_trip(random_series):
