@@ -73,6 +73,12 @@ EXIT_REFUSED = 3
 ALGORITHMS = {"ppo": ppo_train, "sac": sac_train, "gail": gail_train}
 ALGOS = tuple(ALGORITHMS)
 
+# The checkpoint entries each reader decodes; the rest (value, critic and
+# discriminator nets) is syntax-checked but not converted.
+BACKTEST_KEYS = ("kind", "policy", "feature_config", "env_config", "normalizer",
+                 "split_fraction")
+EXPERT_KEYS = ("policy", "feature_config", "normalizer")
+
 
 DEFAULT_SYNTHETIC = {
     "n_bars": 600,
@@ -172,10 +178,15 @@ def _check_data(data) -> dict:
         _value(str, data["csv"], "data.csv")
     if "fetch" in data:
         _values(dict.fromkeys(FETCH_KEYS, str), data["fetch"], "data.fetch")
+        missing = [key for key in FETCH_KEYS if key not in data["fetch"]]
+        if missing:
+            raise ValueError(f"data.fetch must give both start and end; missing {missing}")
     if "synthetic" in data:
         hints = _hints(make_sine_series)
-        _values({key: hints[key] for key in DEFAULT_SYNTHETIC}, data["synthetic"],
-                "data.synthetic")
+        block = _values({key: hints[key] for key in DEFAULT_SYNTHETIC}, data["synthetic"],
+                        "data.synthetic")
+        if block.get("n_bars", 1) < 1:
+            raise ValueError(f"data.synthetic.n_bars must be at least 1, got {block['n_bars']}")
     return data
 
 
@@ -403,9 +414,9 @@ def _expert_dataset(config: RunConfig, base: dict, train_env: TradingEnv) -> Exp
     out = Path(config.out)
     ppo_ckpt = out / "checkpoints" / "ppo.json"
     if ppo_ckpt.exists():
-        doc = load_checkpoint(ppo_ckpt)
+        doc = load_checkpoint(ppo_ckpt, EXPERT_KEYS)
         for key in ("feature_config", "normalizer"):
-            if json.dumps(doc.get(key), sort_keys=True) != json.dumps(base[key], sort_keys=True):
+            if json.dumps(doc[key], sort_keys=True) != json.dumps(base[key], sort_keys=True):
                 raise ValueError(f"expert {ppo_ckpt} was trained with another {key} "
                                  f"than this run; remove it or train with --out elsewhere")
         policy = GaussianPolicy.from_json(doc["policy"])
@@ -426,7 +437,7 @@ def cmd_backtest(config: RunConfig, checkpoint: str | None, force: bool) -> int:
     ckpt_path = Path(checkpoint) if checkpoint else out / "checkpoints" / f"{config.algo}.json"
     if not ckpt_path.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt_path}")
-    doc = load_checkpoint(ckpt_path)
+    doc = load_checkpoint(ckpt_path, BACKTEST_KEYS)
     algo = doc["kind"]
     report_path = out / "reports" / f"{algo}_report.json"
     if report_path.exists() and not force:

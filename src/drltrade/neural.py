@@ -375,12 +375,79 @@ def save_checkpoint(path, kind: str, payload: dict) -> None:
     write_json(path, {"format_version": CHECKPOINT_FORMAT_VERSION, "kind": kind, **payload})
 
 
-def load_checkpoint(path) -> dict:
+def load_checkpoint(path, keys=None) -> dict:
+    """A checkpoint's top-level object; with ``keys``, just those entries.
+
+    The whole file is parsed either way, so it is accepted or refused as
+    ``json.load`` would: a bad number, a truncated file or trailing data in
+    any block raises. Only the values of ``keys`` (and ``format_version``)
+    are decoded, though; every other value goes through a scanner that checks
+    each float's grammar but hands its text to ``len`` instead of converting
+    it, which is most of the cost of reading networks the caller never uses.
+    Raises ValueError for a top level that is not an object, another
+    ``format_version`` or a missing key.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    doc = _read_object(text, None if keys is None else {"format_version", *keys})
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {version!r}")
+    if keys is None:
+        return doc
+    try:
+        return {key: doc[key] for key in keys}
+    except KeyError as err:
+        raise ValueError(f"checkpoint {path} has no {err.args[0]!r} entry") from None
+
+
+_skip_ws = json.decoder.WHITESPACE.match
+_read_value = json.JSONDecoder().scan_once
+_check_value = json.JSONDecoder(parse_float=len).scan_once
+
+
+def _read_object(s: str, wanted) -> dict:
+    """The JSON object that is all of ``s``, holding the values of ``wanted`` keys.
+
+    This is json's own object rule, walked here so that each value can go to
+    ``_read_value`` or ``_check_value``; ``wanted=None`` keeps every value.
+    As in ``json.loads``, the last of two equal keys wins.
+    """
+    end = _skip_ws(s, 0).end()
+    if s[end:end + 1] != "{":
+        raise json.JSONDecodeError("Expecting a JSON object", s, end)
+    doc = {}
+    end = _skip_ws(s, end + 1).end()
+    if s[end:end + 1] == "}":
+        end += 1
+    else:
+        while True:
+            if s[end:end + 1] != '"':
+                raise json.JSONDecodeError("Expecting property name enclosed in double quotes",
+                                           s, end)
+            key, end = json.decoder.scanstring(s, end + 1)
+            end = _skip_ws(s, end).end()
+            if s[end:end + 1] != ":":
+                raise json.JSONDecodeError("Expecting ':' delimiter", s, end)
+            end = _skip_ws(s, end + 1).end()
+            keep = wanted is None or key in wanted
+            try:
+                value, end = (_read_value if keep else _check_value)(s, end)
+            except StopIteration as err:
+                raise json.JSONDecodeError("Expecting value", s, err.value) from None
+            if keep:
+                doc[key] = value
+            end = _skip_ws(s, end).end()
+            sep = s[end:end + 1]
+            end += 1
+            if sep == "}":
+                break
+            if sep != ",":
+                raise json.JSONDecodeError("Expecting ',' delimiter", s, end - 1)
+            end = _skip_ws(s, end).end()
+    end = _skip_ws(s, end).end()
+    if end != len(s):
+        raise json.JSONDecodeError("Extra data", s, end)
     return doc
 
 

@@ -25,6 +25,8 @@ def make_sine_series(
     The bars are checked like parsed ones: a ``period`` of 0 (NaN prices) or an
     ``amplitude`` that takes a close to 0 or below raises InvariantViolation.
     """
+    if n_bars < 1:
+        raise ValueError(f"n_bars must be at least 1, got {n_bars}")
     t = np.arange(n_bars)
     closes = base * (1.0 + amplitude * np.sin(2.0 * np.pi * t / period))
     opens = np.empty(n_bars)

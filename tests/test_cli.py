@@ -12,6 +12,7 @@ from drltrade.agents import GailConfig, PpoConfig, SacConfig
 from drltrade.env import EnvConfig
 from drltrade.features import FeatureConfig
 from drltrade.neural import load_checkpoint, write_json
+from drltrade.synthetic import make_sine_series
 
 LABELS = [
     "Begin Account Value",
@@ -131,6 +132,10 @@ def _algo_patch(algo, **block):
         {"data": {"fetch": {"start": 5, "end": "2021-02-01"}}},
         {"data": {"synthetic": {"n_bars": "200"}}},
         {"data": {"synthetic": {"amplitude": "0.1"}}},
+        {"data": {"fetch": {"start": "2021-01-01"}}},
+        {"data": {"fetch": {"end": "2021-02-01"}}},
+        {"data": {"synthetic": {"n_bars": 0}}},
+        {"data": {"synthetic": {"n_bars": -5}}},
     ],
 )
 def test_config_validation_rejects(tmp_path, capsys, patch):
@@ -311,6 +316,12 @@ def test_degenerate_synthetic_series_is_refused(tmp_path, capsys, synthetic):
         assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("n_bars", [0, -5])
+def test_sine_series_needs_a_bar(n_bars):
+    with pytest.raises(ValueError, match=f"n_bars must be at least 1, got {n_bars}"):
+        make_sine_series(n_bars)
+
+
 def test_fetch_missing_csv_exits_missing(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "c.json", tmp_path / "run",
@@ -385,6 +396,25 @@ def test_backtest_explicit_checkpoint_flag(trained, tmp_path, capsys):
     )
     assert code == cli.EXIT_OK
     assert (other / "reports" / "ppo_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key", ["kind", "policy", "feature_config", "env_config", "normalizer", "split_fraction"]
+)
+def test_backtest_refuses_a_checkpoint_without_a_key_it_reads(trained, tmp_path, capsys, key):
+    cfg, out = trained
+    doc = json.loads((out / "checkpoints" / "ppo.json").read_text())
+    del doc[key]
+    ckpt = tmp_path / "ppo.json"
+    write_json(ckpt, doc)
+    other = tmp_path / "elsewhere"
+    code = cli.main(
+        ["--config", str(cfg), "--out", str(other), "backtest", "--checkpoint", str(ckpt)]
+    )
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(ckpt) in err and repr(key) in err
+    assert not other.exists()
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
