@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import EmptyBuffer
 from ..env import TradingEnv
-from ..neural import GaussianPolicy, Mlp, stacked_forward
+from ..neural import GaussianPolicy, Mlp
 
 
 @dataclass
@@ -47,14 +47,14 @@ def collect_rollout(
 ) -> RolloutBuffer:
     """Step the env n_steps times with sampled actions, resetting on done.
 
-    Each step runs one stacked forward pass for the policy mean and the
-    value, so both nets need the same ``sizes`` (and the action is scalar).
+    Each step runs one forward pass of a stack of the policy mean net and
+    the value net, so both need the same ``sizes`` (and the action is scalar).
     The rollout's noise is drawn in one call; the stored pre-squash actions
     and their log-probs are computed after the loop. The buffer, and the
     state ``rng`` is left in, are those of one ``policy.sample`` and one
     ``value_net.forward`` per step, bit for bit.
     """
-    forward = stacked_forward((policy.mean_net, value_net))
+    forward = Mlp.stack((policy.mean_net, value_net)).forward
     scaled_noise = policy.std() * rng.standard_normal((n_steps, policy.act_dim))
     obs_rows = np.empty((n_steps, env.observation_dim))
     outputs = np.empty((n_steps, 2))  # the policy mean and the value, per step
@@ -113,6 +113,18 @@ def compute_gae(
 
 def normalize_advantages(advantages: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     return (advantages - advantages.mean()) / (advantages.std() + eps)
+
+
+def rollout_advantages(buffer: RolloutBuffer, rewards: np.ndarray, value_net: Mlp,
+                       gamma: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized advantages and raw value targets of one rollout, scored by
+    ``rewards``; the tail bootstraps from the last value unless an episode ended."""
+    last_value = (
+        0.0 if buffer.last_done else float(value_net.forward(buffer.last_obs[None, :])[0, 0])
+    )
+    advantages, returns = compute_gae(rewards, buffer.values, buffer.dones, last_value,
+                                      gamma, lam)
+    return normalize_advantages(advantages), returns
 
 
 class ReplayBuffer:

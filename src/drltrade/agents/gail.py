@@ -17,7 +17,7 @@ from ..env import TradingEnv
 from ..errors import DivergenceDetected, EmptyDataset
 from ..market_data import CSV_CHUNK_ROWS, write_csv
 from ..neural import Adam, GaussianPolicy, Mlp, first_non_finite, softplus
-from .buffers import collect_rollout, compute_gae, normalize_advantages
+from .buffers import collect_rollout, rollout_advantages
 from .ppo import actor_critic_json
 from .trpo import trpo_step
 
@@ -260,14 +260,9 @@ def gail_train(
             buffer.pre_actions,
         )
         rewards = gail_reward(disc, buffer.obs, buffer.pre_actions)
-        last_value = (
-            0.0 if buffer.last_done else float(value_net.forward(buffer.last_obs[None, :])[0, 0])
+        advantages, returns = rollout_advantages(
+            buffer, rewards, value_net, config.gamma, config.gae_lambda
         )
-        advantages, returns = compute_gae(
-            rewards, buffer.values, buffer.dones, last_value,
-            config.gamma, config.gae_lambda,
-        )
-        advantages = normalize_advantages(advantages)
         trpo_stats = trpo_step(
             policy,
             buffer.obs,

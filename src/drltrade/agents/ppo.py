@@ -23,7 +23,7 @@ from ..neural import (
     first_non_finite,
     flatten_params,
 )
-from .buffers import RolloutBuffer, collect_rollout, compute_gae, normalize_advantages
+from .buffers import RolloutBuffer, collect_rollout, rollout_advantages
 
 
 @dataclass(frozen=True)
@@ -186,18 +186,9 @@ def ppo_train(
             if d:
                 last_episode_return = episode_return
                 episode_return = 0.0
-        last_value = (
-            0.0 if buffer.last_done else float(value_net.forward(buffer.last_obs[None, :])[0, 0])
+        advantages, returns = rollout_advantages(
+            buffer, buffer.rewards, value_net, config.gamma, config.gae_lambda
         )
-        advantages, returns = compute_gae(
-            buffer.rewards,
-            buffer.values,
-            buffer.dones,
-            last_value,
-            config.gamma,
-            config.gae_lambda,
-        )
-        advantages = normalize_advantages(advantages)
         stats = {}
         for _ in range(config.n_epochs):
             stats, policy_grads, value_grads = ppo_surrogate(

@@ -53,14 +53,11 @@ class SacConfig:
 @dataclass
 class SacNets:
     policy: GaussianPolicy
-    q1: Mlp
-    q2: Mlp
-    q1_target: Mlp
-    q2_target: Mlp
+    critics: Mlp  # a stack of the twin critics Q1, Q2
+    targets: Mlp  # their Polyak-averaged copies, stacked the same way
     log_alpha: np.ndarray  # shape (1,), alpha = exp(log_alpha)
     policy_opt: Adam
-    q1_opt: Adam
-    q2_opt: Adam
+    critics_opt: Adam
     alpha_opt: Adam
     target_entropy: float
 
@@ -70,30 +67,28 @@ class SacNets:
 
     def named_nets(self) -> dict:
         """The policy and the four critics, under their checkpoint names."""
-        return {"policy": self.policy, "q1": self.q1, "q2": self.q2,
-                "q1_target": self.q1_target, "q2_target": self.q2_target}
+        q1, q2 = self.critics.members()
+        q1_target, q2_target = self.targets.members()
+        return {"policy": self.policy, "q1": q1, "q2": q2,
+                "q1_target": q1_target, "q2_target": q2_target}
 
 
 def make_sac_nets(obs_dim: int, act_dim: int, config: SacConfig,
                   rng: np.random.Generator) -> SacNets:
     policy = GaussianPolicy(obs_dim, act_dim, config.hidden, rng)
     q_sizes = (obs_dim + act_dim,) + config.hidden + (1,)
-    q1 = Mlp(q_sizes, rng)
-    q2 = Mlp(q_sizes, rng)
+    critics = Mlp.stack((Mlp(q_sizes, rng), Mlp(q_sizes, rng)))
     log_alpha = np.array([np.log(config.alpha_init)])
     target_entropy = (
         config.target_entropy if config.target_entropy is not None else -float(act_dim)
     )
     return SacNets(
         policy=policy,
-        q1=q1,
-        q2=q2,
-        q1_target=q1.copy(),
-        q2_target=q2.copy(),
+        critics=critics,
+        targets=critics.copy(),
         log_alpha=log_alpha,
         policy_opt=Adam(policy.params(), lr=config.learning_rate),
-        q1_opt=Adam(q1.params(), lr=config.learning_rate),
-        q2_opt=Adam(q2.params(), lr=config.learning_rate),
+        critics_opt=Adam(critics.params(), lr=config.learning_rate),
         alpha_opt=Adam(log_alpha, lr=config.learning_rate),
         target_entropy=target_entropy,
     )
@@ -172,23 +167,25 @@ def sac_update(nets: SacNets, buffer: ReplayBuffer, config: SacConfig,
 
     next_actions, _, next_log_probs = nets.policy.sample(next_obs, rng)
     next_in = np.concatenate([next_obs, next_actions], axis=1)
-    q1_next = nets.q1_target.forward(next_in)[:, 0]
-    q2_next = nets.q2_target.forward(next_in)[:, 0]
+    q1_next, q2_next = (q.forward(next_in)[:, 0] for q in nets.targets.members())
     y = sac_target(rewards, dones, q1_next, q2_next, next_log_probs, alpha, config.gamma)
 
+    # The batch passes run per member: as one (2, n, hidden) stack they were slower.
     critic_in = np.concatenate([obs, actions], axis=1)
+    critics = nets.critics.members()
     critic_losses = []
-    for q_net, q_opt in ((nets.q1, nets.q1_opt), (nets.q2, nets.q2_opt)):
+    grads = np.empty_like(nets.critics.params())
+    for k, q_net in enumerate(critics):
         q_out, cache = q_net.forward_cached(critic_in)
         err = q_out[:, 0] - y
         critic_losses.append(float(np.mean(err**2)))
-        grads = q_net.backward(cache, 2.0 * err[:, None] / n)
-        q_opt.step(q_net.params(), grads)
+        grads[k] = q_net.backward(cache, 2.0 * err[:, None] / n)
+    nets.critics_opt.step(nets.critics.params(), grads)
 
     # Actor: fresh reparameterized sample through the updated critics.
     noise = rng.standard_normal((n, nets.policy.act_dim))
     actor_grads, actor_loss, log_probs = sac_actor_grads(
-        nets.policy, nets.q1, nets.q2, obs, noise, alpha
+        nets.policy, *critics, obs, noise, alpha
     )
     nets.policy_opt.step(nets.policy.params(), actor_grads)
 
@@ -196,8 +193,7 @@ def sac_update(nets: SacNets, buffer: ReplayBuffer, config: SacConfig,
     alpha_grad = alpha_gradient(nets.alpha, log_probs, nets.target_entropy)
     nets.alpha_opt.step(nets.log_alpha, alpha_grad)
 
-    polyak_update(nets.q1_target, nets.q1, config.tau)
-    polyak_update(nets.q2_target, nets.q2, config.tau)
+    polyak_update(nets.targets, nets.critics, config.tau)
     return {
         "critic_loss": 0.5 * (critic_losses[0] + critic_losses[1]),
         "actor_loss": actor_loss,

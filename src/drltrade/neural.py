@@ -12,7 +12,8 @@ Each network keeps its parameters in one contiguous float64 vector,
 ``mean_net`` and ``log_std`` are views into it, so they must be written in
 place, never rebound. Gradients, tangents and optimizer state use the same
 layout, which makes Adam, Polyak averaging and the trust-region line search
-plain vector operations.
+plain vector operations. A stack of K equal-sized MLPs (``Mlp.stack``)
+keeps one such vector per row of a ``(K, P)`` block.
 
 Checkpoints are plain JSON with sorted keys; Python's shortest-repr float
 serialization round-trips exactly, so reloading reproduces parameters bit for
@@ -23,6 +24,7 @@ JSON artifact of the package.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +43,13 @@ def softplus(x):
 
 
 class Mlp:
-    """tanh hidden layers, linear output, uniform +-1/sqrt(fan_in) init."""
+    """tanh hidden layers, linear output, uniform +-1/sqrt(fan_in) init.
+
+    A stack of K nets has a ``(K, P)`` ``theta``, ``(K, fan_in, fan_out)``
+    weights and ``(K, 1, fan_out)`` biases; it maps ``(B, in_dim)`` inputs to
+    ``(K, B, out_dim)`` outputs and ``(K, P)`` gradients whose member k equals
+    ``members()[k]``'s bit for bit, as each slice of a stacked matmul does.
+    """
 
     def __init__(self, sizes, rng: np.random.Generator, out_scale: float = 1.0):
         if len(sizes) < 2:
@@ -58,11 +66,32 @@ class Mlp:
             params += [w, b]
         self._bind(flatten_params(params))
 
+    @classmethod
+    def stack(cls, nets) -> "Mlp":
+        """A new stack holding a copy of each net's parameters, in order."""
+        sizes = {net.sizes for net in nets}
+        if len(sizes) != 1:
+            raise ShapeMismatch(f"stacked nets need equal sizes, got {sorted(sizes)}")
+        return cls._view(sizes.pop(), np.stack([net.theta for net in nets]))
+
+    @classmethod
+    def _view(cls, sizes: tuple[int, ...], theta: np.ndarray) -> "Mlp":
+        net = cls.__new__(cls)
+        net.sizes = sizes
+        net._bind(theta)
+        return net
+
+    def members(self) -> tuple["Mlp", ...]:
+        """One view per row of a stack, built once: writes go through both ways."""
+        if self._members is None:
+            self._members = tuple(Mlp._view(self.sizes, row) for row in self.theta)
+        return self._members
+
     def _shapes(self) -> list[tuple[int, ...]]:
         """Shapes of W0, b0, W1, b1, ... in the order of ``params()``."""
         shapes = []
         for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
-            shapes += [(fan_in, fan_out), (fan_out,)]
+            shapes += [(fan_in, fan_out), (1, fan_out)]
         return shapes
 
     def _bind(self, theta: np.ndarray) -> None:
@@ -71,6 +100,7 @@ class Mlp:
         self.theta = theta
         self.weights = views[0::2]
         self.biases = views[1::2]
+        self._members = None
 
     @property
     def in_dim(self) -> int:
@@ -115,26 +145,27 @@ class Mlp:
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
         """Given d(loss)/d(output), return d(loss)/d(params).
 
-        The gradient is one vector in the layout of ``params()``. The input
-        gradient is not computed; ``input_grad`` returns it.
+        The gradient is laid out as ``params()``. The input gradient is not
+        computed; ``input_grad`` returns it.
         """
         activations = cache
         g = self._check_grad_out(activations, grad_out)
         grads: list[np.ndarray] = []
         for i in range(len(self.weights) - 1, -1, -1):
-            grads.append(g.sum(axis=0))  # db
-            grads.append(activations[i].T @ g)  # dW
+            grads.append(g.sum(axis=-2))  # db
+            grads.append(activations[i].swapaxes(-1, -2) @ g)  # dW
             if i > 0:
-                g = (g @ self.weights[i].T) * (1.0 - activations[i] ** 2)  # through tanh
+                g = (g @ self.weights[i].swapaxes(-1, -2)) * (1.0 - activations[i] ** 2)
         grads.reverse()
-        return flatten_params(grads)
+        lead = self.theta.shape[:-1]
+        return np.concatenate([grad.reshape(lead + (-1,)) for grad in grads], axis=-1)
 
     def input_grad(self, cache, grad_out: np.ndarray) -> np.ndarray:
         """Given d(loss)/d(output), return d(loss)/d(input) and no parameter gradient."""
         activations = cache
         g = self._check_grad_out(activations, grad_out)
         for i in range(len(self.weights) - 1, -1, -1):
-            g = g @ self.weights[i].T
+            g = g @ self.weights[i].swapaxes(-1, -2)
             if i > 0:
                 g = g * (1.0 - activations[i] ** 2)  # through tanh
         return g
@@ -165,53 +196,20 @@ class Mlp:
         _assign(self.theta, theta)
 
     def copy(self) -> "Mlp":
-        clone = Mlp.__new__(Mlp)
-        clone.sizes = self.sizes
-        clone._bind(self.theta.copy())
-        return clone
+        return Mlp._view(self.sizes, self.theta.copy())
 
     def to_json(self) -> dict:
+        """One net's parameters; a stack is written through ``members()``."""
         return {
             "sizes": list(self.sizes),
             "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
+            "biases": [b[0].tolist() for b in self.biases],
         }
 
     @classmethod
     def from_json(cls, payload: dict) -> "Mlp":
-        net = cls.__new__(cls)
-        net.sizes = tuple(payload["sizes"])
-        params = []
-        for w, b in zip(payload["weights"], payload["biases"]):
-            params += [np.array(w, dtype=float), np.array(b, dtype=float)]
-        net._bind(flatten_params(params))
-        return net
-
-
-def stacked_forward(nets):
-    """One forward pass through several MLPs of equal ``sizes``, run as a stack.
-
-    Each layer's weights are copied once into a ``(K, fan_in, fan_out)``
-    array and its biases into ``(K, 1, fan_out)``, so the returned function
-    sees the parameters as they were at this call. It maps a ``(B, in_dim)``
-    input to a ``(K, B, out_dim)`` output whose member k equals
-    ``nets[k].forward(x)`` bit for bit: every slice of a stacked matmul is
-    the same ``(B, fan_in) @ (fan_in, fan_out)`` product.
-    """
-    sizes = {net.sizes for net in nets}
-    if len(sizes) != 1:
-        raise ShapeMismatch(f"stacked nets need equal sizes, got {sorted(sizes)}")
-    weights = [np.stack(ws) for ws in zip(*(net.weights for net in nets))]
-    biases = [np.stack(bs)[:, None, :] for bs in zip(*(net.biases for net in nets))]
-    hidden = list(zip(weights[:-1], biases[:-1]))
-    w_out, b_out = weights[-1], biases[-1]
-
-    def forward(x: np.ndarray) -> np.ndarray:
-        for w, b in hidden:
-            x = np.tanh(x @ w + b)
-        return x @ w_out + b_out
-
-    return forward
+        layers = zip(payload["weights"], payload["biases"])
+        return cls._view(tuple(payload["sizes"]), flatten_params([p for wb in layers for p in wb]))
 
 
 def flatten_params(params: list[np.ndarray]) -> np.ndarray:
@@ -220,14 +218,18 @@ def flatten_params(params: list[np.ndarray]) -> np.ndarray:
 
 
 def unflatten_params(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Views into consecutive slices of ``flat``, one per shape."""
-    sizes = [int(np.prod(shape)) for shape in shapes]
-    if flat.shape != (sum(sizes),):
+    """Views into consecutive slices of ``flat``'s last axis, one per shape.
+
+    A ``(K, P)`` block gives ``(K,) + shape`` views, one member per row.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    if flat.shape[-1:] != (sum(sizes),):
         raise ShapeMismatch(f"vector has shape {flat.shape}, shapes need {sum(sizes)} entries")
+    lead = flat.shape[:-1]
     out = []
     offset = 0
     for shape, size in zip(shapes, sizes):
-        out.append(flat[offset:offset + size].reshape(shape))
+        out.append(flat[..., offset:offset + size].reshape(lead + shape))
         offset += size
     return out
 
@@ -384,12 +386,15 @@ def load_checkpoint(path, keys=None) -> dict:
     are decoded, though; every other value goes through a scanner that checks
     each float's grammar but hands its text to ``len`` instead of converting
     it, which is most of the cost of reading networks the caller never uses.
-    Raises ValueError for a top level that is not an object, another
-    ``format_version`` or a missing key.
+    Raises ValueError, naming the file, for text that is not JSON, a top
+    level that is not an object, another ``format_version`` or a missing key.
     """
     with open(path) as fh:
         text = fh.read()
-    doc = _read_object(text, None if keys is None else {"format_version", *keys})
+    try:
+        doc = _read_object(text, None if keys is None else {"format_version", *keys})
+    except json.JSONDecodeError as err:
+        raise ValueError(f"checkpoint {path} is not valid JSON: {err}") from None
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {version!r}")

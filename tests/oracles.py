@@ -16,11 +16,13 @@ import json
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 
+from drltrade.agents.sac import alpha_gradient, polyak_update, sac_actor_grads, sac_target
 from drltrade.errors import EmptyInput, InvariantViolation, MalformedRow
-from drltrade.neural import LOG_STD_MAX, LOG_STD_MIN
+from drltrade.neural import LOG_STD_MAX, LOG_STD_MIN, Adam
 
 NAN = float("nan")
 KLINE_FIELDS = ("open_time", "open", "high", "low", "close", "volume")
@@ -455,3 +457,60 @@ def per_step_rollout(env, policy, value_net, n_steps, rng):
         obs = env.reset() if result.done else result.observation
     return {"obs": obs_rows, "pre_actions": pre_rows, "log_probs": logp_rows,
             "rewards": reward_rows, "dones": done_rows, "values": value_rows, "last_obs": obs}
+
+
+def twin_loop_nets(nets, lr):
+    """SAC's networks as six critic objects: copies of the stacked critics
+    and targets of ``nets``, with one fresh Adam per critic. The policy, the
+    temperature and their optimizers are shared with ``nets``."""
+    q1, q2 = (q.copy() for q in nets.critics.members())
+    q1_target, q2_target = (q.copy() for q in nets.targets.members())
+    return SimpleNamespace(
+        policy=nets.policy, q1=q1, q2=q2, q1_target=q1_target, q2_target=q2_target,
+        log_alpha=nets.log_alpha, policy_opt=nets.policy_opt,
+        q1_opt=Adam(q1.params(), lr=lr), q2_opt=Adam(q2.params(), lr=lr),
+        alpha_opt=nets.alpha_opt, target_entropy=nets.target_entropy,
+    )
+
+
+def twin_loop_sac_update(nets, buffer, config, rng):
+    """One SAC update on ``twin_loop_nets``: an Adam step per critic in a loop
+    and one Polyak call per target."""
+    obs, pre_actions, rewards, next_obs, dones = buffer.sample(config.batch_size, rng)
+    n = len(obs)
+    actions = np.tanh(pre_actions)
+    alpha = float(np.exp(nets.log_alpha[0]))
+
+    next_actions, _, next_log_probs = nets.policy.sample(next_obs, rng)
+    next_in = np.concatenate([next_obs, next_actions], axis=1)
+    q1_next = nets.q1_target.forward(next_in)[:, 0]
+    q2_next = nets.q2_target.forward(next_in)[:, 0]
+    y = sac_target(rewards, dones, q1_next, q2_next, next_log_probs, alpha, config.gamma)
+
+    critic_in = np.concatenate([obs, actions], axis=1)
+    critic_losses = []
+    for q_net, q_opt in ((nets.q1, nets.q1_opt), (nets.q2, nets.q2_opt)):
+        q_out, cache = q_net.forward_cached(critic_in)
+        err = q_out[:, 0] - y
+        critic_losses.append(float(np.mean(err**2)))
+        grads = q_net.backward(cache, 2.0 * err[:, None] / n)
+        q_opt.step(q_net.params(), grads)
+
+    noise = rng.standard_normal((n, nets.policy.act_dim))
+    actor_grads, actor_loss, log_probs = sac_actor_grads(
+        nets.policy, nets.q1, nets.q2, obs, noise, alpha
+    )
+    nets.policy_opt.step(nets.policy.params(), actor_grads)
+
+    alpha_grad = alpha_gradient(float(np.exp(nets.log_alpha[0])), log_probs,
+                                nets.target_entropy)
+    nets.alpha_opt.step(nets.log_alpha, alpha_grad)
+
+    polyak_update(nets.q1_target, nets.q1, config.tau)
+    polyak_update(nets.q2_target, nets.q2, config.tau)
+    return {
+        "critic_loss": 0.5 * (critic_losses[0] + critic_losses[1]),
+        "actor_loss": actor_loss,
+        "alpha": float(np.exp(nets.log_alpha[0])),
+        "batch_entropy": -float(np.mean(log_probs)),
+    }

@@ -169,5 +169,7 @@ def test_backtest_refuses_a_corrupt_block_it_does_not_use(tmp_path, capsys):
     ckpt.write_text(ckpt.read_text().replace("123.456", "1.2.3"))
     capsys.readouterr()
     assert cli.main(["--config", str(cfg), "backtest"]) == cli.EXIT_RUNTIME
-    assert "error: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: " in err
+    assert f"checkpoint {ckpt} is not valid JSON" in err
     assert not (out / "reports").exists()

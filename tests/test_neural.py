@@ -14,7 +14,6 @@ from drltrade.neural import (
     load_checkpoint,
     save_checkpoint,
     softplus,
-    stacked_forward,
     tanh_log_det_jacobian,
     unflatten_params,
 )
@@ -113,7 +112,7 @@ def test_jvp_from_cache_is_bit_identical_to_recomputing_jvp(rng, sizes, batch):
 def test_stacked_forward_members_equal_mlp_forward(rng, sizes, batch):
     nets = [Mlp(sizes, rng) for _ in range(3)]
     x = rng.normal(size=(batch, sizes[0]))
-    out = stacked_forward(nets)(x)
+    out = Mlp.stack(nets).forward(x)
     assert out.shape == (3, batch, sizes[-1])
     for k, net in enumerate(nets):
         assert out[k].tobytes() == net.forward(x).tobytes()
@@ -122,7 +121,7 @@ def test_stacked_forward_members_equal_mlp_forward(rng, sizes, batch):
 def test_stacked_forward_keeps_the_parameters_it_was_built_with(rng):
     nets = [Mlp((4, 5, 1), rng) for _ in range(2)]
     x = rng.normal(size=(1, 4))
-    forward = stacked_forward(nets)
+    forward = Mlp.stack(nets).forward
     before = forward(x).tobytes()
     nets[0].params()[:] += 1.0
     assert forward(x).tobytes() == before
@@ -131,7 +130,71 @@ def test_stacked_forward_keeps_the_parameters_it_was_built_with(rng):
 @pytest.mark.parametrize("other", [(4, 5, 2), (4, 6, 1), (3, 5, 1), (4, 5, 5, 1)])
 def test_stacked_forward_refuses_unequal_sizes(rng, other):
     with pytest.raises(ShapeMismatch):
-        stacked_forward([Mlp((4, 5, 1), rng), Mlp(other, rng)])
+        Mlp.stack([Mlp((4, 5, 1), rng), Mlp(other, rng)])
+
+
+@pytest.mark.parametrize("sizes", [(3, 1), (27, 64, 64, 1), (5, 6, 6, 2)])
+@pytest.mark.parametrize("batch", [1, 7, 256])
+def test_stack_gradients_equal_member_gradients(rng, sizes, batch):
+    """backward, input_grad and jvp of a stack, member by member, bit for bit."""
+    nets = [Mlp(sizes, rng) for _ in range(2)]
+    stack = Mlp.stack(nets)
+    x = rng.normal(size=(batch, sizes[0]))
+    g = rng.normal(size=(2, batch, sizes[-1]))
+    tangent = rng.normal(size=stack.params().shape)
+    _, cache = stack.forward_cached(x)
+    grads = stack.backward(cache, g)
+    input_grads = stack.input_grad(cache, g)
+    jvps = stack.jvp(cache, tangent)
+    assert grads.shape == stack.params().shape
+    for k, net in enumerate(nets):
+        _, member_cache = net.forward_cached(x)
+        assert grads[k].tobytes() == net.backward(member_cache, g[k]).tobytes()
+        assert input_grads[k].tobytes() == net.input_grad(member_cache, g[k]).tobytes()
+        assert jvps[k].tobytes() == net.jvp(member_cache, tangent[k]).tobytes()
+
+
+def test_adam_on_a_stack_equals_adam_per_member(rng):
+    nets = [Mlp((5, 8, 1), rng) for _ in range(2)]
+    stack = Mlp.stack(nets)
+    stack_opt = Adam(stack.params(), lr=0.01)
+    member_opts = [Adam(net.params(), lr=0.01) for net in nets]
+    for _ in range(5):
+        grads = rng.normal(size=stack.params().shape)
+        stack_opt.step(stack.params(), grads)
+        for k, (net, opt) in enumerate(zip(nets, member_opts)):
+            opt.step(net.params(), grads[k])
+    for k, (net, opt) in enumerate(zip(nets, member_opts)):
+        assert stack.params()[k].tobytes() == net.params().tobytes()
+        assert stack_opt.m[k].tobytes() == opt.m.tobytes()
+        assert stack_opt.v[k].tobytes() == opt.v.tobytes()
+        assert stack_opt.t == opt.t
+
+
+def test_members_are_views_of_the_stack(rng):
+    stack = Mlp.stack([Mlp((3, 4, 2), rng) for _ in range(3)])
+    assert stack.weights[0].shape == (3, 3, 4)
+    assert stack.biases[1].shape == (3, 1, 2)
+    members = stack.members()
+    assert len(members) == 3
+    for k, member in enumerate(members):
+        assert member.sizes == stack.sizes
+        assert np.shares_memory(member.params(), stack.params())
+        assert np.array_equal(member.params(), stack.params()[k])
+        assert np.shares_memory(member.weights[0], stack.weights[0])
+    members[1].biases[0][:] = 7.0
+    assert np.all(stack.biases[0][1] == 7.0)
+    stack.params()[2] = 0.5
+    assert np.all(members[2].weights[1] == 0.5)
+
+
+def test_stack_copy_owns_its_parameters(rng):
+    stack = Mlp.stack([Mlp((3, 4, 1), rng) for _ in range(2)])
+    clone = stack.copy()
+    assert clone.params().shape == (2, stack.params().shape[1])
+    assert not np.shares_memory(clone.params(), stack.params())
+    clone.params()[:] += 1.0
+    assert not np.array_equal(clone.params(), stack.params())
 
 
 def test_forward_shape_checks(rng):

@@ -20,7 +20,7 @@ from drltrade.env import EnvConfig, TradingEnv
 from drltrade.errors import BufferTooSmall, DivergenceDetected
 from drltrade.features import FeatureConfig, build_feature_matrix, fit_normalizer, normalize
 from drltrade.neural import GaussianPolicy, Mlp
-from oracles import fd_gradient, vector_rel_error
+from oracles import fd_gradient, twin_loop_nets, twin_loop_sac_update, vector_rel_error
 
 
 def test_target_fixture_values():
@@ -62,6 +62,16 @@ def test_polyak_is_exact_convex_mix(rng):
     assert np.shares_memory(target.weights[0], theta)
     polyak_update(target, online, tau=1.0)
     assert np.array_equal(target.params(), online.params())
+
+
+def test_polyak_on_a_stack_equals_polyak_per_member(rng):
+    online = [Mlp((3, 4, 1), rng) for _ in range(2)]
+    target = [Mlp((3, 4, 1), rng) for _ in range(2)]
+    online_stack, target_stack = Mlp.stack(online), Mlp.stack(target)
+    polyak_update(target_stack, online_stack, tau=0.005)
+    for k in range(2):
+        polyak_update(target[k], online[k], tau=0.005)
+        assert target_stack.params()[k].tobytes() == target[k].params().tobytes()
 
 
 def test_actor_gradient_matches_finite_differences(rng):
@@ -143,13 +153,46 @@ def test_update_requires_warm_buffer(rng):
         sac_update(nets, buffer, config, rng)
 
 
+def test_stacked_update_is_bit_identical_to_the_twin_loop_update():
+    """Parameters, Adam moments and counts, and stats of 25 updates, by bytes."""
+    obs_dim, act_dim = 26, 1
+    config = SacConfig(buffer_size=300, batch_size=256, learning_starts=256)
+    data = np.random.default_rng(3)
+    buffer = ReplayBuffer(config.buffer_size, obs_dim, act_dim)
+    for _ in range(config.buffer_size):
+        buffer.add(data.normal(size=obs_dim), data.normal(size=act_dim), data.normal(),
+                   data.normal(size=obs_dim), data.random() < 0.05)
+    nets = make_sac_nets(obs_dim, act_dim, config, np.random.default_rng(4))
+    twin = twin_loop_nets(make_sac_nets(obs_dim, act_dim, config, np.random.default_rng(4)),
+                          config.learning_rate)
+    rng, twin_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(25):
+        stats = sac_update(nets, buffer, config, rng)
+        want = twin_loop_sac_update(twin, buffer, config, twin_rng)
+        assert list(stats) == list(want)
+        assert np.array(list(stats.values())).tobytes() == np.array(list(want.values())).tobytes()
+    critics = ((twin.q1, twin.q1_target, twin.q1_opt), (twin.q2, twin.q2_target, twin.q2_opt))
+    for k, (q, q_target, q_opt) in enumerate(critics):
+        assert nets.critics.params()[k].tobytes() == q.params().tobytes()
+        assert nets.targets.params()[k].tobytes() == q_target.params().tobytes()
+        assert nets.critics_opt.m[k].tobytes() == q_opt.m.tobytes()
+        assert nets.critics_opt.v[k].tobytes() == q_opt.v.tobytes()
+        assert nets.critics_opt.t == q_opt.t == 25
+    for name in ("policy_opt", "alpha_opt"):
+        opt, twin_opt = getattr(nets, name), getattr(twin, name)
+        assert (opt.m.tobytes(), opt.v.tobytes(), opt.t) == (
+            twin_opt.m.tobytes(), twin_opt.v.tobytes(), twin_opt.t)
+    assert nets.policy.params().tobytes() == twin.policy.params().tobytes()
+    assert nets.log_alpha.tobytes() == twin.log_alpha.tobytes()
+
+
 def test_train_defers_updates_until_learning_starts(rng):
     env = make_env(rng)
     config = small_config(learning_starts=100, total_timesteps=24)
     result = sac_train(env, config, np.random.default_rng(1))
     # never warm: no optimizer ever stepped, history rows carry no stats
     assert result.nets.policy_opt.t == 0
-    assert result.nets.q1_opt.t == 0
+    assert result.nets.critics_opt.t == 0
     assert result.nets.alpha + 0 == pytest.approx(config.alpha_init)
     assert all(set(row) == {"step", "episode_return"} for row in result.history)
 
@@ -182,7 +225,7 @@ def test_train_checks_finiteness_after_every_update(rng, monkeypatch, poison):
             if poison == "critic_loss":
                 stats["critic_loss"] = float("nan")
             else:
-                nets.q2_target.params()[0] = np.nan
+                nets.named_nets()["q2_target"].params()[0] = np.nan
         return stats
 
     monkeypatch.setattr(sac, "sac_update", update)
@@ -198,8 +241,8 @@ def test_train_determinism(rng):
     first = sac_train(make_env(np.random.default_rng(5)), config, np.random.default_rng(2))
     second = sac_train(make_env(np.random.default_rng(5)), config, np.random.default_rng(2))
     assert first.nets.policy.to_json() == second.nets.policy.to_json()
-    assert first.nets.q1.to_json() == second.nets.q1.to_json()
-    assert first.nets.q1_target.to_json() == second.nets.q1_target.to_json()
+    assert first.nets.critics.params().tobytes() == second.nets.critics.params().tobytes()
+    assert first.nets.targets.params().tobytes() == second.nets.targets.params().tobytes()
     assert first.nets.log_alpha[0] == second.nets.log_alpha[0]
     assert len(first.history) == len(second.history)
     for a, b in zip(first.history, second.history):
