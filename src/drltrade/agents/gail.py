@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..env import TradingEnv
-from ..errors import DivergenceDetected, EmptyDataset
+from ..errors import EmptyDataset
 from ..market_data import CSV_CHUNK_ROWS, write_csv
-from ..neural import Adam, GaussianPolicy, Mlp, first_non_finite, softplus
+from ..neural import Adam, GaussianPolicy, Mlp, TrainResult, check_finite, softplus
 from .buffers import collect_rollout, rollout_advantages
-from .ppo import actor_critic_json
 from .trpo import trpo_step
 
 D_CLAMP = 1e-8  # keeps -log D within [~0, 18.42]
@@ -213,18 +212,15 @@ def gail_reward(disc: Mlp, obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class GailResult:
+class GailResult(TrainResult):
     policy: GaussianPolicy
     value_net: Mlp
     discriminator: Mlp
     history: list[dict] = field(default_factory=list)
 
-    def networks_json(self) -> dict:
-        """The trained networks a checkpoint stores, keyed by name."""
-        return {
-            **actor_critic_json(self.policy, self.value_net),
-            "discriminator": self.discriminator.to_json(),
-        }
+    def named_nets(self) -> dict:
+        return {"policy": self.policy, "value_net": self.value_net,
+                "discriminator": self.discriminator}
 
 
 def gail_train(
@@ -243,7 +239,7 @@ def gail_train(
     disc = Mlp((env.observation_dim + env.action_dim,) + config.hidden + (1,), rng)
     disc_opt = Adam(disc.params(), lr=config.disc_learning_rate)
     value_opt = Adam(value_net.params(), lr=config.value_lr)
-    history: list[dict] = []
+    result = GailResult(policy=policy, value_net=value_net, discriminator=disc)
     n_iters = config.total_timesteps // config.horizon
     env.reset()
     for it in range(n_iters):
@@ -281,8 +277,7 @@ def gail_train(
             grads = value_net.backward(cache, 2.0 * err[:, None] / len(returns))
             value_opt.step(value_net.params(), grads)
         step = (it + 1) * config.horizon
-        row = {
-            "step": step,
+        stats = {
             "episode_return": float(rewards.sum()),
             "imitation_reward_mean": float(rewards.mean()),
             "kl": trpo_stats.kl,
@@ -291,14 +286,6 @@ def gail_train(
             "entropy": policy.entropy(),
             **disc_stats,
         }
-        history.append(row)
-        finite_keys = ("episode_return", "kl", "surrogate", "disc_loss", "entropy")
-        bad = first_non_finite({k: row[k] for k in finite_keys})
-        if bad is not None:
-            raise DivergenceDetected(
-                f"non-finite {bad} at step {step}",
-                policy=policy.to_json(),
-                step=step,
-            )
-    return GailResult(policy=policy, value_net=value_net, discriminator=disc,
-                      history=history)
+        check_finite(step, stats, result)
+        result.history.append({"step": step, **stats})
+    return result

@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..env import TradingEnv
-from ..errors import DivergenceDetected
 from ..neural import (
     LOG_STD_MAX,
     LOG_STD_MIN,
     Adam,
     GaussianPolicy,
     Mlp,
-    first_non_finite,
+    TrainResult,
+    check_finite,
     flatten_params,
 )
 from .buffers import RolloutBuffer, collect_rollout, rollout_advantages
@@ -135,33 +135,14 @@ def ppo_surrogate(
     return stats, policy_grads, value_grads
 
 
-def actor_critic_json(policy: GaussianPolicy, value_net: Mlp) -> dict:
-    """The policy and its value baseline, as a checkpoint stores them."""
-    return {"policy": policy.to_json(), "value_net": value_net.to_json()}
-
-
 @dataclass
-class PpoResult:
+class PpoResult(TrainResult):
     policy: GaussianPolicy
     value_net: Mlp
     history: list[dict] = field(default_factory=list)
 
-    def networks_json(self) -> dict:
-        """The trained networks a checkpoint stores, keyed by name."""
-        return actor_critic_json(self.policy, self.value_net)
-
-
-def _check_finite(policy: GaussianPolicy, value_net: Mlp, loss: float, step: int):
-    bad = first_non_finite(
-        {"loss": loss, "policy": policy.params(), "value_net": value_net.params()}
-    )
-    if bad is None:
-        return
-    raise DivergenceDetected(
-        f"non-finite {bad} at step {step}",
-        **actor_critic_json(policy, value_net),
-        step=step,
-    )
+    def named_nets(self) -> dict:
+        return {"policy": self.policy, "value_net": self.value_net}
 
 
 def ppo_train(
@@ -174,7 +155,7 @@ def ppo_train(
     value_net = Mlp((env.observation_dim,) + config.hidden + (1,), rng)
     policy_opt = Adam(policy.params(), lr=config.learning_rate)
     value_opt = Adam(value_net.params(), lr=config.learning_rate)
-    history: list[dict] = []
+    result = PpoResult(policy=policy, value_net=value_net)
     n_updates = config.total_timesteps // config.n_steps
     episode_return = 0.0
     last_episode_return = float("nan")
@@ -204,13 +185,7 @@ def ppo_train(
             policy_opt.step(policy.params(), policy_grads)
             value_opt.step(value_net.params(), value_grads)
         step = (update + 1) * config.n_steps
-        _check_finite(policy, value_net, stats["loss"], step)
-        history.append(
-            {
-                "step": step,
-                "episode_return": last_episode_return,
-                "mean_reward": float(buffer.rewards.mean()),
-                **stats,
-            }
-        )
-    return PpoResult(policy=policy, value_net=value_net, history=history)
+        stats = {"mean_reward": float(buffer.rewards.mean()), **stats}
+        check_finite(step, stats, result)
+        result.history.append({"step": step, "episode_return": last_episode_return, **stats})
+    return result

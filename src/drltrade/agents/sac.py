@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..env import TradingEnv
-from ..errors import BufferTooSmall, DivergenceDetected
-from ..neural import Adam, GaussianPolicy, Mlp, first_non_finite, flatten_params
+from ..errors import BufferTooSmall
+from ..neural import Adam, GaussianPolicy, Mlp, TrainResult, check_finite, flatten_params
 from .buffers import ReplayBuffer
 from .ppo import log_std_mask
 
@@ -202,55 +202,38 @@ def sac_update(nets: SacNets, buffer: ReplayBuffer, config: SacConfig,
     }
 
 
-def _check_finite(nets: SacNets, stats: dict, step: int) -> None:
-    bad = first_non_finite({
-        **stats,
-        **{name: net.params() for name, net in nets.named_nets().items()},
-        "log_alpha": nets.log_alpha,
-    })
-    if bad is None:
-        return
-    raise DivergenceDetected(
-        f"non-finite {bad} at step {step}",
-        policy=nets.policy.to_json(),
-        step=step,
-    )
-
-
 @dataclass
-class SacResult:
+class SacResult(TrainResult):
     nets: SacNets
     history: list[dict] = field(default_factory=list)
 
-    def networks_json(self) -> dict:
-        """The trained networks a checkpoint stores, keyed by name."""
-        named = {name: net.to_json() for name, net in self.nets.named_nets().items()}
-        return {**named, "log_alpha": self.nets.log_alpha.tolist()}
+    def named_nets(self) -> dict:
+        return {**self.nets.named_nets(), "log_alpha": self.nets.log_alpha}
 
 
 def sac_train(env: TradingEnv, config: SacConfig, rng: np.random.Generator) -> SacResult:
     """Stochastic stepping into the replay ring, one update per step once warm."""
     nets = make_sac_nets(env.observation_dim, env.action_dim, config, rng)
     buffer = ReplayBuffer(config.buffer_size, env.observation_dim, env.action_dim)
-    history: list[dict] = []
+    result = SacResult(nets=nets)
     episode_return = 0.0
     last_episode_return = float("nan")
     obs = env.reset()
     stats: dict = {}
     for step in range(1, config.total_timesteps + 1):
         action, pre, _ = nets.policy.sample(obs[None, :], rng)
-        result = env.step(action[0])
-        buffer.add(obs, pre[0], result.reward, result.observation, result.done)
-        episode_return += result.reward
-        if result.done:
+        outcome = env.step(action[0])
+        buffer.add(obs, pre[0], outcome.reward, outcome.observation, outcome.done)
+        episode_return += outcome.reward
+        if outcome.done:
             last_episode_return = episode_return
             episode_return = 0.0
             obs = env.reset()
         else:
-            obs = result.observation
+            obs = outcome.observation
         if len(buffer) >= config.learning_starts:
             stats = sac_update(nets, buffer, config, rng)
-            _check_finite(nets, stats, step)
+            check_finite(step, stats, result)
         if step % config.log_every == 0 or step == config.total_timesteps:
-            history.append({"step": step, "episode_return": last_episode_return, **stats})
-    return SacResult(nets=nets, history=history)
+            result.history.append({"step": step, "episode_return": last_episode_return, **stats})
+    return result

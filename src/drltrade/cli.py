@@ -419,7 +419,7 @@ def _expert_dataset(config: RunConfig, base: dict, train_env: TradingEnv) -> Exp
             if json.dumps(doc[key], sort_keys=True) != json.dumps(base[key], sort_keys=True):
                 raise ValueError(f"expert {ppo_ckpt} was trained with another {key} "
                                  f"than this run; remove it or train with --out elsewhere")
-        policy = GaussianPolicy.from_json(doc["policy"])
+        policy = _decode(ppo_ckpt, doc, "policy", GaussianPolicy.from_json)
     else:
         result = ppo_train(train_env, config.ppo, np.random.default_rng(config.seed))
         _save_trained(config, "ppo", base, result)
@@ -432,6 +432,14 @@ def _expert_dataset(config: RunConfig, base: dict, train_env: TradingEnv) -> Exp
     return expert
 
 
+def _decode(path: Path, doc: dict, key: str, decode):
+    """``decode(doc[key])``; a ValueError naming the checkpoint if the entry is malformed."""
+    try:
+        return decode(doc[key])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"checkpoint {path} has a malformed {key} entry") from None
+
+
 def cmd_backtest(config: RunConfig, checkpoint: str | None, force: bool) -> int:
     out = Path(config.out)
     ckpt_path = Path(checkpoint) if checkpoint else out / "checkpoints" / f"{config.algo}.json"
@@ -439,24 +447,27 @@ def cmd_backtest(config: RunConfig, checkpoint: str | None, force: bool) -> int:
         raise FileNotFoundError(f"checkpoint not found: {ckpt_path}")
     doc = load_checkpoint(ckpt_path, BACKTEST_KEYS)
     algo = doc["kind"]
+    if algo not in ALGOS:  # it names the report files
+        raise ValueError(f"checkpoint {ckpt_path} has kind {algo!r}, not one of {ALGOS}")
     report_path = out / "reports" / f"{algo}_report.json"
     if report_path.exists() and not force:
         print(f"refusing to overwrite {report_path} (use --force)", file=sys.stderr)
         return EXIT_REFUSED
-    policy = GaussianPolicy.from_json(doc["policy"])
+    policy = _decode(ckpt_path, doc, "policy", GaussianPolicy.from_json)
     if not np.isfinite(policy.params()).all():
         # A NaN mean would read as "hold" on every bar and pass for a report.
         print(f"refusing to backtest {ckpt_path}: its policy has non-finite parameters",
               file=sys.stderr)
         return EXIT_RUNTIME
-    feature_config = _block(FeatureConfig, doc["feature_config"], "feature_config")
-    env_config = _block(EnvConfig, doc["env_config"], "env_config")
-    normalizer = normalizer_from_json(doc["normalizer"])
+    where = f"checkpoint {ckpt_path}"
+    feature_config = _block(FeatureConfig, doc["feature_config"], f"{where} feature_config")
+    env_config = _block(EnvConfig, doc["env_config"], f"{where} env_config")
+    normalizer = _decode(ckpt_path, doc, "normalizer", normalizer_from_json)
     run = replace(
         config,
         features=feature_config,
         env=env_config,
-        split_fraction=doc["split_fraction"],
+        split_fraction=_value(float, doc["split_fraction"], f"{where} split_fraction"),
     )
     prepared = prepare(run, normalizer=normalizer)
     test_env = TradingEnv(
@@ -482,12 +493,15 @@ def cmd_report(config: RunConfig) -> int:
     path = Path(config.out) / "reports" / f"{config.algo}_report.json"
     if not path.exists():
         raise FileNotFoundError(f"report not found: {path}")
-    doc = json.loads(path.read_text())
-    for key in ("start_date", "end_date"):
-        doc[key] = date.fromisoformat(doc[key])
-    report = make_report(**{name: doc[name] for name in signature(make_report).parameters})
+    try:
+        doc = json.loads(path.read_text())
+        for key in ("start_date", "end_date"):
+            doc[key] = date.fromisoformat(doc[key])
+        report = make_report(**{name: doc[name] for name in signature(make_report).parameters})
+        metrics = evaluate_profit_metrics(report)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"report {path} cannot be read: {type(err).__name__}: {err}") from None
     print(render_report(report))
-    metrics = evaluate_profit_metrics(report)
     for key in ("profit_ratio", "net_profit", "cost_share"):
         print(f"{key}\t{metrics[key]}")
     return EXIT_OK

@@ -82,7 +82,7 @@ class EmptyDataset(ValueError):
 
 
 class DivergenceDetected(RuntimeError):
-    """Training produced a non-finite loss; partial results are attached."""
+    """Training produced a non-finite statistic or parameter; the networks are attached."""
 
     def __init__(self, message, **artifacts):
         super().__init__(message)

@@ -44,14 +44,6 @@ class FeatureConfig:
     bollinger_n: int = 20
     bollinger_m: float = 2.0
 
-    @property
-    def n_features(self) -> int:
-        return len(self.columns)
-
-    @property
-    def observation_dim(self) -> int:
-        return 2 + self.window * self.n_features
-
 
 @dataclass
 class FeatureMatrix:

@@ -34,9 +34,6 @@ class IndicatorSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    def defined(self) -> np.ndarray:
-        return self.values[self.warmup_len:]
-
 
 def _check_period(period: int) -> None:
     if period < 1:

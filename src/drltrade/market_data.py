@@ -18,7 +18,7 @@ import csv
 import math
 import re
 import time
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import islice
 
@@ -106,11 +106,6 @@ def _row_fields(row) -> Sequence:
     """The raw ``CSV_HEADER`` fields of one row; a sequence may carry extras after them."""
     if type(row) is list and len(row) >= 6:  # csv.reader and exchange rows
         return row
-    if isinstance(row, Mapping):
-        try:
-            return [row[k] for k in CSV_HEADER]
-        except KeyError as exc:
-            raise MalformedRow(f"row missing field {exc.args[0]!r}: {row!r}") from exc
     if isinstance(row, Sequence) and not isinstance(row, (str, bytes)):
         if len(row) < 6:
             raise MalformedRow(f"row has {len(row)} fields, need 6: {row!r}")
@@ -196,8 +191,9 @@ def parse_klines(
 ) -> KlineSeries:
     """Parse raw rows into a validated, time-sorted, gap-filled KlineSeries.
 
-    Accepts exchange-style array rows (``[openTime, open, high, low, close,
-    volume, ...]`` with string prices) or mappings keyed by the CSV header.
+    Accepts sequence rows in ``CSV_HEADER`` order, such as the exchange's
+    arrays (``[openTime, open, high, low, close, volume, ...]`` with string
+    prices); any other row, a mapping included, is a MalformedRow.
     Bars are validated in input order, then stably sorted by open_time.
     """
     fields = [_row_fields(row) for row in rows]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ShapeMismatch
+from .errors import DimensionMismatch, DivergenceDetected, ShapeMismatch
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
@@ -242,12 +242,32 @@ def _assign(theta: np.ndarray, values: np.ndarray) -> None:
     theta[:] = values
 
 
-def first_non_finite(values: dict) -> str | None:
-    """The first key whose value, a scalar or an array, holds a NaN or an inf."""
-    for name, value in values.items():
+class TrainResult:
+    """What training returns; its ``named_nets()`` lists what a checkpoint stores.
+
+    That dict maps each checkpoint name to a network, or to a bare parameter
+    array such as SAC's ``log_alpha``, in checkpoint order.
+    """
+
+    def networks_json(self) -> dict:
+        """The trained networks a checkpoint stores, keyed by name."""
+        return {name: net.tolist() if isinstance(net, np.ndarray) else net.to_json()
+                for name, net in self.named_nets().items()}
+
+
+def check_finite(step: int, stats: dict, result: TrainResult) -> None:
+    """Raise DivergenceDetected if an update left a NaN or an inf behind.
+
+    Every value in ``stats`` is looked at, then every entry of
+    ``result.named_nets()`` in order; the first non-finite one is named. The
+    exception carries ``result.networks_json()`` and ``step``.
+    """
+    params = {name: net if isinstance(net, np.ndarray) else net.params()
+              for name, net in result.named_nets().items()}
+    for name, value in {**stats, **params}.items():
         if not np.isfinite(value).all():
-            return name
-    return None
+            raise DivergenceDetected(f"non-finite {name} at step {step}",
+                                     **result.networks_json(), step=step)
 
 
 class Adam:

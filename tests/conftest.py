@@ -49,6 +49,11 @@ def make_random_series(
     return parse_klines(rows, symbol=symbol, interval_ms=interval_ms)
 
 
+def past_warmup(indicator):
+    """An indicator's values from its ``warmup_len`` on."""
+    return indicator.values[indicator.warmup_len:]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -88,11 +88,7 @@ def brute_parse_klines(rows, interval_ms):
     """
     bars = []
     for row in rows:
-        if isinstance(row, Mapping):
-            if not all(k in row for k in KLINE_FIELDS):
-                raise MalformedRow(f"row missing a field: {row!r}")
-            fields = [row[k] for k in KLINE_FIELDS]
-        elif isinstance(row, Sequence) and not isinstance(row, (str, bytes)):
+        if isinstance(row, Sequence) and not isinstance(row, (str, bytes)):
             if len(row) < 6:
                 raise MalformedRow(f"row has {len(row)} fields, need 6: {row!r}")
             fields = list(row[:6])

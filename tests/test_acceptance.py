@@ -17,7 +17,7 @@ import pytest
 
 import conftest
 import oracles
-from conftest import make_random_series
+from conftest import make_random_series, past_warmup
 from drltrade import cli
 from drltrade import indicators as ind
 from drltrade.agents import (
@@ -119,18 +119,18 @@ def test_criterion_02_bounds_and_invariance():
     checked = 0
     for _ in range(100):
         s = make_random_series(rng, 60)
-        rsi = ind.rsi(s, 14).defined()
-        dx = ind.dmi(s, 14)[2].defined()
+        rsi = past_warmup(ind.rsi(s, 14))
+        dx = past_warmup(ind.dmi(s, 14)[2])
         assert np.all((rsi >= 0.0) & (rsi <= 100.0))
         assert np.all((dx >= 0.0) & (dx <= 100.0))
         mid, upper, lower = ind.bollinger(s, 20, 2.0)
-        assert np.all(lower.defined() <= mid.defined() + 1e-12)
-        assert np.all(mid.defined() <= upper.defined() + 1e-12)
+        assert np.all(past_warmup(lower) <= past_warmup(mid) + 1e-12)
+        assert np.all(past_warmup(mid) <= past_warmup(upper) + 1e-12)
         other = scaled_shifted(s, float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.0, 50.0)))
         for fn in (
-            lambda x: ind.rsi(x, 14).defined(),
-            lambda x: ind.dmi(x, 14)[2].defined(),
-            lambda x: ind.cci(x, 14).defined(),
+            lambda x: past_warmup(ind.rsi(x, 14)),
+            lambda x: past_warmup(ind.dmi(x, 14)[2]),
+            lambda x: past_warmup(ind.cci(x, 14)),
         ):
             assert np.allclose(fn(s), fn(other), atol=1e-7, rtol=1e-7)
         checked += 1

@@ -398,22 +398,51 @@ def test_backtest_explicit_checkpoint_flag(trained, tmp_path, capsys):
     assert (other / "reports" / "ppo_report.json").exists()
 
 
-@pytest.mark.parametrize(
-    "key", ["kind", "policy", "feature_config", "env_config", "normalizer", "split_fraction"]
-)
-def test_backtest_refuses_a_checkpoint_without_a_key_it_reads(trained, tmp_path, capsys, key):
+def _backtest_edited_checkpoint(trained, tmp_path, edit):
+    """Back-test a copy of the trained checkpoint, changed by ``edit``, into a fresh out."""
     cfg, out = trained
     doc = json.loads((out / "checkpoints" / "ppo.json").read_text())
-    del doc[key]
+    edit(doc)
     ckpt = tmp_path / "ppo.json"
     write_json(ckpt, doc)
     other = tmp_path / "elsewhere"
     code = cli.main(
         ["--config", str(cfg), "--out", str(other), "backtest", "--checkpoint", str(ckpt)]
     )
+    return code, ckpt, other
+
+
+@pytest.mark.parametrize(
+    "key", ["kind", "policy", "feature_config", "env_config", "normalizer", "split_fraction"]
+)
+def test_backtest_refuses_a_checkpoint_without_a_key_it_reads(trained, tmp_path, capsys, key):
+    code, ckpt, other = _backtest_edited_checkpoint(trained, tmp_path, lambda doc: doc.pop(key))
     assert code == cli.EXIT_RUNTIME
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(ckpt) in err and repr(key) in err
+    assert not other.exists()
+
+
+@pytest.mark.parametrize(
+    "key,malform",
+    [
+        ("kind", lambda kind: "../x"),  # would name report files outside reports/
+        ("policy", lambda policy: {"mean_net": policy["mean_net"]}),
+        ("policy", lambda policy: [policy]),
+        ("normalizer", lambda norm: {k: v for k, v in norm.items() if k != "means"}),
+        ("split_fraction", str),
+    ],
+    ids=["kind_path", "policy_without_log_std", "policy_list", "normalizer_without_means",
+         "split_fraction_string"],
+)
+def test_backtest_refuses_a_malformed_checkpoint_entry(trained, tmp_path, capsys, key, malform):
+    def edit(doc):
+        doc[key] = malform(doc[key])
+
+    code, ckpt, other = _backtest_edited_checkpoint(trained, tmp_path, edit)
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {ckpt} ") and key in err
     assert not other.exists()
 
 
@@ -445,6 +474,28 @@ def test_report_prints_metrics(trained, capsys):
         assert f"{key}\t" in stdout
 
 
+@pytest.mark.parametrize(
+    "malform",
+    [
+        lambda doc: {k: v for k, v in doc.items() if k != "end_value"},
+        lambda doc: [doc],
+        lambda doc: {**doc, "start_date": 20210101},
+    ],
+    ids=["without_end_value", "list", "date_not_a_string"],
+)
+def test_report_refuses_a_report_it_cannot_read(trained, tmp_path, capsys, malform):
+    cfg, out = trained
+    doc = json.loads((out / "reports" / "ppo_report.json").read_text())
+    path = tmp_path / "other" / "reports" / "ppo_report.json"
+    path.parent.mkdir(parents=True)
+    write_json(path, malform(doc))
+    code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "other"), "report"])
+    assert code == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: report {path} ")
+    assert captured.out == ""
+
+
 def test_report_missing_exits_missing(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", tmp_path / "fresh")
     assert cli.main(["--config", str(cfg), "report"]) == cli.EXIT_MISSING
@@ -470,6 +521,49 @@ def test_sac_checkpoint_contents(tmp_path):
     assert doc["kind"] == "sac"
     for key in ("policy", "q1", "q2", "q1_target", "q2_target", "log_alpha"):
         assert key in doc
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "algo,block,message,networks",
+    [
+        ("gail", {"total_timesteps": 32, "horizon": 32, "value_lr": 1e308},
+         "non-finite value_net at step 32", {"policy", "value_net", "discriminator"}),
+        ("sac", {"learning_rate": 1e308}, "non-finite actor_loss at step 8",
+         {"policy", "q1", "q2", "q1_target", "q2_target", "log_alpha"}),
+    ],
+    ids=["gail", "sac"],
+)
+def test_diverged_checkpoint_holds_every_network(tmp_path, capsys, algo, block, message,
+                                                 networks):
+    """A run that goes non-finite names what did and saves every network it trains."""
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.json", out, **_algo_patch(algo, **block),
+                       data={"synthetic": {"n_bars": 120, "amplitude": 0.1, "period": 40}})
+    assert cli.main(["--config", str(cfg), "train"]) == cli.EXIT_RUNTIME
+    path = out / "checkpoints" / f"{algo}_diverged.json"
+    assert capsys.readouterr().err == f"training diverged: {message}; state saved to {path}\n"
+    doc = load_checkpoint(path)
+    assert networks <= set(doc)
+    assert doc["step"] == int(message.rsplit(" ", 1)[1])
+    assert not (out / "checkpoints" / f"{algo}.json").exists()
+
+
+def test_gail_refuses_a_malformed_expert_policy(tmp_path, capsys):
+    out = tmp_path / "run"
+    ppo_cfg = write_config(tmp_path / "ppo.json", out)
+    gail_cfg = write_config(tmp_path / "gail.json", out, algo="gail")
+    assert cli.main(["--config", str(ppo_cfg), "train"]) == cli.EXIT_OK
+    expert = out / "checkpoints" / "ppo.json"
+    doc = json.loads(expert.read_text())
+    del doc["policy"]["log_std"]
+    write_json(expert, doc)
+    capsys.readouterr()
+    assert cli.main(["--config", str(gail_cfg), "train"]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err == f"error: checkpoint {expert} has a malformed policy entry\n"
+    assert not (out / "checkpoints" / "gail.json").exists()
+    assert not (out / "data" / "expert.csv").exists()
 
 
 def test_gail_trains_expert_then_reuses_it(tmp_path):

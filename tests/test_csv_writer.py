@@ -149,7 +149,7 @@ def test_fetch_from_csv_with_gaps_writes_the_reference_rendering(tmp_path):
         ([[0, "1", "2", "x", "1.5", "3"]], "non-numeric field in row [0, '1', '2', 'x', '1.5', '3']"),
         ([(0, "1", "2", "x", "1.5", "3")], "non-numeric field in row (0, '1', '2', 'x', '1.5', '3')"),
         ([[0, "1", "2", "1", "1", None]], "non-numeric field in row [0, '1', '2', '1', '1', None]"),
-        ([{"open_time": 0, "open": "1"}], "row missing field 'high': {'open_time': 0, 'open': '1'}"),
+        ([{"open_time": 0, "open": "1"}], "unsupported row type dict: {'open_time': 0, 'open': '1'}"),
         (["0,1,2,1,1,1"], "unsupported row type str: '0,1,2,1,1,1'"),
         ([b"abc"], "unsupported row type bytes: b'abc'"),
         ([5], "unsupported row type int: 5"),

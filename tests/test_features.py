@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_random_series
 from drltrade import indicators as ind
+from drltrade.env import EnvConfig, TradingEnv
 from drltrade.errors import (
     ColumnMismatch,
     RangeTooSmall,
@@ -25,11 +26,14 @@ from drltrade.features import (
 )
 
 
-def test_default_columns_and_dims():
+def test_default_columns_and_dims(random_series):
     config = FeatureConfig()
     assert config.columns == DEFAULT_COLUMNS
-    assert config.n_features == 18
-    assert config.observation_dim == 2 + 60 * 18
+    matrix = build_feature_matrix(random_series, config)
+    norm = normalize(matrix, fit_normalizer(matrix, range(matrix.valid_from, len(matrix))))
+    env = TradingEnv(random_series, norm, EnvConfig())
+    assert env.observation_dim == 2 + 60 * 18 == 1082
+    assert len(env.observe()) == 1082
 
 
 def test_build_matrix_default_columns(random_series):

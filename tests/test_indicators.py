@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_series
+from conftest import make_random_series, past_warmup
 from drltrade import indicators as ind
 from drltrade.errors import PeriodZero, TooShort
 from drltrade.market_data import KlineSeries
@@ -52,7 +52,7 @@ def assert_matches(series_values, oracle_values, warmup):
 def test_sma_small_example():
     out = ind.sma([1.0, 2.0, 3.0, 4.0, 5.0], 3)
     assert out.warmup_len == 2
-    assert np.allclose(out.defined(), [2.0, 3.0, 4.0])
+    assert np.allclose(past_warmup(out), [2.0, 3.0, 4.0])
 
 
 def test_ema_matches_oracle(rng):
@@ -143,26 +143,26 @@ def test_too_short_errors():
 
 
 def test_rsi_extremes_and_flat_convention():
-    assert np.allclose(ind.rsi(monotonic_series(20), 5).defined(), 100.0)
+    assert np.allclose(past_warmup(ind.rsi(monotonic_series(20), 5)), 100.0)
     falling = monotonic_series(20, start=100.0, step=-1.0)
-    assert np.allclose(ind.rsi(falling, 5).defined(), 0.0)
-    assert np.allclose(ind.rsi(flat_series(20), 5).defined(), 50.0)
+    assert np.allclose(past_warmup(ind.rsi(falling, 5)), 0.0)
+    assert np.allclose(past_warmup(ind.rsi(flat_series(20), 5)), 50.0)
 
 
 def test_cci_flat_window_is_zero():
-    assert np.allclose(ind.cci(flat_series(20), 5).defined(), 0.0)
+    assert np.allclose(past_warmup(ind.cci(flat_series(20), 5)), 0.0)
 
 
 def test_dx_flat_series_is_zero():
     _, _, dx = ind.dmi(flat_series(20), 5)
-    assert np.allclose(dx.defined(), 0.0)
+    assert np.allclose(past_warmup(dx), 0.0)
 
 
 def test_bollinger_flat_bands_collapse():
     mid, up, lo = ind.bollinger(flat_series(30), 10, 2.0)
-    assert np.allclose(mid.defined(), 50.0)
-    assert np.allclose(up.defined(), 50.0)
-    assert np.allclose(lo.defined(), 50.0)
+    assert np.allclose(past_warmup(mid), 50.0)
+    assert np.allclose(past_warmup(up), 50.0)
+    assert np.allclose(past_warmup(lo), 50.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,13 +170,13 @@ def test_bollinger_flat_bands_collapse():
 def test_bounds_and_ordering_properties(seed, period):
     rng = np.random.default_rng(seed)
     s = make_random_series(rng, period + 30)
-    rsi = ind.rsi(s, period).defined()
+    rsi = past_warmup(ind.rsi(s, period))
     assert np.all((rsi >= 0.0) & (rsi <= 100.0))
     _, _, dx = ind.dmi(s, period)
-    assert np.all((dx.defined() >= 0.0) & (dx.defined() <= 100.0))
+    assert np.all((past_warmup(dx) >= 0.0) & (past_warmup(dx) <= 100.0))
     mid, up, lo = ind.bollinger(s, period, 2.0)
-    assert np.all(lo.defined() <= mid.defined() + 1e-12)
-    assert np.all(mid.defined() <= up.defined() + 1e-12)
+    assert np.all(past_warmup(lo) <= past_warmup(mid) + 1e-12)
+    assert np.all(past_warmup(mid) <= past_warmup(up) + 1e-12)
 
 
 def scaled_shifted(series, scale=1.0, shift=0.0):
@@ -197,9 +197,9 @@ def test_shift_and_scale_invariance(seed):
     scale = float(rng.uniform(0.5, 3.0))
     shift = float(rng.uniform(0.0, 50.0))
     other = scaled_shifted(s, scale, shift)
-    for fn in (lambda x: ind.rsi(x, 7).defined(),
-               lambda x: ind.dmi(x, 7)[2].defined(),
-               lambda x: ind.cci(x, 7).defined()):
+    for fn in (lambda x: past_warmup(ind.rsi(x, 7)),
+               lambda x: past_warmup(ind.dmi(x, 7)[2]),
+               lambda x: past_warmup(ind.cci(x, 7))):
         a, b = fn(s), fn(other)
         assert np.allclose(a, b, atol=1e-7, rtol=1e-7)
 

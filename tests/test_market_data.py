@@ -44,12 +44,6 @@ def test_parse_exchange_rows_with_string_decimals():
     assert series.closes.dtype == np.float64
 
 
-def test_parse_mapping_rows():
-    rows = [dict(zip(CSV_HEADER, [H, "2", "3", "1", "2.5", "7"]))]
-    series = parse_klines(rows)
-    assert series.highs[0] == 3.0 and series.volumes[0] == 7.0
-
-
 def test_parse_sorts_by_open_time():
     rows = [
         exchange_row(2 * H, 10, 11, 9, 10, 1),
@@ -78,6 +72,12 @@ def test_parse_rejects_non_numeric():
 def test_parse_rejects_missing_mapping_key():
     with pytest.raises(MalformedRow):
         parse_klines([{"open_time": 0, "open": "1"}])
+
+
+def test_parse_refuses_mapping_rows():
+    rows = [dict(zip(CSV_HEADER, [H, "2", "3", "1", "2.5", "7"]))]
+    with pytest.raises(MalformedRow, match="unsupported row type dict"):
+        parse_klines(rows)
 
 
 @pytest.mark.parametrize(
@@ -228,8 +228,6 @@ def inject_fault(rows, fault, rng):
 
 
 def as_form(rows, form):
-    if form == "mapping":
-        return [dict(zip(CSV_HEADER, row)) for row in rows]
     if form == "exchange":
         return [
             [repr(v) if isinstance(v, float) else v for v in row]
@@ -244,7 +242,7 @@ def as_form(rows, form):
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 30),
     keep=st.floats(0.3, 1.0),
-    form=st.sampled_from(["list", "mapping", "exchange"]),
+    form=st.sampled_from(["list", "exchange"]),
     faults=st.lists(st.sampled_from(FAULTS), max_size=2),
 )
 def test_parse_matches_per_bar_reference(seed, n, keep, form, faults):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import make_random_series
-from drltrade.agents import PpoConfig, ppo_surrogate, ppo_train
-from drltrade.agents.ppo import _check_finite, log_std_mask
+from drltrade.agents import PpoConfig, PpoResult, ppo_surrogate, ppo_train
+from drltrade.agents.ppo import log_std_mask
 from drltrade.env import EnvConfig, TradingEnv
 from drltrade.errors import DivergenceDetected
 from drltrade.features import FeatureConfig, build_feature_matrix, fit_normalizer, normalize
-from drltrade.neural import GaussianPolicy, Mlp
+from drltrade.neural import GaussianPolicy, Mlp, check_finite
 from oracles import fd_gradient, vector_rel_error
 
 OBS_DIM = 3
@@ -162,18 +162,19 @@ def test_config_validation():
 
 def test_check_finite_raises_with_artifacts(rng):
     policy, value_net = make_nets(rng)
-    _check_finite(policy, value_net, 1.0, 10)  # sane state passes
+    result = PpoResult(policy=policy, value_net=value_net)
+    check_finite(10, {"loss": 1.0}, result)  # sane state passes
     with pytest.raises(DivergenceDetected) as info:
-        _check_finite(policy, value_net, float("nan"), 10)
+        check_finite(10, {"loss": float("nan")}, result)
     assert info.value.artifacts["step"] == 10
     assert str(info.value) == "non-finite loss at step 10"
     value_net.params()[-1] = np.nan
     with pytest.raises(DivergenceDetected) as info:
-        _check_finite(policy, value_net, 1.0, 11)
+        check_finite(11, {"loss": 1.0}, result)
     assert str(info.value) == "non-finite value_net at step 11"
     policy.log_std[:] = np.inf
     with pytest.raises(DivergenceDetected) as info:
-        _check_finite(policy, value_net, 1.0, 42)
+        check_finite(42, {"loss": 1.0}, result)
     assert str(info.value) == "non-finite policy at step 42"
     artifacts = info.value.artifacts
     assert set(artifacts) == {"policy", "value_net", "step"}
