@@ -21,15 +21,14 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import agents
 from .agents import (
     ExpertDataset,
     GailConfig,
     PpoConfig,
     SacConfig,
-    gail_train,
     generate_expert_dataset,
     ppo_train,
-    sac_train,
     save_expert_dataset,
     write_training_log,
 )
@@ -68,10 +67,10 @@ EXIT_RUNTIME = 1
 EXIT_MISSING = 2
 EXIT_REFUSED = 3
 
-# Each algorithm's train function. GAIL's also takes the expert dataset,
-# which cmd_train builds for it; each config block is a field of RunConfig.
-ALGORITHMS = {"ppo": ppo_train, "sac": sac_train, "gail": gail_train}
-ALGOS = tuple(ALGORITHMS)
+# Each algorithm trains with ``agents.<algo>_train``, looked up when it is
+# called; GAIL's also takes the expert dataset, which cmd_train builds for it.
+# Each config block is a field of RunConfig.
+ALGOS = ("ppo", "sac", "gail")
 
 # The checkpoint entries each reader decodes; the rest (value, critic and
 # discriminator nets) is syntax-checked but not converted.
@@ -378,7 +377,7 @@ def cmd_train(config: RunConfig, force: bool) -> int:
     ckpt_path.parent.mkdir(parents=True, exist_ok=True)
     (out / "logs").mkdir(parents=True, exist_ok=True)
     _echo_config(config)
-    train = ALGORITHMS[config.algo]
+    train = getattr(agents, f"{config.algo}_train")
     try:
         if config.algo == "gail":
             train = partial(train, expert=_expert_dataset(config, base, train_env))
@@ -419,7 +418,7 @@ def _expert_dataset(config: RunConfig, base: dict, train_env: TradingEnv) -> Exp
             if json.dumps(doc[key], sort_keys=True) != json.dumps(base[key], sort_keys=True):
                 raise ValueError(f"expert {ppo_ckpt} was trained with another {key} "
                                  f"than this run; remove it or train with --out elsewhere")
-        policy = _decode(ppo_ckpt, doc, "policy", GaussianPolicy.from_json)
+        policy = _decode_policy(ppo_ckpt, doc)
     else:
         result = ppo_train(train_env, config.ppo, np.random.default_rng(config.seed))
         _save_trained(config, "ppo", base, result)
@@ -440,6 +439,18 @@ def _decode(path: Path, doc: dict, key: str, decode):
         raise ValueError(f"checkpoint {path} has a malformed {key} entry") from None
 
 
+def _decode_policy(path: Path, doc: dict) -> GaussianPolicy:
+    """The checkpoint's policy, refused if a parameter is not finite.
+
+    A NaN mean would read as "hold" on every bar: a backtest would pass it for
+    a report, and GAIL would imitate the expert pairs it generates.
+    """
+    policy = _decode(path, doc, "policy", GaussianPolicy.from_json)
+    if not np.isfinite(policy.params()).all():
+        raise ValueError(f"checkpoint {path} has a policy with non-finite parameters")
+    return policy
+
+
 def cmd_backtest(config: RunConfig, checkpoint: str | None, force: bool) -> int:
     out = Path(config.out)
     ckpt_path = Path(checkpoint) if checkpoint else out / "checkpoints" / f"{config.algo}.json"
@@ -453,12 +464,7 @@ def cmd_backtest(config: RunConfig, checkpoint: str | None, force: bool) -> int:
     if report_path.exists() and not force:
         print(f"refusing to overwrite {report_path} (use --force)", file=sys.stderr)
         return EXIT_REFUSED
-    policy = _decode(ckpt_path, doc, "policy", GaussianPolicy.from_json)
-    if not np.isfinite(policy.params()).all():
-        # A NaN mean would read as "hold" on every bar and pass for a report.
-        print(f"refusing to backtest {ckpt_path}: its policy has non-finite parameters",
-              file=sys.stderr)
-        return EXIT_RUNTIME
+    policy = _decode_policy(ckpt_path, doc)
     where = f"checkpoint {ckpt_path}"
     feature_config = _block(FeatureConfig, doc["feature_config"], f"{where} feature_config")
     env_config = _block(EnvConfig, doc["env_config"], f"{where} env_config")

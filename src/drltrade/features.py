@@ -12,7 +12,6 @@ unchanged to test rows.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 from . import indicators
 from .errors import (
     ColumnMismatch,
+    InvariantViolation,
     RangeTooSmall,
     RangeTouchesWarmup,
     TooShort,
@@ -34,7 +34,23 @@ DEFAULT_COLUMNS = (
     "macd", "boll_mid", "boll_upper", "boll_lower",
 )
 
-_PARAM_COLUMN = re.compile(r"^(sma|ema|cci|rsi|atr|di_plus|di_minus|dx)(\d+)$")
+_PRICE_FIELDS = dict(open="opens", high="highs", low="lows", close="closes", volume="volumes")
+
+# Indicator column -> (name of its ``indicators`` function, its place in the
+# triple that function returns or None, the series field it reads or None for
+# the whole series, its parameters). A column whose parameters are _PERIOD ends
+# in that period (``rsi14``); the others name FeatureConfig fields. The function
+# is looked up by name when it is called.
+_PERIOD = "period"
+_BANDS = ("bollinger_n", "bollinger_m")
+_INDICATOR_COLUMNS = {
+    "sma": ("sma", None, "closes", _PERIOD), "ema": ("ema", None, "closes", _PERIOD),
+    "cci": ("cci", None, None, _PERIOD), "rsi": ("rsi", None, None, _PERIOD),
+    "atr": ("atr", None, None, _PERIOD), "di_plus": ("dmi", 0, None, _PERIOD),
+    "di_minus": ("dmi", 1, None, _PERIOD), "dx": ("dmi", 2, None, _PERIOD),
+    "macd": ("macd", None, None, ()), "boll_mid": ("bollinger", 0, None, _BANDS),
+    "boll_upper": ("bollinger", 1, None, _BANDS), "boll_lower": ("bollinger", 2, None, _BANDS),
+}
 
 
 @dataclass(frozen=True)
@@ -47,7 +63,7 @@ class FeatureConfig:
 
 @dataclass
 class FeatureMatrix:
-    """Bar-aligned feature rows; rows before ``valid_from`` contain NaN."""
+    """Bar-aligned feature rows; rows before ``valid_from`` contain NaN, later rows are finite."""
 
     column_names: tuple[str, ...]
     rows: np.ndarray  # (n_bars, n_features)
@@ -68,73 +84,59 @@ class Normalizer:
 
 
 def _column_series(series: KlineSeries, name: str, config: FeatureConfig,
-                   cache: dict) -> tuple[np.ndarray, int]:
-    """Return (values, warmup_len) for one named column."""
-    closes = series.closes
-    if name == "open":
-        return series.opens, 0
-    if name == "high":
-        return series.highs, 0
-    if name == "low":
-        return series.lows, 0
-    if name == "close":
-        return closes, 0
-    if name == "volume":
-        return series.volumes, 0
+                   calls: dict) -> np.ndarray:
+    """One named column; ``calls`` keeps this build's indicator results, so a
+    triple's three columns share one call."""
+    if name in _PRICE_FIELDS:
+        return getattr(series, _PRICE_FIELDS[name])
     if name == "return":
+        closes = series.closes
         ret = np.zeros(len(closes))
         ret[1:] = closes[1:] / closes[:-1] - 1.0
-        return ret, 0
-    if name == "macd":
-        ind = indicators.macd(series)
-        return ind.values, ind.warmup_len
-    if name in ("boll_mid", "boll_upper", "boll_lower"):
-        if "bollinger" not in cache:
-            cache["bollinger"] = indicators.bollinger(series, config.bollinger_n, config.bollinger_m)
-        mid, upper, lower = cache["bollinger"]
-        ind = {"boll_mid": mid, "boll_upper": upper, "boll_lower": lower}[name]
-        return ind.values, ind.warmup_len
-    match = _PARAM_COLUMN.match(name)
-    if match:
-        kind, period = match.group(1), int(match.group(2))
-        if kind == "sma":
-            ind = indicators.sma(closes, period)
-        elif kind == "ema":
-            ind = indicators.ema(closes, period)
-        elif kind == "cci":
-            ind = indicators.cci(series, period)
-        elif kind == "rsi":
-            ind = indicators.rsi(series, period)
-        elif kind == "atr":
-            ind = indicators.atr(series, period)
-        else:  # di_plus / di_minus / dx share one dmi evaluation
-            key = f"dmi{period}"
-            if key not in cache:
-                cache[key] = indicators.dmi(series, period)
-            plus, minus, dx = cache[key]
-            ind = {"di_plus": plus, "di_minus": minus, "dx": dx}[kind]
-        return ind.values, ind.warmup_len
-    raise ValueError(f"unknown feature column {name!r}")
+        return ret
+    kind = name.rstrip("0123456789")
+    period = name[len(kind):]
+    if kind not in _INDICATOR_COLUMNS or (_INDICATOR_COLUMNS[kind][3] == _PERIOD) != bool(period):
+        raise ValueError(f"unknown feature column {name!r}")
+    fn, member, field, params = _INDICATOR_COLUMNS[kind]
+    if (fn, period) not in calls:
+        source = getattr(series, field) if field else series
+        args = (int(period),) if period else tuple(getattr(config, p) for p in params)
+        calls[fn, period] = getattr(indicators, fn)(source, *args)
+    result = calls[fn, period]
+    return result if member is None else result[member]
 
 
 def build_feature_matrix(series: KlineSeries, config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
-    """Compute all configured columns; valid_from is the largest warm-up."""
+    """Compute all configured columns; valid_from is the longest warm-up.
+
+    A column's warm-up is its leading run of NaN. A value that is not finite
+    from valid_from on is refused: it would reach the normalizer and every
+    observation window over it.
+    """
     n = len(series)
-    cache: dict = {}
+    calls: dict = {}
     cols = []
-    valid_from = 0
     for name in config.columns:
         try:
-            values, warmup = _column_series(series, name, config, cache)
+            cols.append(_column_series(series, name, config, calls))
         except TooShort as exc:
             raise TooShort(f"series too short for column {name!r}: {exc}") from exc
-        cols.append(values)
-        valid_from = max(valid_from, warmup)
+    # A column's NaN count is at least its NaN prefix, so valid_from is at
+    # least every column's warm-up; every row from valid_from on is then
+    # checked to be finite.
+    valid_from = max(int(np.count_nonzero(np.isnan(col))) for col in cols)
     if valid_from >= n:
         raise TooShort(
             f"series of {n} bars never clears the largest warm-up ({valid_from})"
         )
     rows = np.column_stack(cols)
+    if not np.isfinite(rows[valid_from:]).all():
+        bar, col = np.argwhere(~np.isfinite(rows[valid_from:]))[0]
+        raise InvariantViolation(
+            f"column {config.columns[col]!r} is not finite at bar {valid_from + bar}, "
+            f"past the warm-up"
+        )
     return FeatureMatrix(column_names=tuple(config.columns), rows=rows, valid_from=valid_from)
 
 

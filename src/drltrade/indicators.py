@@ -1,8 +1,9 @@
 """Closed-form technical indicators over a KlineSeries.
 
-Every function returns an :class:`IndicatorSeries` aligned index-for-index with
-the source series. Leading indices whose look-back window is incomplete are NaN
-and counted by ``warmup_len``; everything from ``warmup_len`` on is finite.
+Every function returns float64 arrays aligned index-for-index with the source
+series. Leading indices whose look-back window is incomplete are NaN; that NaN
+prefix is the indicator's warm-up, and every later value is finite for finite
+input.
 
 Conventions for the formulas' undefined points (all chosen to stay bounded):
 zero mean deviation -> CCI 0; DI sum zero -> DX 0; zero average loss -> RSI 100,
@@ -15,24 +16,11 @@ the first ``period`` inputs; RSI, ATR and the DMI family all use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PeriodZero, TooShort
 from .market_data import KlineSeries
-
-
-@dataclass(frozen=True)
-class IndicatorSeries:
-    """Per-bar indicator values; NaN before ``warmup_len``, finite after."""
-
-    values: np.ndarray
-    warmup_len: int
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _check_period(period: int) -> None:
@@ -69,7 +57,7 @@ def wilder_smooth(x: np.ndarray, period: int, first_index: int) -> np.ndarray:
     return out
 
 
-def sma(values, period: int) -> IndicatorSeries:
+def sma(values, period: int) -> np.ndarray:
     """Rolling mean over the trailing ``period`` values."""
     _check_period(period)
     x = np.asarray(values, dtype=np.float64)
@@ -78,10 +66,10 @@ def sma(values, period: int) -> IndicatorSeries:
     out = _nan_prefix(n, min(warmup, n))
     if n >= period:
         out[warmup:] = sliding_window_view(x, period).mean(axis=1)
-    return IndicatorSeries(out, min(warmup, n))
+    return out
 
 
-def ema(values, period: int) -> IndicatorSeries:
+def ema(values, period: int) -> np.ndarray:
     """Exponential moving average seeded with the SMA of the first period."""
     _check_period(period)
     x = np.asarray(values, dtype=np.float64)
@@ -96,10 +84,10 @@ def ema(values, period: int) -> IndicatorSeries:
             e = alpha * value + (1.0 - alpha) * e
             averages.append(e)
         out[warmup:] = averages
-    return IndicatorSeries(out, min(warmup, n))
+    return out
 
 
-def cci(series: KlineSeries, period: int) -> IndicatorSeries:
+def cci(series: KlineSeries, period: int) -> np.ndarray:
     """Commodity channel index: (TP - SMA(TP)) / (0.015 * mean deviation)."""
     _check_period(period)
     tp = typical_price(series)
@@ -113,7 +101,7 @@ def cci(series: KlineSeries, period: int) -> IndicatorSeries:
         num = tp[warmup:] - ma
         denom = 0.015 * mean_dev
         out[warmup:] = np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
-    return IndicatorSeries(out, min(warmup, n))
+    return out
 
 
 def _rsi_from_averages(avg_gain: np.ndarray, avg_loss: np.ndarray) -> np.ndarray:
@@ -128,7 +116,7 @@ def _rsi_from_averages(avg_gain: np.ndarray, avg_loss: np.ndarray) -> np.ndarray
     return out
 
 
-def rsi(series: KlineSeries, period: int) -> IndicatorSeries:
+def rsi(series: KlineSeries, period: int) -> np.ndarray:
     """Relative strength index with Wilder-smoothed average gains/losses."""
     _check_period(period)
     closes = series.closes
@@ -144,7 +132,7 @@ def rsi(series: KlineSeries, period: int) -> IndicatorSeries:
     avg_loss = wilder_smooth(losses, period, 0)
     out = _nan_prefix(n, period)
     out[period:] = _rsi_from_averages(avg_gain[period - 1:], avg_loss[period - 1:])
-    return IndicatorSeries(out, period)
+    return out
 
 
 def true_range(series: KlineSeries) -> np.ndarray:
@@ -160,15 +148,13 @@ def true_range(series: KlineSeries) -> np.ndarray:
     return tr
 
 
-def atr(series: KlineSeries, period: int) -> IndicatorSeries:
+def atr(series: KlineSeries, period: int) -> np.ndarray:
     """Average true range: Wilder-smoothed TR."""
     _check_period(period)
-    tr = true_range(series)
-    smoothed = wilder_smooth(tr, period, 0)
-    return IndicatorSeries(smoothed, min(period - 1, len(tr)))
+    return wilder_smooth(true_range(series), period, 0)
 
 
-def dmi(series: KlineSeries, period: int) -> tuple[IndicatorSeries, IndicatorSeries, IndicatorSeries]:
+def dmi(series: KlineSeries, period: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Directional movement: returns (DI+, DI-, DX), each warmed up ``period`` bars."""
     _check_period(period)
     highs, lows = series.highs, series.lows
@@ -184,7 +170,7 @@ def dmi(series: KlineSeries, period: int) -> tuple[IndicatorSeries, IndicatorSer
     # DM is undefined at bar 0, so its smoothing seeds one bar later than ATR's
     sm_plus = wilder_smooth(plus_dm, period, 1)
     sm_minus = wilder_smooth(minus_dm, period, 1)
-    atr_vals = atr(series, period).values
+    atr_vals = atr(series, period)
 
     warmup = period
     di_plus = _nan_prefix(n, warmup)
@@ -203,26 +189,20 @@ def dmi(series: KlineSeries, period: int) -> tuple[IndicatorSeries, IndicatorSer
         ),
         100.0,
     )
-    return (
-        IndicatorSeries(di_plus, warmup),
-        IndicatorSeries(di_minus, warmup),
-        IndicatorSeries(dx, warmup),
-    )
+    return di_plus, di_minus, dx
 
 
-def macd(series: KlineSeries, fast: int = 12, slow: int = 26) -> IndicatorSeries:
+def macd(series: KlineSeries, fast: int = 12, slow: int = 26) -> np.ndarray:
     """EMA(close, fast) - EMA(close, slow)."""
     closes = series.closes
     if len(closes) < slow:
         raise TooShort(f"macd needs at least {slow} bars, got {len(closes)}")
-    fast_ema = ema(closes, fast)
-    slow_ema = ema(closes, slow)
-    return IndicatorSeries(fast_ema.values - slow_ema.values, slow - 1)
+    return ema(closes, fast) - ema(closes, slow)
 
 
 def bollinger(
     series: KlineSeries, n: int = 20, m: float = 2.0
-) -> tuple[IndicatorSeries, IndicatorSeries, IndicatorSeries]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bollinger bands on typical price: (mid, upper, lower).
 
     Uses the population standard deviation of the window; mid is the SMA, and
@@ -244,5 +224,4 @@ def bollinger(
         mid[warmup:] = ma
         upper[warmup:] = ma + m * sigma
         lower[warmup:] = ma - m * sigma
-    w = min(warmup, length)
-    return IndicatorSeries(mid, w), IndicatorSeries(upper, w), IndicatorSeries(lower, w)
+    return mid, upper, lower

@@ -324,7 +324,6 @@ class BinanceClient:
         self.backoff_base = backoff_base
         self.timeout = timeout
         self.sleep = sleep
-        self.request_count = 0
 
     def _request_page(self, params: dict) -> list:
         url = f"{self.base_url}/api/v3/klines"
@@ -332,7 +331,6 @@ class BinanceClient:
         for attempt in range(self.max_retries + 1):
             if attempt > 0:
                 self.sleep(self.backoff_base * 2 ** (attempt - 1))
-            self.request_count += 1
             try:
                 status, body = self.transport(url, params, self.timeout)
             except NetworkError:

@@ -49,9 +49,18 @@ def make_random_series(
     return parse_klines(rows, symbol=symbol, interval_ms=interval_ms)
 
 
-def past_warmup(indicator):
-    """An indicator's values from its ``warmup_len`` on."""
-    return indicator.values[indicator.warmup_len:]
+def nan_prefix(values) -> int:
+    """The length of the leading run of NaN."""
+    return int(np.logical_and.accumulate(np.isnan(values)).sum())
+
+
+def past_warmup(values):
+    """An indicator's values after its leading run of NaN (its warm-up); an
+    output with no value past the warm-up fails here rather than pass every
+    check on an empty array."""
+    k = nan_prefix(values)
+    assert k < len(values), "no value past the warm-up"
+    return values[k:]
 
 
 @pytest.fixture

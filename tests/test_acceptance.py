@@ -78,20 +78,20 @@ def test_criterion_01_indicator_oracles():
         s = make_random_series(np.random.default_rng(seed), 60)
         h, l, c = s.highs, s.lows, s.closes
         pairs = [
-            (ind.sma(c, 5).values, oracles.brute_sma(c, 5)),
-            (ind.sma(c, 20).values, oracles.brute_sma(c, 20)),
-            (ind.ema(c, 10).values, oracles.brute_ema(c, 10)),
-            (ind.cci(s, 14).values, oracles.brute_cci(h, l, c, 14)),
-            (ind.rsi(s, 14).values, oracles.brute_rsi(c, 14)),
-            (ind.atr(s, 14).values, oracles.brute_atr(h, l, c, 14)),
-            (ind.macd(s).values, oracles.brute_macd(c)),
+            (ind.sma(c, 5), oracles.brute_sma(c, 5)),
+            (ind.sma(c, 20), oracles.brute_sma(c, 20)),
+            (ind.ema(c, 10), oracles.brute_ema(c, 10)),
+            (ind.cci(s, 14), oracles.brute_cci(h, l, c, 14)),
+            (ind.rsi(s, 14), oracles.brute_rsi(c, 14)),
+            (ind.atr(s, 14), oracles.brute_atr(h, l, c, 14)),
+            (ind.macd(s), oracles.brute_macd(c)),
         ]
         di_plus, di_minus, dx = ind.dmi(s, 14)
         b_plus, b_minus, b_dx = oracles.brute_dmi(h, l, c, 14)
-        pairs += [(di_plus.values, b_plus), (di_minus.values, b_minus), (dx.values, b_dx)]
+        pairs += [(di_plus, b_plus), (di_minus, b_minus), (dx, b_dx)]
         mid, upper, lower = ind.bollinger(s, 20, 2.0)
         b_mid, b_up, b_lo = oracles.brute_bollinger(h, l, c, 20, 2.0)
-        pairs += [(mid.values, b_mid), (upper.values, b_up), (lower.values, b_lo)]
+        pairs += [(mid, b_mid), (upper, b_up), (lower, b_lo)]
         for ours, brute in pairs:
             worst = max(worst, joint_max_err(ours, brute))
     elapsed = time.monotonic() - started
@@ -154,16 +154,16 @@ def test_criterion_03_no_look_ahead():
         rng = np.random.default_rng(seed)
         s = make_random_series(rng, 80)
         full_matrix = build_feature_matrix(s, config)
-        full_rsi = ind.rsi(s, 14).values
-        full_atr = ind.atr(s, 14).values
-        full_dx = ind.dmi(s, 14)[2].values
-        full_ema = ind.ema(s.closes, 10).values
+        full_rsi = ind.rsi(s, 14)
+        full_atr = ind.atr(s, 14)
+        full_dx = ind.dmi(s, 14)[2]
+        full_ema = ind.ema(s.closes, 10)
         for i in sorted(rng.choice(np.arange(20, 79), size=5, replace=False)):
             t = truncated(s, int(i))
-            assert ind.rsi(t, 14).values[i] == full_rsi[i]
-            assert ind.atr(t, 14).values[i] == full_atr[i]
-            assert ind.dmi(t, 14)[2].values[i] == full_dx[i]
-            assert ind.ema(t.closes, 10).values[i] == full_ema[i]
+            assert ind.rsi(t, 14)[i] == full_rsi[i]
+            assert ind.atr(t, 14)[i] == full_atr[i]
+            assert ind.dmi(t, 14)[2][i] == full_dx[i]
+            assert ind.ema(t.closes, 10)[i] == full_ema[i]
             t_matrix = build_feature_matrix(t, config)
             assert np.array_equal(t_matrix.rows[i], full_matrix.rows[i])
             price = float(s.closes[i])

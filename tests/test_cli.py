@@ -566,6 +566,25 @@ def test_gail_refuses_a_malformed_expert_policy(tmp_path, capsys):
     assert not (out / "data" / "expert.csv").exists()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_gail_refuses_a_non_finite_expert_policy(tmp_path, capsys, bad):
+    """A broken expert is refused before it generates a pair, not blamed on the imitator."""
+    out = tmp_path / "run"
+    ppo_cfg = write_config(tmp_path / "ppo.json", out)
+    gail_cfg = write_config(tmp_path / "gail.json", out, algo="gail")
+    assert cli.main(["--config", str(ppo_cfg), "train"]) == cli.EXIT_OK
+    expert = out / "checkpoints" / "ppo.json"
+    doc = json.loads(expert.read_text())
+    doc["policy"]["mean_net"]["weights"][0][0][0] = float(bad)
+    expert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["--config", str(gail_cfg), "train"]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err == f"error: checkpoint {expert} has a policy with non-finite parameters\n"
+    for rel in ("checkpoints/gail.json", "checkpoints/gail_diverged.json", "data/expert.csv"):
+        assert not (out / rel).exists(), rel
+
+
 def test_gail_trains_expert_then_reuses_it(tmp_path):
     out = tmp_path / "run"
     cfg = write_config(tmp_path / "c.json", out, algo="gail")

@@ -8,6 +8,7 @@ from drltrade import indicators as ind
 from drltrade.env import EnvConfig, TradingEnv
 from drltrade.errors import (
     ColumnMismatch,
+    InvariantViolation,
     RangeTooSmall,
     RangeTouchesWarmup,
     TooShort,
@@ -24,6 +25,7 @@ from drltrade.features import (
     normalizer_from_json,
     normalizer_to_json,
 )
+from drltrade.market_data import KlineSeries
 
 
 def test_default_columns_and_dims(random_series):
@@ -50,11 +52,49 @@ def test_columns_route_to_indicators(random_series):
     matrix = build_feature_matrix(random_series, config)
     names = matrix.column_names
     got_sma = matrix.rows[:, names.index("sma5")]
-    want_sma = ind.sma(random_series.closes, 5).values
+    want_sma = ind.sma(random_series.closes, 5)
     assert np.array_equal(got_sma, want_sma, equal_nan=True)
     got_dx = matrix.rows[:, names.index("dx10")]
-    want_dx = ind.dmi(random_series, 10)[2].values
+    want_dx = ind.dmi(random_series, 10)[2]
     assert np.array_equal(got_dx, want_dx, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "columns,valid_from",
+    [
+        (("close", "volume"), 0),
+        (("sma5", "close"), 4),
+        (("rsi14", "atr14"), 14),
+        (("macd",), 25),
+        (("boll_lower", "cci7"), 19),
+        (("dx10", "ema12"), 11),
+    ],
+)
+def test_valid_from_is_the_longest_warm_up(random_series, columns, valid_from):
+    matrix = build_feature_matrix(random_series, FeatureConfig(window=2, columns=columns))
+    assert matrix.valid_from == valid_from
+
+
+@pytest.mark.parametrize("bar", [30, 31, 119])
+def test_nan_after_the_warm_up_is_refused(random_series, bar):
+    """Default columns warm up for 30 bars; a NaN volume at or after bar 30 is refused."""
+    volumes = random_series.volumes.copy()
+    volumes[bar] = np.nan
+    s = random_series
+    broken = KlineSeries(s.symbol, s.interval_ms, s.open_times, s.opens, s.highs, s.lows,
+                         s.closes, volumes)
+    with pytest.raises(InvariantViolation, match=f"'volume' is not finite at bar {bar}"):
+        build_feature_matrix(broken)
+
+
+def test_too_short_messages(rng):
+    short = make_random_series(rng, 25)
+    with pytest.raises(TooShort, match=r"^series too short for column 'rsi30': rsi\(30\) "
+                       r"needs more than 30 bars, got 25$"):
+        build_feature_matrix(short, FeatureConfig(columns=("close", "rsi30")))
+    with pytest.raises(TooShort, match=r"^series of 25 bars never clears the largest "
+                       r"warm-up \(25\)$"):
+        build_feature_matrix(short, FeatureConfig(columns=("sma30", "close")))
 
 
 def test_return_column(random_series):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_series, past_warmup
+from conftest import make_random_series, nan_prefix, past_warmup
 from drltrade import indicators as ind
 from drltrade.errors import PeriodZero, TooShort
 from drltrade.market_data import KlineSeries
@@ -42,6 +42,7 @@ def monotonic_series(n, start=10.0, step=1.0):
 
 
 def assert_matches(series_values, oracle_values, warmup):
+    """NaN on exactly the first ``warmup`` bars, finite and equal to the oracle after."""
     got = np.asarray(series_values, dtype=float)
     want = np.asarray(oracle_values, dtype=float)
     assert np.all(np.isnan(got[:warmup]))
@@ -51,14 +52,14 @@ def assert_matches(series_values, oracle_values, warmup):
 
 def test_sma_small_example():
     out = ind.sma([1.0, 2.0, 3.0, 4.0, 5.0], 3)
-    assert out.warmup_len == 2
-    assert np.allclose(past_warmup(out), [2.0, 3.0, 4.0])
+    assert np.all(np.isnan(out[:2]))
+    assert np.allclose(out[2:], [2.0, 3.0, 4.0])
 
 
 def test_ema_matches_oracle(rng):
     values = rng.uniform(10, 20, size=60)
     out = ind.ema(values, 10)
-    assert_matches(out.values, brute_ema(values, 10), out.warmup_len)
+    assert_matches(out, brute_ema(values, 10), 9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -75,7 +76,7 @@ def test_recurrences_match_numpy_scalar_loops_bit_for_bit(seed, n, period, first
     x = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
     got = ind.wilder_smooth(x, period, first_index)
     assert got.tobytes() == loop_wilder_smooth(x, period, first_index).tobytes()
-    assert ind.ema(x, period).values.tobytes() == loop_ema(x, period).tobytes()
+    assert ind.ema(x, period).tobytes() == loop_ema(x, period).tobytes()
 
 
 def test_true_range_first_bar_is_high_minus_low(random_series):
@@ -90,40 +91,29 @@ def test_all_indicators_match_oracles(rng, period):
     for _ in range(3):
         s = make_random_series(rng, 60)
         h, l, c = s.highs, s.lows, s.closes
-        out = ind.sma(c, period)
-        assert_matches(out.values, brute_sma(c, period), out.warmup_len)
-        out = ind.ema(c, period)
-        assert_matches(out.values, brute_ema(c, period), out.warmup_len)
-        out = ind.cci(s, period)
-        assert_matches(out.values, brute_cci(h, l, c, period), out.warmup_len)
-        out = ind.rsi(s, period)
-        assert_matches(out.values, brute_rsi(c, period), out.warmup_len)
-        out = ind.atr(s, period)
-        assert_matches(out.values, brute_atr(h, l, c, period), out.warmup_len)
-        di_p, di_m, dx = ind.dmi(s, period)
-        want_p, want_m, want_x = brute_dmi(h, l, c, period)
-        assert_matches(di_p.values, want_p, di_p.warmup_len)
-        assert_matches(di_m.values, want_m, di_m.warmup_len)
-        assert_matches(dx.values, want_x, dx.warmup_len)
-        out = ind.macd(s)
-        assert_matches(out.values, brute_macd(c), out.warmup_len)
-        mid, up, lo = ind.bollinger(s)
-        want_mid, want_up, want_lo = brute_bollinger(h, l, c)
-        assert_matches(mid.values, want_mid, mid.warmup_len)
-        assert_matches(up.values, want_up, up.warmup_len)
-        assert_matches(lo.values, want_lo, lo.warmup_len)
+        # expected warm-ups: sma/ema/cci/atr p-1, rsi/dmi p, macd 25, bollinger n-1
+        assert_matches(ind.sma(c, period), brute_sma(c, period), period - 1)
+        assert_matches(ind.ema(c, period), brute_ema(c, period), period - 1)
+        assert_matches(ind.cci(s, period), brute_cci(h, l, c, period), period - 1)
+        assert_matches(ind.rsi(s, period), brute_rsi(c, period), period)
+        assert_matches(ind.atr(s, period), brute_atr(h, l, c, period), period - 1)
+        for got, want in zip(ind.dmi(s, period), brute_dmi(h, l, c, period), strict=True):
+            assert_matches(got, want, period)
+        assert_matches(ind.macd(s), brute_macd(c), 25)
+        for got, want in zip(ind.bollinger(s), brute_bollinger(h, l, c), strict=True):
+            assert_matches(got, want, 20 - 1)
 
 
 def test_warmup_lengths():
     s = make_random_series(np.random.default_rng(3), 80)
-    assert ind.sma(s.closes, 14).warmup_len == 13
-    assert ind.ema(s.closes, 14).warmup_len == 13
-    assert ind.cci(s, 14).warmup_len == 13
-    assert ind.rsi(s, 14).warmup_len == 14
-    assert ind.atr(s, 14).warmup_len == 13
-    assert all(x.warmup_len == 14 for x in ind.dmi(s, 14))
-    assert ind.macd(s).warmup_len == 25
-    assert all(x.warmup_len == 19 for x in ind.bollinger(s))
+    assert nan_prefix(ind.sma(s.closes, 14)) == 13
+    assert nan_prefix(ind.ema(s.closes, 14)) == 13
+    assert nan_prefix(ind.cci(s, 14)) == 13
+    assert nan_prefix(ind.rsi(s, 14)) == 14
+    assert nan_prefix(ind.atr(s, 14)) == 13
+    assert [nan_prefix(x) for x in ind.dmi(s, 14)] == [14, 14, 14]
+    assert nan_prefix(ind.macd(s)) == 25
+    assert [nan_prefix(x) for x in ind.bollinger(s)] == [19, 19, 19]
 
 
 def test_period_validation():
@@ -215,5 +205,5 @@ def test_truncation_leaves_prefix_unchanged(rng):
         (ind.atr(s, 14), ind.atr(prefix, 14)),
         (ind.macd(s), ind.macd(prefix)),
     ]:
-        a, b = full.values[:cut], part.values
+        a, b = full[:cut], part
         assert np.array_equal(a, b, equal_nan=True)
