@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 
 from drltrade.agents import PpoConfig, ppo_train
-from drltrade.backtest import render_report, run_backtest
+from drltrade.backtest import marker, render_report, run_backtest
 from drltrade.env import EnvConfig, TradingEnv
 from drltrade.features import FeatureConfig, build_feature_matrix, fit_normalizer, normalize
 from drltrade.synthetic import make_sine_series
@@ -45,9 +45,9 @@ def main() -> None:
     result = ppo_train(train_env, config, rng)
     print(f"trained {args.timesteps} steps in {time.monotonic() - started:.1f}s")
 
-    report, annotated = run_backtest(result.policy, test_env)
+    report, ledger = run_backtest(result.policy, test_env)
     print(render_report(report))
-    counts = Counter(row.marker for row in annotated)
+    counts = Counter(marker(info.executed_units) for info in ledger)
     print(f"markers\tbuy={counts['buy']} sell={counts['sell']} hold={counts['hold']}")
 
 

@@ -39,8 +39,12 @@ from .trpo import conjugate_gradient, fisher_vector_product, gaussian_kl, trpo_s
 
 
 def write_training_log(history: list[dict], path) -> None:
-    """Newline-delimited CSV of per-update diagnostics; NaN cells left empty."""
-    fields = list(history[0]) if history else ["step"]
+    """Newline-delimited CSV of per-update diagnostics; NaN cells left empty.
+
+    The header is every row's keys in first-seen order (SAC logs no losses
+    before ``learning_starts``); a row without a column leaves it empty.
+    """
+    fields = list(dict.fromkeys(key for row in history for key in row)) or ["step"]
 
     def cells(row: dict):
         for key in fields:

@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from datetime import date, datetime, timezone
 
-import numpy as np
-
-from .env import TradingEnv, gross_value
+from .env import TradeInfo, TradingEnv, gross_value
 from .errors import ZeroBegin
 from .market_data import write_csv
 from .neural import GaussianPolicy, write_json
@@ -32,15 +30,6 @@ class BacktestReport:
     profit_ratio: float
 
 
-@dataclass
-class AnnotatedRow:
-    timestamp: int  # bar open time, ms since epoch
-    price: float
-    gross_value: float
-    marker: str  # buy | sell | hold
-    executed_units: float
-
-
 def make_report(
     begin_value, end_value, total_cost, total_trades,
     start_date: date, end_date: date,
@@ -48,14 +37,8 @@ def make_report(
     if begin_value == 0:
         raise ZeroBegin("begin value is zero, profit ratio undefined")
     return BacktestReport(
-        begin_value=begin_value,
-        end_value=end_value,
-        total_cost=total_cost,
-        total_trades=total_trades,
-        start_date=start_date,
-        end_date=end_date,
-        span_days=(end_date - start_date).days,
-        profit_ratio=end_value / begin_value,
+        begin_value, end_value, total_cost, total_trades, start_date, end_date,
+        span_days=(end_date - start_date).days, profit_ratio=end_value / begin_value,
     )
 
 
@@ -63,70 +46,52 @@ def bar_date(open_time_ms: int) -> date:
     return datetime.fromtimestamp(open_time_ms // 1000, tz=timezone.utc).date()
 
 
-def _marker(executed_units: float) -> str:
-    if executed_units > 0.0:
-        return "buy"
-    if executed_units < 0.0:
-        return "sell"
-    return "hold"
+def marker(units: float) -> str:
+    """A trade's annotation: buy, sell or hold by the sign of its executed units."""
+    return "buy" if units > 0.0 else "sell" if units < 0.0 else "hold"
 
 
 def run_backtest(
     policy: GaussianPolicy, env: TradingEnv
-) -> tuple[BacktestReport, list[AnnotatedRow]]:
-    """Deterministic rollout over every test bar, then forced liquidation."""
+) -> tuple[BacktestReport, list[TradeInfo]]:
+    """Deterministic rollout over every test bar, then forced liquidation.
+
+    The ledger is the ``TradeInfo`` of each bar of ``env.episode``, in order.
+    """
     obs = env.reset()
-    closes = env.series.closes
-    open_times = env.series.open_times
-    rows: list[AnnotatedRow] = []
-    done = False
-    while not done:
-        t = env.t
-        action = policy.mean_action(obs[None, :])[0]
-        result = env.step(action)
-        rows.append(
-            AnnotatedRow(
-                timestamp=int(open_times[t]),
-                price=float(closes[t]),
-                gross_value=gross_value(env.cash, env.asset_units, float(closes[t])),
-                marker=_marker(result.info.executed_units),
-                executed_units=float(result.info.executed_units),
-            )
-        )
+    ledger = []
+    while not env.done:
+        result = env.step(policy.mean_action(obs[None, :])[0])
+        ledger.append(result.info)
         obs = result.observation
-        done = result.done
-    final_t = env.t
-    info = env.liquidate()
-    rows.append(
-        AnnotatedRow(
-            timestamp=int(open_times[final_t]),
-            price=info.price,
-            gross_value=env.cash,
-            marker=_marker(info.executed_units),
-            executed_units=float(info.executed_units),
-        )
-    )
+    ledger.append(env.liquidate())
     report = make_report(
         begin_value=env.config.initial_balance,
         end_value=env.cash,
         total_cost=env.total_cost,
         total_trades=env.trade_count,
-        start_date=bar_date(int(open_times[env.episode.start])),
-        end_date=bar_date(int(open_times[final_t])),
+        start_date=bar_date(int(env.series.open_times[env.episode.start])),
+        end_date=bar_date(int(env.series.open_times[env.t])),
     )
-    return report, rows
+    return report, ledger
 
 
 ANNOTATED_HEADER = ["timestamp", "price", "gross_value", "marker", "executed_units"]
 
 
-def export_annotated_series(rows: list[AnnotatedRow], path) -> None:
-    if not rows:
+def export_annotated_series(ledger: list[TradeInfo], open_times, path) -> None:
+    """One CSV row per ledger entry, stamped with the open time of its bar;
+    the gross value is the account right after the trade, at its price."""
+    if not ledger:
         raise ValueError("refusing to export an empty annotated series")
+    if len(open_times) != len(ledger):
+        raise ValueError(f"{len(ledger)} ledger rows but {len(open_times)} open times")
     write_csv(
         path,
         ANNOTATED_HEADER,
-        ((r.timestamp, r.price, r.gross_value, r.marker, r.executed_units) for r in rows),
+        ((int(t), info.price, gross_value(info.cash, info.asset_units, info.price),
+          marker(info.executed_units), info.executed_units)
+         for t, info in zip(open_times, ledger)),
     )
 
 

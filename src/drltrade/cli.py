@@ -72,6 +72,14 @@ EXIT_REFUSED = 3
 # Each config block is a field of RunConfig.
 ALGOS = ("ppo", "sac", "gail")
 
+# (field, floor) pairs of each algorithm block: with a field below its floor
+# the trainer runs no update, and the run would save untrained networks.
+UPDATE_FLOORS = {
+    "ppo": [("total_timesteps", "n_steps")],
+    "sac": [("total_timesteps", "learning_starts"), ("buffer_size", "learning_starts")],
+    "gail": [("total_timesteps", "horizon")],
+}
+
 # The checkpoint entries each reader decodes; the rest (value, critic and
 # discriminator nets) is syntax-checked but not converted.
 BACKTEST_KEYS = ("kind", "policy", "feature_config", "env_config", "normalizer",
@@ -302,6 +310,10 @@ def _series_summary(series: KlineSeries) -> str:
 
 def cmd_fetch(config: RunConfig, force: bool) -> int:
     dest, key_path = _kline_cache(config)
+    if "csv" in config.data and Path(config.data["csv"]).resolve() == dest.resolve():
+        print(f"refusing to overwrite {dest}: it is data.csv, this fetch's input",
+              file=sys.stderr)
+        return EXIT_REFUSED
     if dest.exists() and not force:
         print(f"refusing to overwrite {dest} (use --force)", file=sys.stderr)
         return EXIT_REFUSED
@@ -365,6 +377,17 @@ def _checkpoint_payload(config: RunConfig, prepared: Prepared) -> dict:
 def cmd_train(config: RunConfig, force: bool) -> int:
     out = Path(config.out)
     ckpt_path = out / "checkpoints" / f"{config.algo}.json"
+    trained = [config.algo]
+    if config.algo == "gail" and not (out / "checkpoints" / "ppo.json").exists():
+        trained.append("ppo")  # the expert _expert_dataset trains first
+    for algo in trained:
+        block = getattr(config, algo)
+        for name, floor in UPDATE_FLOORS[algo]:
+            if getattr(block, name) < getattr(block, floor):
+                print(f"invalid configuration: {algo}.{name} {getattr(block, name)} is below "
+                      f"{algo}.{floor} {getattr(block, floor)}: {algo} would train no update",
+                      file=sys.stderr)
+                return EXIT_MISSING
     if ckpt_path.exists() and not force:
         print(f"refusing to overwrite {ckpt_path} (use --force)", file=sys.stderr)
         return EXIT_REFUSED
@@ -484,12 +507,13 @@ def cmd_backtest(config: RunConfig, checkpoint: str | None, force: bool) -> int:
             f"checkpoint expects {policy.obs_dim}-dim observations, features "
             f"produce {test_env.observation_dim}"
         )
-    report, annotated = run_backtest(policy, test_env)
+    report, ledger = run_backtest(policy, test_env)
     report_path.parent.mkdir(parents=True, exist_ok=True)
     save_report_json(report, report_path)
     with open(out / "reports" / f"{algo}_report.txt", "w") as fh:
         fh.write(render_report(report) + "\n")
-    export_annotated_series(annotated, out / "reports" / f"{algo}_annotated.csv")
+    open_times = prepared.series.open_times[test_env.episode.start:test_env.episode.stop]
+    export_annotated_series(ledger, open_times, out / "reports" / f"{algo}_annotated.csv")
     _echo_config(run)
     print(render_report(report))
     return EXIT_OK

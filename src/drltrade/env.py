@@ -56,13 +56,15 @@ class EnvConfig:
 
 @dataclass
 class TradeInfo:
-    """Outcome of one order execution."""
+    """Outcome of one order execution and the account right after it."""
 
     desired_units: float
     executed_units: float  # signed: positive bought, negative sold
     fee: float
     clamped: bool
     price: float
+    cash: float
+    asset_units: float
 
 
 @dataclass
@@ -83,8 +85,8 @@ def execute_trade(
     price: float,
     desired_units: float,
     fee_rate: float,
-) -> tuple[float, float, TradeInfo]:
-    """Apply one clamped order; returns (new_cash, new_asset_units, info)."""
+) -> TradeInfo:
+    """Apply one clamped order; the info holds the account after it."""
     if price <= 0.0:
         raise NonPositivePrice(f"price {price} must be positive")
     if desired_units > 0.0:
@@ -104,14 +106,15 @@ def execute_trade(
         executed = 0.0
         new_cash, new_asset, fee = cash, asset_units, 0.0
     clamped = abs(executed) < abs(desired_units) - CLAMP_TOLERANCE
-    info = TradeInfo(
+    return TradeInfo(
         desired_units=desired_units,
         executed_units=executed,
         fee=fee,
         clamped=clamped,
         price=price,
+        cash=new_cash,
+        asset_units=new_asset,
     )
-    return new_cash, new_asset, info
 
 
 class TradingEnv:
@@ -216,9 +219,8 @@ class TradingEnv:
 
     def _trade(self, price: float, desired: float) -> TradeInfo:
         """Execute one trade, counting it when units moved and booking its fee."""
-        self.cash, self.asset_units, info = execute_trade(
-            self.cash, self.asset_units, price, desired, self.config.fee_rate
-        )
+        info = execute_trade(self.cash, self.asset_units, price, desired, self.config.fee_rate)
+        self.cash, self.asset_units = info.cash, info.asset_units
         if info.executed_units != 0.0:
             self.trade_count += 1
         self.total_cost += info.fee

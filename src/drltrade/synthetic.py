@@ -28,7 +28,8 @@ def make_sine_series(
     if n_bars < 1:
         raise ValueError(f"n_bars must be at least 1, got {n_bars}")
     t = np.arange(n_bars)
-    closes = base * (1.0 + amplitude * np.sin(2.0 * np.pi * t / period))
+    with np.errstate(divide="ignore", invalid="ignore"):  # period 0: check_bars refuses
+        closes = base * (1.0 + amplitude * np.sin(2.0 * np.pi * t / period))
     opens = np.empty(n_bars)
     opens[0] = closes[0]
     opens[1:] = closes[:-1]

@@ -15,7 +15,7 @@ import io
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -510,3 +510,61 @@ def twin_loop_sac_update(nets, buffer, config, rng):
         "alpha": float(np.exp(nets.log_alpha[0])),
         "batch_entropy": -float(np.mean(log_probs)),
     }
+
+
+@dataclass
+class AnnotatedRow:
+    """One bar of the backtest's annotated series, as the rollout kept it
+    beside the env's trade records."""
+
+    timestamp: int  # bar open time, ms since epoch
+    price: float
+    gross_value: float
+    marker: str  # buy | sell | hold
+    executed_units: float
+
+
+def annotated_row_rollout(policy, env):
+    """The backtest's annotated rows, each rebuilt from the env's state after
+    its trade: a row per step, then one for the forced liquidation."""
+
+    def marker(units):
+        return "buy" if units > 0.0 else "sell" if units < 0.0 else "hold"
+
+    obs = env.reset()
+    closes = env.series.closes
+    open_times = env.series.open_times
+    rows = []
+    done = False
+    while not done:
+        t = env.t
+        action = policy.mean_action(obs[None, :])[0]
+        result = env.step(action)
+        price = float(closes[t])
+        rows.append(AnnotatedRow(
+            timestamp=int(open_times[t]),
+            price=price,
+            gross_value=env.cash + env.asset_units * price,
+            marker=marker(result.info.executed_units),
+            executed_units=float(result.info.executed_units),
+        ))
+        obs = result.observation
+        done = result.done
+    final_t = env.t
+    info = env.liquidate()
+    rows.append(AnnotatedRow(
+        timestamp=int(open_times[final_t]),
+        price=info.price,
+        gross_value=env.cash,
+        marker=marker(info.executed_units),
+        executed_units=float(info.executed_units),
+    ))
+    return rows
+
+
+def annotated_rows_csv(rows) -> str:
+    """The annotated CSV of ``annotated_row_rollout``'s rows."""
+    return reference_csv(
+        ["timestamp", "price", "gross_value", "marker", "executed_units"],
+        ((r.timestamp, r.price, r.gross_value, r.marker, r.executed_units) for r in rows),
+    )

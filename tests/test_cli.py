@@ -1,6 +1,7 @@
 """End-to-end command pipeline: config handling, exit codes, artifacts."""
 
 import json
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import oracles
 from drltrade import cli
 from drltrade.agents import GailConfig, PpoConfig, SacConfig
 from drltrade.env import EnvConfig
+from drltrade.errors import InvariantViolation
 from drltrade.features import FeatureConfig
 from drltrade.neural import load_checkpoint, write_json
 from drltrade.synthetic import make_sine_series
@@ -257,6 +259,22 @@ def test_fetch_synthetic_and_overwrite_protocol(tmp_path, capsys):
     assert cli.main(["--config", str(cfg), "--force", "fetch"]) == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
+def test_fetch_refuses_to_replace_its_own_csv_input(tmp_path, capsys, force):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.json", out)
+    assert cli.main(["--config", str(cfg), "fetch"]) == cli.EXIT_OK
+    klines = out / "data" / "klines.csv"
+    before = klines.read_bytes()
+    capsys.readouterr()
+    # the same file, named through a detour
+    cfg = write_config(tmp_path / "c.json", out,
+                       data={"csv": str(out / "data" / ".." / "data" / "klines.csv")})
+    assert cli.main(["--config", str(cfg), *force, "fetch"]) == cli.EXIT_REFUSED
+    assert "it is data.csv, this fetch's input" in capsys.readouterr().err
+    assert klines.read_bytes() == before
+
+
 def test_fetch_reports_filled_bars(tmp_path, capsys):
     minute = 60_000
     times = [*range(0, 120), *range(123, 240), *range(240 + 1440, 300 + 1440)]
@@ -316,6 +334,13 @@ def test_degenerate_synthetic_series_is_refused(tmp_path, capsys, synthetic):
         assert not (tmp_path / "run").exists()
 
 
+def test_zero_period_sine_is_refused_without_a_numpy_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation, match="must be a positive finite price"):
+            make_sine_series(80, period=0)
+
+
 @pytest.mark.parametrize("n_bars", [0, -5])
 def test_sine_series_needs_a_bar(n_bars):
     with pytest.raises(ValueError, match=f"n_bars must be at least 1, got {n_bars}"):
@@ -329,6 +354,39 @@ def test_fetch_missing_csv_exits_missing(tmp_path, capsys):
     )
     assert cli.main(["--config", str(cfg), "fetch"]) == cli.EXIT_MISSING
     assert "nope.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "patch,message",
+    [
+        (_algo_patch("ppo", total_timesteps=8),
+         "ppo.total_timesteps 8 is below ppo.n_steps 16: ppo would train no update"),
+        (_algo_patch("sac", total_timesteps=6),
+         "sac.total_timesteps 6 is below sac.learning_starts 8"),
+        (_algo_patch("sac", buffer_size=6),
+         "sac.buffer_size 6 is below sac.learning_starts 8"),
+        (_algo_patch("gail", total_timesteps=8),
+         "gail.total_timesteps 8 is below gail.horizon 16"),
+        # GAIL trains its PPO expert first when out/ holds none
+        ({"algo": "gail", "ppo": {**BASE_CONFIG["ppo"], "n_steps": 128}},
+         "ppo.total_timesteps 64 is below ppo.n_steps 128"),
+    ],
+    ids=["ppo", "sac_timesteps", "sac_buffer", "gail", "gail_expert"],
+)
+def test_train_refuses_a_run_without_updates(tmp_path, capsys, patch, message):
+    cfg = write_config(tmp_path / "c.json", tmp_path / "run", **patch)
+    assert cli.main(["--config", str(cfg), "train"]) == cli.EXIT_MISSING
+    assert capsys.readouterr().err.startswith(f"invalid configuration: {message}")
+    assert not (tmp_path / "run").exists()
+
+
+def test_gail_with_a_stored_expert_ignores_the_ppo_block(tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["--config", str(write_config(tmp_path / "p.json", out)), "train"]) == 0
+    cfg = write_config(tmp_path / "g.json", out, algo="gail",
+                       ppo={**BASE_CONFIG["ppo"], "n_steps": 128})
+    assert cli.main(["--config", str(cfg), "train"]) == cli.EXIT_OK
+    assert (out / "checkpoints" / "gail.json").exists()
 
 
 @pytest.fixture(scope="module")

@@ -30,7 +30,8 @@ def build_env(series, window=3, columns=("close", "return"), episode=None, **con
 
 
 def test_execute_trade_buy():
-    cash, asset, info = execute_trade(10_000.0, 0.0, 100.0, 5.0, FEE)
+    info = execute_trade(10_000.0, 0.0, 100.0, 5.0, FEE)
+    cash, asset = info.cash, info.asset_units
     assert info.executed_units == 5.0
     assert info.fee == pytest.approx(5.0 * 100.0 * FEE)
     assert cash == pytest.approx(10_000.0 - 5.0 * 100.0 * (1.0 + FEE))
@@ -39,7 +40,8 @@ def test_execute_trade_buy():
 
 
 def test_execute_trade_buy_clamped_to_affordable():
-    cash, asset, info = execute_trade(100.0, 0.0, 100.0, 5.0, FEE)
+    info = execute_trade(100.0, 0.0, 100.0, 5.0, FEE)
+    cash, asset = info.cash, info.asset_units
     affordable = 100.0 / (100.0 * (1.0 + FEE))
     assert info.executed_units == pytest.approx(affordable)
     assert info.clamped
@@ -49,18 +51,21 @@ def test_execute_trade_buy_clamped_to_affordable():
 
 
 def test_execute_trade_sell_and_oversell():
-    cash, asset, info = execute_trade(0.0, 2.0, 50.0, -1.0, FEE)
+    info = execute_trade(0.0, 2.0, 50.0, -1.0, FEE)
+    cash, asset = info.cash, info.asset_units
     assert info.executed_units == -1.0
     assert cash == pytest.approx(50.0 * (1.0 - FEE))
     assert asset == 1.0
-    cash, asset, info = execute_trade(0.0, 2.0, 50.0, -5.0, FEE)
+    info = execute_trade(0.0, 2.0, 50.0, -5.0, FEE)
+    cash, asset = info.cash, info.asset_units
     assert info.executed_units == -2.0
     assert info.clamped
     assert asset == 0.0
 
 
 def test_execute_trade_zero_and_bad_price():
-    cash, asset, info = execute_trade(10.0, 1.0, 5.0, 0.0, FEE)
+    info = execute_trade(10.0, 1.0, 5.0, 0.0, FEE)
+    cash, asset = info.cash, info.asset_units
     assert (cash, asset, info.executed_units, info.fee) == (10.0, 1.0, 0.0, 0.0)
     assert not info.clamped
     with pytest.raises(NonPositivePrice):

@@ -14,6 +14,7 @@ from drltrade.agents import (
     sac_target,
     sac_train,
     sac_update,
+    write_training_log,
 )
 from drltrade.agents import sac
 from drltrade.env import EnvConfig, TradingEnv
@@ -208,6 +209,22 @@ def test_train_updates_once_warm_and_logs(rng):
     assert {"critic_loss", "actor_loss", "alpha", "batch_entropy"} <= set(last)
     assert all(np.isfinite(v) for k, v in last.items() if k != "episode_return")
     assert last["alpha"] != pytest.approx(config.alpha_init)  # temperature adapts
+
+
+def test_training_log_keeps_the_loss_columns_of_rows_after_learning_starts(
+    rng, tmp_path
+):
+    """Log rows before learning_starts carry no losses; the header still
+    names every column, and those rows leave the loss cells empty."""
+    config = small_config(learning_starts=20, total_timesteps=60, log_every=10)
+    result = sac_train(make_env(rng, range(4, 60)), config, np.random.default_rng(1))
+    path = tmp_path / "sac_train.csv"
+    write_training_log(result.history, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "step,episode_return,critic_loss,actor_loss,alpha,batch_entropy"
+    assert [line.split(",")[0] for line in lines[1:]] == ["10", "20", "30", "40", "50", "60"]
+    assert lines[1].endswith(",,,,,")  # step 10: no episode ended, no update yet
+    assert all("" not in line.split(",")[2:] for line in lines[2:])
 
 
 @pytest.mark.parametrize("poison", ["critic_loss", "q2_target"])
