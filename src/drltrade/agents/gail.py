@@ -10,9 +10,11 @@ from the relabeled rewards; actions enter the discriminator pre-squash.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
+from ..domains import Checked, Count, Discount, Interval, Natural, NonNegative, Positive
 from ..env import TradingEnv
 from ..errors import EmptyDataset
 from ..market_data import CSV_CHUNK_ROWS, write_csv
@@ -24,34 +26,22 @@ D_CLAMP = 1e-8  # keeps -log D within [~0, 18.42]
 
 
 @dataclass(frozen=True)
-class GailConfig:
-    gamma: float = 0.99
-    gae_lambda: float = 0.95
-    entropy_weight: float = 1.0
-    n_expert_episodes: int = 10
-    traj_limitation: int = 7000
-    disc_learning_rate: float = 3e-4
-    max_kl: float = 0.01
-    cg_iters: int = 10
-    backtracks: int = 10
-    cg_damping: float = 0.1
-    total_timesteps: int = 100_000
-    horizon: int = 1024
-    hidden: tuple[int, ...] = (64, 64)
-    value_lr: float = 1e-3
-    value_epochs: int = 5
-
-    def __post_init__(self):
-        if self.max_kl <= 0.0:
-            raise ValueError(f"max_kl must be positive, got {self.max_kl}")
-        if self.entropy_weight < 0.0:
-            raise ValueError(f"entropy_weight must be >= 0, got {self.entropy_weight}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.n_expert_episodes < 1:
-            raise ValueError(f"n_expert_episodes must be >= 1, got {self.n_expert_episodes}")
-        if self.traj_limitation < 1:
-            raise ValueError(f"traj_limitation must be >= 1, got {self.traj_limitation}")
+class GailConfig(Checked):
+    gamma: Discount = 0.99
+    gae_lambda: Annotated[float, Interval(0, 1, "[]")] = 0.95
+    entropy_weight: Annotated[float, Interval(0, 1, "[]")] = 1.0  # as PpoConfig.ent_coef
+    n_expert_episodes: Count = 10
+    traj_limitation: Count = 7000
+    disc_learning_rate: Positive = 3e-4
+    max_kl: Annotated[float, Interval(0, 10, "(]")] = 0.01  # nats between policy steps
+    cg_iters: Count = 10
+    backtracks: Count = 10
+    cg_damping: NonNegative = 0.1
+    total_timesteps: Natural = 100_000
+    horizon: Count = 1024
+    hidden: tuple[Count, ...] = (64, 64)
+    value_lr: Positive = 1e-3
+    value_epochs: Count = 5
 
 
 @dataclass

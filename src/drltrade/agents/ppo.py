@@ -9,9 +9,11 @@ r*A wherever the unclipped branch is active and zero otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
+from ..domains import Checked, Count, Discount, Interval, Natural, NonNegative, Positive
 from ..env import TradingEnv
 from ..neural import (
     LOG_STD_MAX,
@@ -27,27 +29,17 @@ from .buffers import RolloutBuffer, collect_rollout, rollout_advantages
 
 
 @dataclass(frozen=True)
-class PpoConfig:
-    gamma: float = 0.99
-    gae_lambda: float = 0.95
-    clip: float = 0.2
-    ent_coef: float = 0.005
-    vf_coef: float = 0.5
-    learning_rate: float = 0.005
-    n_steps: int = 32
-    n_epochs: int = 10
-    total_timesteps: int = 200_000
-    hidden: tuple[int, ...] = (64, 64)
-
-    def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.n_epochs < 1:
-            raise ValueError(f"n_epochs must be >= 1, got {self.n_epochs}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if not 0.0 < self.clip < 1.0:
-            raise ValueError(f"clip must be in (0, 1), got {self.clip}")
+class PpoConfig(Checked):
+    gamma: Discount = 0.99
+    gae_lambda: Annotated[float, Interval(0, 1, "[]")] = 0.95
+    clip: Annotated[float, Interval(0, 1, "()")] = 0.2
+    ent_coef: Annotated[float, Interval(0, 1, "[]")] = 0.005  # above 1 it outweighs the surrogate
+    vf_coef: NonNegative = 0.5
+    learning_rate: Positive = 0.005
+    n_steps: Count = 32
+    n_epochs: Count = 10
+    total_timesteps: Natural = 200_000
+    hidden: tuple[Count, ...] = (64, 64)
 
 
 def log_std_mask(policy: GaussianPolicy) -> np.ndarray:

@@ -15,9 +15,11 @@ and dQ/da comes from the critic's input gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
+from ..domains import Checked, Count, Discount, Finite, Interval, Natural, Positive
 from ..env import TradingEnv
 from ..errors import BufferTooSmall
 from ..neural import Adam, GaussianPolicy, Mlp, TrainResult, check_finite, flatten_params
@@ -26,28 +28,18 @@ from .ppo import log_std_mask
 
 
 @dataclass(frozen=True)
-class SacConfig:
-    gamma: float = 0.99
-    learning_rate: float = 0.01
-    buffer_size: int = 1000
-    batch_size: int = 1000  # clamped to the current buffer size
-    alpha_init: float = 0.1
-    target_entropy: float | None = None  # None: -action_dim
-    learning_starts: int = 200
-    tau: float = 0.005
-    total_timesteps: int = 50_000
-    hidden: tuple[int, ...] = (64, 64)
-    log_every: int = 1000
-
-    def __post_init__(self):
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError(f"tau must be in (0, 1], got {self.tau}")
-        if self.alpha_init <= 0.0:
-            raise ValueError(f"alpha_init must be positive, got {self.alpha_init}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.log_every < 1:
-            raise ValueError(f"log_every must be >= 1, got {self.log_every}")
+class SacConfig(Checked):
+    gamma: Discount = 0.99
+    learning_rate: Positive = 0.01
+    buffer_size: Count = 1000
+    batch_size: Count = 1000  # clamped to the current buffer size
+    alpha_init: Positive = 0.1
+    target_entropy: Finite | None = None  # None: -action_dim
+    learning_starts: Natural = 200
+    tau: Annotated[float, Interval(0, 1, "(]")] = 0.005
+    total_timesteps: Natural = 50_000
+    hidden: tuple[Count, ...] = (64, 64)
+    log_every: Count = 1000
 
 
 @dataclass

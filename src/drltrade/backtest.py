@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from datetime import date, datetime, timezone
 
+from .domains import Natural, NonNegative, Positive, check
 from .env import TradeInfo, TradingEnv, gross_value
 from .errors import ZeroBegin
 from .market_data import write_csv
@@ -31,14 +32,15 @@ class BacktestReport:
 
 
 def make_report(
-    begin_value, end_value, total_cost, total_trades,
-    start_date: date, end_date: date,
+    begin_value: Positive, end_value: NonNegative, total_cost: NonNegative,
+    total_trades: Natural, start_date: date, end_date: date,
 ) -> BacktestReport:
     if begin_value == 0:
         raise ZeroBegin("begin value is zero, profit ratio undefined")
     return BacktestReport(
         begin_value, end_value, total_cost, total_trades, start_date, end_date,
-        span_days=(end_date - start_date).days, profit_ratio=end_value / begin_value,
+        span_days=check(Natural, (end_date - start_date).days, "span_days"),
+        profit_ratio=end_value / begin_value,
     )
 
 

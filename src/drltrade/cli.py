@@ -14,10 +14,9 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from datetime import date, datetime, timezone
-from functools import cache, partial
-from inspect import signature
+from functools import partial
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, get_args, get_origin
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .backtest import (
     run_backtest,
     save_report_json,
 )
+from .domains import Checked, Interval, Natural, check, hints
 from .env import EnvConfig, TradingEnv
 from .errors import DimensionMismatch, DivergenceDetected, NetworkError
 from .features import (
@@ -98,14 +98,14 @@ DEFAULT_SYNTHETIC = {
 
 
 @dataclass
-class RunConfig:
+class RunConfig(Checked):
     symbol: str = "ETHUSDT"
-    interval: str = "4h"
+    interval: Annotated[str, tuple(INTERVAL_MS)] = "4h"
     # exactly one of csv / fetch / synthetic, kept as written
     data: dict = field(default_factory=lambda: {"synthetic": dict(DEFAULT_SYNTHETIC)})
-    split_fraction: float = 0.95
-    algo: str = "ppo"
-    seed: int = 0
+    split_fraction: Annotated[float, Interval(0, 1, "()")] = 0.95
+    algo: Annotated[str, ALGOS] = "ppo"
+    seed: Natural = 0
     out: str = "runs/latest"
     features: FeatureConfig = FeatureConfig()
     env: EnvConfig = EnvConfig()
@@ -116,12 +116,6 @@ class RunConfig:
 
 DATA_SOURCES = ("csv", "fetch", "synthetic")
 FETCH_KEYS = ("start", "end")
-
-
-@cache
-def _hints(owner) -> dict:
-    """The resolved annotations of a class's fields or a function's parameters."""
-    return get_type_hints(owner)
 
 
 def _check_keys(block, allowed, where: str) -> None:
@@ -138,20 +132,19 @@ def _value(hint, value, name: str):
 
     An ``int`` takes no bool, float or string, a ``float`` takes an int as it
     is but no bool or string, ``X | None`` also takes null, and a dataclass
-    takes an object, walked by ``_block``.
+    takes an object, walked by ``_block``; ``domains.check`` does the rest.
     """
     args = get_args(hint)
-    if type(None) in args:
-        if value is None:
-            return None
-        (hint,) = (arg for arg in args if arg is not type(None))
-        args = get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else _value(args[0], value, name)
+    if get_origin(hint) is Annotated:
+        return check(hint, _value(hint.__origin__, value, name), name)
     if is_dataclass(hint):
         return _block(hint, value, name)
     if get_origin(hint) is tuple:
         if type(value) is list:
             return tuple(_value(args[0], item, f"{name}[{i}]") for i, item in enumerate(value))
-        raise ValueError(f"{name} must be a list of {args[0].__name__}, got {value!r}")
+        raise ValueError(f"{name} must be a list, got {value!r}")
     if type(value) is hint or hint is float and type(value) is int:
         return value
     raise ValueError(f"{name} must be of type {hint.__name__}, got {value!r}")
@@ -169,7 +162,7 @@ def _block(cls, block, where: str, **defaults):
 
     ``defaults`` stand in for keys ``block`` leaves out, before the class's own.
     """
-    return cls(**{**defaults, **_values(_hints(cls), block, where)})
+    return cls(**{**defaults, **_values(hints(cls), block, where)})
 
 
 def _check_data(data) -> dict:
@@ -184,16 +177,19 @@ def _check_data(data) -> dict:
     if "csv" in data:
         _value(str, data["csv"], "data.csv")
     if "fetch" in data:
-        _values(dict.fromkeys(FETCH_KEYS, str), data["fetch"], "data.fetch")
-        missing = [key for key in FETCH_KEYS if key not in data["fetch"]]
-        if missing:
-            raise ValueError(f"data.fetch must give both start and end; missing {missing}")
+        fetch = _values(dict.fromkeys(FETCH_KEYS, str), data["fetch"], "data.fetch")
+        try:
+            start, end = (_date_ms(fetch[key]) for key in FETCH_KEYS)
+        except KeyError as err:
+            raise ValueError(f"data.fetch must give both start and end; missing {err}") from None
+        except ValueError as err:
+            raise ValueError(f"data.fetch dates must be ISO dates: {err}") from None
+        if not start < end:
+            raise ValueError(f"data.fetch.start {fetch['start']} is not before its end")
     if "synthetic" in data:
-        hints = _hints(make_sine_series)
-        block = _values({key: hints[key] for key in DEFAULT_SYNTHETIC}, data["synthetic"],
-                        "data.synthetic")
-        if block.get("n_bars", 1) < 1:
-            raise ValueError(f"data.synthetic.n_bars must be at least 1, got {block['n_bars']}")
+        sine = hints(make_sine_series)
+        _values({key: sine[key] for key in DEFAULT_SYNTHETIC}, data["synthetic"],
+                "data.synthetic")
     return data
 
 
@@ -209,27 +205,17 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
         if not p.exists():
             raise FileNotFoundError(f"config file not found: {p}")
         raw = json.loads(p.read_text())
-    _check_keys(raw, _hints(RunConfig), "config")
+    _check_keys(raw, hints(RunConfig), "config")
     config = _block(RunConfig, {k: v for k, v in raw.items() if k not in ("data", "env")},
                     "config")
     if "data" in raw:
         config.data = _check_data(raw["data"])
     config.env = _block(EnvConfig, raw.get("env", {}), "env", window=config.features.window)
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(config, key, value)
-    if config.algo not in ALGOS:
-        raise ValueError(f"algo must be one of {ALGOS}, got {config.algo!r}")
-    if config.seed < 0:
-        raise ValueError(f"seed must be non-negative, got {config.seed!r}")
-    if config.interval not in INTERVAL_MS:
-        raise ValueError(f"unknown interval {config.interval!r}")
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     if config.env.window != config.features.window:
         raise ValueError(
             f"env window {config.env.window} != feature window {config.features.window}"
         )
-    if not 0.0 < config.split_fraction < 1.0:
-        raise ValueError(f"split_fraction must be in (0, 1), got {config.split_fraction}")
     return config
 
 
@@ -317,8 +303,7 @@ def cmd_fetch(config: RunConfig, force: bool) -> int:
     if dest.exists() and not force:
         print(f"refusing to overwrite {dest} (use --force)", file=sys.stderr)
         return EXIT_REFUSED
-    # --force fetches again; a CSV from another source never keeps a fetch key
-    dest.unlink(missing_ok=True)
+    # --force fetches again: the key goes now, the CSV only when new bars replace it
     key_path.unlink(missing_ok=True)
     series = resolve_series(config)
     if "fetch" not in config.data:  # a fetch source saved its cache already
@@ -480,9 +465,8 @@ def cmd_backtest(config: RunConfig, checkpoint: str | None, force: bool) -> int:
     if not ckpt_path.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt_path}")
     doc = load_checkpoint(ckpt_path, BACKTEST_KEYS)
-    algo = doc["kind"]
-    if algo not in ALGOS:  # it names the report files
-        raise ValueError(f"checkpoint {ckpt_path} has kind {algo!r}, not one of {ALGOS}")
+    # kind names the report files, so it must name an algorithm
+    algo = check(hints(RunConfig)["algo"], doc["kind"], f"checkpoint {ckpt_path} kind")
     report_path = out / "reports" / f"{algo}_report.json"
     if report_path.exists() and not force:
         print(f"refusing to overwrite {report_path} (use --force)", file=sys.stderr)
@@ -496,7 +480,8 @@ def cmd_backtest(config: RunConfig, checkpoint: str | None, force: bool) -> int:
         config,
         features=feature_config,
         env=env_config,
-        split_fraction=_value(float, doc["split_fraction"], f"{where} split_fraction"),
+        split_fraction=_value(hints(RunConfig)["split_fraction"], doc["split_fraction"],
+                              f"{where} split_fraction"),
     )
     prepared = prepare(run, normalizer=normalizer)
     test_env = TradingEnv(
@@ -527,7 +512,8 @@ def cmd_report(config: RunConfig) -> int:
         doc = json.loads(path.read_text())
         for key in ("start_date", "end_date"):
             doc[key] = date.fromisoformat(doc[key])
-        report = make_report(**{name: doc[name] for name in signature(make_report).parameters})
+        report = make_report(**{name: _value(hint, doc[name], name)
+                                for name, hint in hints(make_report).items() if name != "return"})
         metrics = evaluate_profit_metrics(report)
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"report {path} cannot be read: {type(err).__name__}: {err}") from None

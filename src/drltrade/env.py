@@ -14,9 +14,12 @@ With zero fees and zero penalty the rewards telescope: their sum divided by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
+from typing import Annotated
 
 import numpy as np
 
+from .domains import Checked, Count, Interval, Positive
 from .errors import NonPositivePrice, SteppedAfterDone, WindowUnderflow
 from .features import FeatureMatrix, assemble_observation
 from .market_data import KlineSeries
@@ -26,7 +29,7 @@ CLAMP_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
-class EnvConfig:
+class EnvConfig(Checked):
     """Account and reward settings.
 
     ``max_buy_amount`` is the order size, in asset units, of action 1.0. None
@@ -35,23 +38,12 @@ class EnvConfig:
     that price too, so in a rising market a full-size buy there is clamped.
     """
 
-    initial_balance: float = 10_000.0
-    max_buy_amount: float | None = None
-    fee_rate: float = 0.0075
-    reward_scale: float = 1e-4
-    violation_penalty: float = -0.01
-    window: int = 60
-
-    def __post_init__(self):
-        # Written so that NaN fails each test too.
-        if not self.initial_balance > 0.0:
-            raise ValueError(f"initial_balance must be positive, got {self.initial_balance}")
-        if not 0.0 <= self.fee_rate < 1.0:
-            raise ValueError(f"fee_rate must be in [0, 1), got {self.fee_rate}")
-        if self.max_buy_amount is not None and not self.max_buy_amount > 0.0:
-            raise ValueError(f"max_buy_amount must be positive, got {self.max_buy_amount}")
-        if not self.window >= 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+    initial_balance: Positive = 10_000.0
+    max_buy_amount: Positive | None = None
+    fee_rate: Annotated[float, Interval(0, 1)] = 0.0075
+    reward_scale: Positive = 1e-4
+    violation_penalty: Annotated[float, Interval(-inf, 0, "(]")] = -0.01
+    window: Count = 60
 
 
 @dataclass

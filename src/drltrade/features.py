@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import indicators
+from .domains import Checked, Count, Names, NonNegative
 from .errors import (
     ColumnMismatch,
     InvariantViolation,
@@ -54,11 +55,11 @@ _INDICATOR_COLUMNS = {
 
 
 @dataclass(frozen=True)
-class FeatureConfig:
-    window: int = 60
-    columns: tuple[str, ...] = DEFAULT_COLUMNS
-    bollinger_n: int = 20
-    bollinger_m: float = 2.0
+class FeatureConfig(Checked):
+    window: Count = 60
+    columns: Names = DEFAULT_COLUMNS
+    bollinger_n: Count = 20
+    bollinger_m: NonNegative = 2.0
 
 
 @dataclass

@@ -209,7 +209,7 @@ def bollinger(
     upper/lower are mid +/- m sigma.
     """
     _check_period(n)
-    if m < 0.0:
+    if not m >= 0.0:  # written so that NaN fails it too
         raise ValueError(f"band width multiplier must be >= 0, got {m}")
     tp = typical_price(series)
     length = len(tp)

@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from .domains import Count, Finite, Natural, NonNegative, Positive
 from .market_data import FOUR_HOURS_MS, KlineSeries, check_bars
 
 
 def make_sine_series(
-    n_bars: int,
-    base: float = 100.0,
-    amplitude: float = 0.2,
+    n_bars: Count,
+    base: Positive = 100.0,
+    amplitude: Finite = 0.2,
     period: int = 50,
-    volume: float = 1000.0,
-    start_time: int = 0,
+    volume: NonNegative = 1000.0,
+    start_time: Natural = 0,
     interval_ms: int = FOUR_HOURS_MS,
     symbol: str = "SINE",
 ) -> KlineSeries:
@@ -28,7 +29,7 @@ def make_sine_series(
     if n_bars < 1:
         raise ValueError(f"n_bars must be at least 1, got {n_bars}")
     t = np.arange(n_bars)
-    with np.errstate(divide="ignore", invalid="ignore"):  # period 0: check_bars refuses
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # check_bars refuses
         closes = base * (1.0 + amplitude * np.sin(2.0 * np.pi * t / period))
     opens = np.empty(n_bars)
     opens[0] = closes[0]

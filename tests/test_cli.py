@@ -3,6 +3,7 @@
 import json
 import warnings
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,9 @@ import oracles
 from drltrade import cli
 from drltrade.agents import GailConfig, PpoConfig, SacConfig
 from drltrade.env import EnvConfig
-from drltrade.errors import InvariantViolation
+from drltrade.errors import InvariantViolation, NetworkError
 from drltrade.features import FeatureConfig
+from drltrade.market_data import BinanceClient
 from drltrade.neural import load_checkpoint, write_json
 from drltrade.synthetic import make_sine_series
 
@@ -71,6 +73,8 @@ def test_flag_overrides_apply(tmp_path):
     assert (config.seed, config.out, config.algo) == (9, "elsewhere", "sac")
     config = cli.load_run_config(str(cfg), {"seed": None, "out": None, "algo": None})
     assert config.seed == 0  # None means "not given on the command line"
+    with pytest.raises(ValueError, match=r"seed must be in \[0, inf\), got -1"):
+        cli.load_run_config(str(cfg), {"seed": -1})
 
 
 def test_env_window_follows_features(tmp_path):
@@ -138,6 +142,42 @@ def _algo_patch(algo, **block):
         {"data": {"fetch": {"end": "2021-02-01"}}},
         {"data": {"synthetic": {"n_bars": 0}}},
         {"data": {"synthetic": {"n_bars": -5}}},
+        # each field's declared domain: these used to train, or crash
+        _algo_patch("ppo", hidden=[0]),
+        _algo_patch("sac", hidden=[8, 0]),
+        _algo_patch("gail", hidden=[0]),
+        _algo_patch("sac", gamma=2.0),
+        _algo_patch("gail", gamma=-1.0),
+        _algo_patch("ppo", learning_rate=-1.0),
+        _algo_patch("ppo", gae_lambda=2.0),
+        _algo_patch("ppo", vf_coef=-1.0),
+        _algo_patch("sac", learning_starts=-1),
+        _algo_patch("gail", cg_iters=-1),
+        _algo_patch("gail", backtracks=-1),
+        _algo_patch("gail", value_epochs=0),
+        _algo_patch("gail", cg_damping=-1.0),
+        {"env": {"window": 4, "reward_scale": -1.0}},
+        {"features": {"window": 4, "columns": ["close", "return"], "bollinger_n": 0}},
+        _algo_patch("gail", max_kl=float("nan")),
+        {"env": {"window": 4, "max_buy_amount": float("inf")}},
+        {"features": {"window": 4, "columns": ["close", "return"], "bollinger_m": float("nan")}},
+        _algo_patch("sac", target_entropy=float("inf")),
+        _algo_patch("ppo", ent_coef=float("nan")),
+        _algo_patch("sac", tau=float("nan")),
+        _algo_patch("ppo", clip=float("nan")),
+        {"env": {"window": 4, "fee_rate": float("nan")}},
+        {"split_fraction": float("nan")},
+        {"features": {"window": 4, "columns": []}},
+        {"env": {"window": 4, "violation_penalty": 0.5}},
+        {"seed": float("inf")},
+        {"data": {"synthetic": {"n_bars": 80, "base": float("nan")}}},
+        {"data": {"fetch": {"start": "2021-13-01", "end": "2021-05-01"}}},
+        {"data": {"fetch": {"start": "2021-05-01", "end": "2021-02-01"}}},
+        # 1e308 runs but overflows: ent_coef and entropy_weight are at most 1,
+        # max_kl at most 10 (the README's domain table says why)
+        _algo_patch("ppo", ent_coef=1e308),
+        _algo_patch("gail", entropy_weight=1e308),
+        _algo_patch("gail", max_kl=1e308),
     ],
 )
 def test_config_validation_rejects(tmp_path, capsys, patch):
@@ -272,6 +312,46 @@ def test_fetch_refuses_to_replace_its_own_csv_input(tmp_path, capsys, force):
                        data={"csv": str(out / "data" / ".." / "data" / "klines.csv")})
     assert cli.main(["--config", str(cfg), *force, "fetch"]) == cli.EXIT_REFUSED
     assert "it is data.csv, this fetch's input" in capsys.readouterr().err
+    assert klines.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "fetch,message",
+    [
+        ({"start": "2021-13-01", "end": "2021-05-01"}, "month must be in 1..12"),
+        ({"start": "2021-05-01", "end": "2021-02-01"},
+         "data.fetch.start 2021-05-01 is not before its end"),
+    ],
+    ids=["bad_month", "start_after_end"],
+)
+def test_forced_fetch_refuses_bad_dates_and_keeps_the_csv(tmp_path, capsys, fetch, message):
+    out = tmp_path / "run"
+    assert cli.main(["--config", str(write_config(tmp_path / "c.json", out)), "fetch"]) == 0
+    klines = out / "data" / "klines.csv"
+    before = klines.read_bytes()
+    cfg = write_config(tmp_path / "c.json", out, data={"fetch": fetch})
+    capsys.readouterr()
+    assert cli.main(["--config", str(cfg), "--force", "fetch"]) == cli.EXIT_MISSING
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ") and message in err
+    assert klines.read_bytes() == before
+
+
+def test_failed_forced_fetch_keeps_the_csv(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["--config", str(write_config(tmp_path / "c.json", out)), "fetch"]) == 0
+    klines = out / "data" / "klines.csv"
+    before = klines.read_bytes()
+
+    def unreachable(url, params, timeout):
+        raise NetworkError("connection refused")
+
+    monkeypatch.setattr(cli, "BinanceClient",
+                        partial(BinanceClient, transport=unreachable, sleep=lambda s: None))
+    cfg = write_config(tmp_path / "c.json", out,
+                       data={"fetch": {"start": "2021-01-01", "end": "2021-01-02"}})
+    assert cli.main(["--config", str(cfg), "--force", "fetch"]) == cli.EXIT_RUNTIME
+    assert "connection refused" in capsys.readouterr().err
     assert klines.read_bytes() == before
 
 
@@ -538,8 +618,12 @@ def test_report_prints_metrics(trained, capsys):
         lambda doc: {k: v for k, v in doc.items() if k != "end_value"},
         lambda doc: [doc],
         lambda doc: {**doc, "start_date": 20210101},
+        lambda doc: {**doc, "end_value": float("nan")},
+        lambda doc: {**doc, "total_trades": 2.5},
+        lambda doc: {**doc, "end_date": "2020-01-01"},
     ],
-    ids=["without_end_value", "list", "date_not_a_string"],
+    ids=["without_end_value", "list", "date_not_a_string", "end_value_nan",
+         "fractional_trades", "end_before_start"],
 )
 def test_report_refuses_a_report_it_cannot_read(trained, tmp_path, capsys, malform):
     cfg, out = trained

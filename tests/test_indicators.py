@@ -155,6 +155,12 @@ def test_bollinger_flat_bands_collapse():
     assert np.allclose(past_warmup(lo), 50.0)
 
 
+@pytest.mark.parametrize("m", [-1.0, float("nan")])
+def test_bollinger_refuses_a_width_below_zero_or_nan(m):
+    with pytest.raises(ValueError, match="band width multiplier must be >= 0"):
+        ind.bollinger(flat_series(30), 10, m)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), period=st.integers(2, 20))
 def test_bounds_and_ordering_properties(seed, period):

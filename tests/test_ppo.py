@@ -158,6 +158,8 @@ def test_config_validation():
         PpoConfig(gamma=0.0)
     with pytest.raises(ValueError):
         PpoConfig(clip=1.0)
+    with pytest.raises(ValueError, match=r"hidden\[1\] must be in \[1, inf\), got 0"):
+        PpoConfig(hidden=(8, 0))
 
 
 def test_check_finite_raises_with_artifacts(rng):
