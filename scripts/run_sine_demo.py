@@ -15,9 +15,9 @@ import numpy as np
 
 from drltrade.agents import PpoConfig, ppo_train
 from drltrade.backtest import marker, render_report, run_backtest
-from drltrade.env import EnvConfig, TradingEnv
-from drltrade.features import FeatureConfig, build_feature_matrix, fit_normalizer, normalize
-from drltrade.synthetic import make_sine_series
+from drltrade.cli import RunConfig, prepare
+from drltrade.env import EnvConfig
+from drltrade.features import FeatureConfig
 
 
 def main() -> None:
@@ -27,17 +27,15 @@ def main() -> None:
     parser.add_argument("--bars", type=int, default=600)
     args = parser.parse_args()
 
-    series = make_sine_series(n_bars=args.bars, base=100.0, amplitude=0.1, period=40)
-    feature_config = FeatureConfig(window=8, columns=("close", "return", "rsi14"))
-    matrix = build_feature_matrix(series, feature_config)
-    n_train = int(args.bars * 0.8)
-    normalizer = fit_normalizer(matrix, range(matrix.valid_from, n_train))
-    norm_matrix = normalize(matrix, normalizer)
-
-    env_config = EnvConfig(window=feature_config.window)
-    first_t = matrix.valid_from + feature_config.window - 1
-    train_env = TradingEnv(series, norm_matrix, env_config, range(first_t, n_train))
-    test_env = TradingEnv(series, norm_matrix, env_config, range(n_train, args.bars))
+    # The market and its split, as a run config: `drltrade train` would
+    # build the same two envs from it.
+    run = RunConfig(
+        data={"synthetic": {"n_bars": args.bars}},
+        split_fraction=0.8,
+        features=FeatureConfig(window=8, columns=("close", "return", "rsi14")),
+        env=EnvConfig(window=8),
+    )
+    train_env, test_env, _ = prepare(run)
 
     rng = np.random.default_rng(args.seed)
     config = PpoConfig(total_timesteps=args.timesteps)

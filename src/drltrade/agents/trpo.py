@@ -11,12 +11,11 @@ otherwise parameters are restored bit for bit.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NonFiniteDirection, ShapeMismatch
+from ..errors import ShapeMismatch
 from ..neural import GaussianPolicy
 from .ppo import log_std_mask, policy_param_grads
 
@@ -89,8 +88,8 @@ class TrpoStats:
     surrogate: float
 
 
-def _noop(reason: str, value: float) -> TrpoStats:
-    warnings.warn(f"skipping policy step: {reason}", NonFiniteDirection)
+def _noop(value: float) -> TrpoStats:
+    """A skipped step: ``accepted`` False records it, and the parameters stay."""
     return TrpoStats(accepted=False, step_fraction=0.0, kl=0.0, improvement=0.0,
                      surrogate=value)
 
@@ -123,7 +122,7 @@ def trpo_step(
     ent_grad = ent_coef * np.ones(policy.act_dim)
     g = policy_param_grads(policy, cache, mean_old, pre_actions, dsurr_dlogp, ent_grad)
     if not np.all(np.isfinite(g)):
-        return _noop("non-finite surrogate gradient", surr_old)
+        return _noop(surr_old)  # a non-finite surrogate gradient
 
     def matvec(v):
         return fisher_vector_product(policy, obs, cache, v, damping)
@@ -131,7 +130,7 @@ def trpo_step(
     direction = conjugate_gradient(matvec, g, cg_iters)
     quad = float(direction @ matvec(direction))
     if not np.all(np.isfinite(direction)) or quad <= 0.0 or not np.isfinite(quad):
-        return _noop("non-finite or degenerate search direction", surr_old)
+        return _noop(surr_old)  # a non-finite or degenerate search direction
     beta = np.sqrt(2.0 * max_kl / quad)
     full_step = beta * direction
 
@@ -148,5 +147,4 @@ def trpo_step(
             return TrpoStats(accepted=True, step_fraction=frac, kl=kl,
                              improvement=improvement, surrogate=surr_new)
     policy.set_params(theta_old)
-    return TrpoStats(accepted=False, step_fraction=0.0, kl=0.0, improvement=0.0,
-                     surrogate=surr_old)
+    return _noop(surr_old)

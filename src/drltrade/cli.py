@@ -15,6 +15,7 @@ import sys
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from datetime import date, datetime, timezone
 from functools import partial
+from inspect import signature
 from pathlib import Path
 from typing import Annotated, get_args, get_origin
 
@@ -32,7 +33,6 @@ from .agents import (
     write_training_log,
 )
 from .backtest import (
-    BacktestReport,
     evaluate_profit_metrics,
     export_annotated_series,
     make_report,
@@ -45,6 +45,7 @@ from .env import EnvConfig, TradingEnv
 from .errors import DimensionMismatch, DivergenceDetected, NetworkError
 from .features import (
     FeatureConfig,
+    Normalizer,
     build_feature_matrix,
     fit_normalizer,
     normalize,
@@ -87,14 +88,11 @@ BACKTEST_KEYS = ("kind", "policy", "feature_config", "env_config", "normalizer",
 EXPERT_KEYS = ("policy", "feature_config", "normalizer")
 
 
-DEFAULT_SYNTHETIC = {
-    "n_bars": 600,
-    "base": 100.0,
-    "amplitude": 0.1,
-    "period": 40,
-    "volume": 1000.0,
-    "start_time": 1609459200000,  # 2021-01-01T00:00:00Z
-}
+# The keys of a data.synthetic block and their defaults: make_sine_series's
+# parameters, but for the interval and symbol, which the run config names.
+DEFAULT_SYNTHETIC = {name: param.default
+                     for name, param in signature(make_sine_series).parameters.items()
+                     if name not in ("interval_ms", "symbol")}
 
 
 @dataclass
@@ -314,40 +312,34 @@ def cmd_fetch(config: RunConfig, force: bool) -> int:
     return EXIT_OK
 
 
-@dataclass
-class Prepared:
-    """Everything derived from the data that training and backtest share."""
+def prepare(config: RunConfig,
+            normalizer: Normalizer | None = None) -> tuple[TradingEnv, TradingEnv, Normalizer]:
+    """The run's train env, its test env and the normalizer both read.
 
-    series: KlineSeries
-    norm_matrix: object
-    normalizer: object
-    n_train: int
-
-
-def prepare(config: RunConfig, normalizer=None) -> Prepared:
-    """Build features over the full series; statistics come from train rows only."""
+    Features are built over the full series; without a ``normalizer`` the
+    statistics come from the train rows past the warm-up. The train episode
+    runs from the first full window to the split, the test episode from the
+    split to the last bar, so a split that leaves either too short is refused.
+    """
     series = resolve_series(config)
-    train_series, _ = split_train_test(series, config.split_fraction)
-    n_train = len(train_series)
+    n_train = len(split_train_test(series, config.split_fraction)[0])
     matrix = build_feature_matrix(series, config.features)
     if normalizer is None:
         normalizer = fit_normalizer(matrix, range(matrix.valid_from, n_train))
-    norm_matrix = normalize(matrix, normalizer)
-    return Prepared(
-        series=series, norm_matrix=norm_matrix, normalizer=normalizer, n_train=n_train
-    )
+    matrix = normalize(matrix, normalizer)
+    first_t = matrix.valid_from + config.env.window - 1
+
+    def env(part: str, episode: range) -> TradingEnv:
+        try:
+            return TradingEnv(series, matrix, config.env, episode)
+        except ValueError as exc:
+            raise type(exc)(f"{part} split: {exc}") from None
+
+    return (env("train", range(first_t, n_train)), env("test", range(n_train, len(series))),
+            normalizer)
 
 
-def _train_episode(prepared: Prepared, config: RunConfig) -> range:
-    first_t = prepared.norm_matrix.valid_from + config.features.window - 1
-    return range(first_t, prepared.n_train)
-
-
-def _test_episode(prepared: Prepared) -> range:
-    return range(prepared.n_train, len(prepared.series))
-
-
-def _checkpoint_payload(config: RunConfig, prepared: Prepared) -> dict:
+def _checkpoint_payload(config: RunConfig, normalizer: Normalizer) -> dict:
     return {
         "symbol": config.symbol,
         "interval": config.interval,
@@ -355,7 +347,7 @@ def _checkpoint_payload(config: RunConfig, prepared: Prepared) -> dict:
         "seed": config.seed,
         "feature_config": asdict(config.features),
         "env_config": asdict(config.env),
-        "normalizer": normalizer_to_json(prepared.normalizer),
+        "normalizer": normalizer_to_json(normalizer),
     }
 
 
@@ -376,20 +368,20 @@ def cmd_train(config: RunConfig, force: bool) -> int:
     if ckpt_path.exists() and not force:
         print(f"refusing to overwrite {ckpt_path} (use --force)", file=sys.stderr)
         return EXIT_REFUSED
-    prepared = prepare(config)
+    train_env, _, normalizer = prepare(config)
     rng = np.random.default_rng(config.seed)
-    train_env = TradingEnv(
-        prepared.series, prepared.norm_matrix, config.env, _train_episode(prepared, config)
-    )
-    base = _checkpoint_payload(config, prepared)
+    base = _checkpoint_payload(config, normalizer)
     ckpt_path.parent.mkdir(parents=True, exist_ok=True)
     (out / "logs").mkdir(parents=True, exist_ok=True)
     _echo_config(config)
     train = getattr(agents, f"{config.algo}_train")
     try:
-        if config.algo == "gail":
-            train = partial(train, expert=_expert_dataset(config, base, train_env))
-        result = train(train_env, config=getattr(config, config.algo), rng=rng)
+        # numpy's overflow warnings stay silent: a run that goes non-finite
+        # is reported once, by the divergence guard.
+        with np.errstate(all="ignore"):
+            if config.algo == "gail":
+                train = partial(train, expert=_expert_dataset(config, base, train_env))
+            result = train(train_env, config=getattr(config, config.algo), rng=rng)
     except DivergenceDetected as exc:
         crash_path = out / "checkpoints" / f"{config.algo}_diverged.json"
         save_checkpoint(crash_path, config.algo, {**base, **exc.artifacts})
@@ -483,10 +475,7 @@ def cmd_backtest(config: RunConfig, checkpoint: str | None, force: bool) -> int:
         split_fraction=_value(hints(RunConfig)["split_fraction"], doc["split_fraction"],
                               f"{where} split_fraction"),
     )
-    prepared = prepare(run, normalizer=normalizer)
-    test_env = TradingEnv(
-        prepared.series, prepared.norm_matrix, env_config, _test_episode(prepared)
-    )
+    _, test_env, _ = prepare(run, normalizer=normalizer)
     if policy.obs_dim != test_env.observation_dim:
         raise DimensionMismatch(
             f"checkpoint expects {policy.obs_dim}-dim observations, features "
@@ -497,7 +486,7 @@ def cmd_backtest(config: RunConfig, checkpoint: str | None, force: bool) -> int:
     save_report_json(report, report_path)
     with open(out / "reports" / f"{algo}_report.txt", "w") as fh:
         fh.write(render_report(report) + "\n")
-    open_times = prepared.series.open_times[test_env.episode.start:test_env.episode.stop]
+    open_times = test_env.series.open_times[test_env.episode.start:test_env.episode.stop]
     export_annotated_series(ledger, open_times, out / "reports" / f"{algo}_annotated.csv")
     _echo_config(run)
     print(render_report(report))

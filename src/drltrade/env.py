@@ -144,7 +144,8 @@ class TradingEnv:
         if episode.stop > len(series):
             raise ValueError(f"episode ends at {episode.stop}, series has {len(series)} bars")
         if len(episode) < 2:
-            raise ValueError("episode needs at least 2 bars (one tradable step)")
+            raise ValueError(f"episode {episode.start}:{episode.stop} needs at least 2 bars "
+                             "(one tradable step)")
         self.episode = episode
         self.max_buy_amount = float(
             config.max_buy_amount

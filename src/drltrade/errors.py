@@ -89,9 +89,5 @@ class DivergenceDetected(RuntimeError):
         self.artifacts = artifacts
 
 
-class NonFiniteDirection(RuntimeWarning):
-    """Search direction or gradient went non-finite; the step is skipped."""
-
-
 class ZeroBegin(ValueError):
     """Profit metrics are undefined for a zero begin value."""

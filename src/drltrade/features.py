@@ -120,7 +120,9 @@ def build_feature_matrix(series: KlineSeries, config: FeatureConfig = FeatureCon
     cols = []
     for name in config.columns:
         try:
-            cols.append(_column_series(series, name, config, calls))
+            # prices near the float limit overflow here; the check below refuses
+            with np.errstate(all="ignore"):
+                cols.append(_column_series(series, name, config, calls))
         except TooShort as exc:
             raise TooShort(f"series too short for column {name!r}: {exc}") from exc
     # A column's NaN count is at least its NaN prefix, so valid_from is at
@@ -142,7 +144,11 @@ def build_feature_matrix(series: KlineSeries, config: FeatureConfig = FeatureCon
 
 
 def fit_normalizer(matrix: FeatureMatrix, rows: range) -> Normalizer:
-    """Per-column mean/std (population) over the given rows, training rows only."""
+    """Per-column mean/std (population) over the given rows, training rows only.
+
+    A column whose mean or spread overflows there is refused: every row of it
+    would standardize to 0 or NaN.
+    """
     start, stop = rows.start, rows.stop
     if stop - start < 2:
         raise RangeTooSmall(f"need at least 2 rows to fit, got range {start}:{stop}")
@@ -153,8 +159,15 @@ def fit_normalizer(matrix: FeatureMatrix, rows: range) -> Normalizer:
     if stop > len(matrix):
         raise ValueError(f"fit range {start}:{stop} exceeds matrix length {len(matrix)}")
     block = matrix.rows[start:stop]
-    means = block.mean(axis=0)
-    stds = block.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        means = block.mean(axis=0)
+        stds = block.std(axis=0)
+    bad = ~(np.isfinite(means) & np.isfinite(stds))
+    if bad.any():
+        raise InvariantViolation(
+            f"column {matrix.column_names[np.argmax(bad)]!r} has a non-finite mean or spread "
+            f"over rows {start}:{stop}: its values are too large to standardize"
+        )
     return Normalizer(
         column_names=matrix.column_names,
         means=means,

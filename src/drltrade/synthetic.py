@@ -9,12 +9,12 @@ from .market_data import FOUR_HOURS_MS, KlineSeries, check_bars
 
 
 def make_sine_series(
-    n_bars: Count,
+    n_bars: Count = 600,
     base: Positive = 100.0,
-    amplitude: Finite = 0.2,
-    period: int = 50,
+    amplitude: Finite = 0.1,
+    period: int = 40,
     volume: NonNegative = 1000.0,
-    start_time: Natural = 0,
+    start_time: Natural = 1609459200000,  # 2021-01-01T00:00:00Z
     interval_ms: int = FOUR_HOURS_MS,
     symbol: str = "SINE",
 ) -> KlineSeries:

@@ -1,10 +1,9 @@
-"""Shared fixtures: random but valid candle series, sine fixtures, rngs."""
+"""Shared fixtures: random but valid candle series, rngs."""
 
 import numpy as np
 import pytest
 
 from drltrade.market_data import FOUR_HOURS_MS, KlineSeries, parse_klines
-from drltrade.synthetic import make_sine_series
 
 # Acceptance tests append their PASS/FAIL lines here so they show up in the
 # terminal summary even when output capture is on.
@@ -71,8 +70,3 @@ def rng():
 @pytest.fixture
 def random_series(rng):
     return make_random_series(rng, 120)
-
-
-@pytest.fixture
-def sine_series():
-    return make_sine_series(n_bars=200, base=100.0, amplitude=0.1, period=40)

@@ -45,9 +45,7 @@ from drltrade.features import (
     normalize,
 )
 from drltrade.agents.gail import discriminator_objective
-from drltrade.market_data import KlineSeries
 from drltrade.neural import GaussianPolicy, Mlp
-from drltrade.synthetic import make_sine_series
 
 
 def report_criterion(number: int, ok: bool, detail: str) -> None:
@@ -371,40 +369,29 @@ def test_criterion_08_trpo_kl_budget():
 # -- criteria 9 and 10: learning on the synthetic sine market -----------------
 
 
+# The sine market of criteria 9 and 10: the CLI's default 600-bar sine, of
+# which the first 480 bars train.
+SINE_LAB = cli.RunConfig(
+    split_fraction=0.8,
+    features=FeatureConfig(window=8, columns=("close", "return", "rsi14")),
+    env=EnvConfig(window=8),
+)
+
+
 @dataclass
 class SineLab:
-    series: KlineSeries
-    norm_matrix: object
-    env_config: EnvConfig
-    train_episode: range
-    test_episode: range
-
-    def train_env(self) -> TradingEnv:
-        return TradingEnv(self.series, self.norm_matrix, self.env_config, self.train_episode)
-
-    def test_env(self) -> TradingEnv:
-        return TradingEnv(self.series, self.norm_matrix, self.env_config, self.test_episode)
+    train_env: TradingEnv
+    test_env: TradingEnv
 
     def held_out_profit(self, policy) -> float:
-        report, _ = run_backtest(policy, self.test_env())
+        report, _ = run_backtest(policy, self.test_env)
         return report.end_value - report.begin_value
 
 
 @pytest.fixture(scope="module")
 def sine_lab() -> SineLab:
-    series = make_sine_series(n_bars=600, base=100.0, amplitude=0.1, period=40)
-    features = FeatureConfig(window=8, columns=("close", "return", "rsi14"))
-    matrix = build_feature_matrix(series, features)
-    n_train = 480
-    normalizer = fit_normalizer(matrix, range(matrix.valid_from, n_train))
-    first_t = matrix.valid_from + features.window - 1
-    return SineLab(
-        series=series,
-        norm_matrix=normalize(matrix, normalizer),
-        env_config=EnvConfig(window=8),
-        train_episode=range(first_t, n_train),
-        test_episode=range(n_train, len(series)),
-    )
+    train_env, test_env, _ = cli.prepare(SINE_LAB)
+    return SineLab(train_env, test_env)
 
 
 @pytest.fixture(scope="module")
@@ -413,7 +400,7 @@ def ppo_runs(sine_lab):
     for seed in range(5):
         started = time.monotonic()
         result = ppo_train(
-            sine_lab.train_env(), PpoConfig(total_timesteps=20_000),
+            sine_lab.train_env, PpoConfig(total_timesteps=20_000),
             np.random.default_rng(seed),
         )
         runs.append(
@@ -437,7 +424,7 @@ def test_criterion_09_sine_profitability(sine_lab, ppo_runs):
     sac_config = SacConfig(total_timesteps=20_000, batch_size=256, log_every=5000)
     for seed in range(5):
         started = time.monotonic()
-        result = sac_train(sine_lab.train_env(), sac_config, np.random.default_rng(seed))
+        result = sac_train(sine_lab.train_env, sac_config, np.random.default_rng(seed))
         sac_max_s = max(sac_max_s, time.monotonic() - started)
         sac_hits += sine_lab.held_out_profit(result.nets.policy) > 0.0
 
@@ -454,7 +441,7 @@ def test_criterion_10_imitation_recovers_expert(sine_lab, ppo_runs):
     best = max(ppo_runs, key=lambda run: run["profit"])
     bar = 0.5 * best["profit"]
     expert = generate_expert_dataset(
-        best["policy"], sine_lab.train_env(), n_episodes=10, traj_limitation=7000
+        best["policy"], sine_lab.train_env, n_episodes=10, traj_limitation=7000
     )
     config = GailConfig(total_timesteps=50_000, horizon=512)
     hits = 0
@@ -462,7 +449,7 @@ def test_criterion_10_imitation_recovers_expert(sine_lab, ppo_runs):
     for seed in range(5):
         started = time.monotonic()
         result = gail_train(
-            sine_lab.train_env(), expert, config, np.random.default_rng(seed)
+            sine_lab.train_env, expert, config, np.random.default_rng(seed)
         )
         max_s = max(max_s, time.monotonic() - started)
         hits += sine_lab.held_out_profit(result.policy) >= bar

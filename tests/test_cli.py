@@ -414,6 +414,42 @@ def test_degenerate_synthetic_series_is_refused(tmp_path, capsys, synthetic):
         assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "split_fraction,part,episode",
+    [(0.995, "test", "119:120"), (0.04, "train", "3:4")],
+    ids=["test", "train"],
+)
+def test_train_refuses_a_split_too_short_for_an_episode(tmp_path, capsys, split_fraction, part,
+                                                        episode):
+    """A split that leaves either part one bar is refused before training, naming the part."""
+    cfg = write_config(tmp_path / "c.json", tmp_path / "run", split_fraction=split_fraction,
+                       data={"synthetic": {"n_bars": 120}})
+    assert cli.main(["--config", str(cfg), "train"]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        f"error: {part} split: episode {episode} needs at least 2 bars (one tradable step)\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "columns,message",
+    [(["close", "return"], "column 'close' has a non-finite mean or spread over rows 0:96"),
+     (list(FeatureConfig.columns), "error: ")],
+    ids=["normalizer", "indicators"],
+)
+def test_prices_near_the_float_limit_are_refused_without_a_warning(tmp_path, capsys, columns,
+                                                                   message):
+    """Closes near 1e308 pass the bar check; their features or statistics overflow."""
+    cfg = write_config(tmp_path / "c.json", tmp_path / "run",
+                       data={"synthetic": {"n_bars": 120, "base": 1e308}},
+                       features={"window": 4, "columns": columns})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["--config", str(cfg), "train"]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert not (tmp_path / "run").exists()
+
+
 def test_zero_period_sine_is_refused_without_a_numpy_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -665,7 +701,6 @@ def test_sac_checkpoint_contents(tmp_path):
         assert key in doc
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "algo,block,message,networks",
     [
@@ -673,16 +708,21 @@ def test_sac_checkpoint_contents(tmp_path):
          "non-finite value_net at step 32", {"policy", "value_net", "discriminator"}),
         ("sac", {"learning_rate": 1e308}, "non-finite actor_loss at step 8",
          {"policy", "q1", "q2", "q1_target", "q2_target", "log_alpha"}),
+        ("gail", {"disc_learning_rate": 1e308}, "non-finite episode_return at step 16",
+         {"policy", "value_net", "discriminator"}),
     ],
-    ids=["gail", "sac"],
+    ids=["gail", "sac", "gail_disc"],
 )
 def test_diverged_checkpoint_holds_every_network(tmp_path, capsys, algo, block, message,
                                                  networks):
-    """A run that goes non-finite names what did and saves every network it trains."""
+    """A run that goes non-finite names what did and saves every network it trains;
+    the guard's line is all it prints, with no numpy warning on the way."""
     out = tmp_path / "run"
     cfg = write_config(tmp_path / "c.json", out, **_algo_patch(algo, **block),
-                       data={"synthetic": {"n_bars": 120, "amplitude": 0.1, "period": 40}})
-    assert cli.main(["--config", str(cfg), "train"]) == cli.EXIT_RUNTIME
+                       data={"synthetic": {"n_bars": 120}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["--config", str(cfg), "train"]) == cli.EXIT_RUNTIME
     path = out / "checkpoints" / f"{algo}_diverged.json"
     assert capsys.readouterr().err == f"training diverged: {message}; state saved to {path}\n"
     doc = load_checkpoint(path)

@@ -1,11 +1,9 @@
 """Every leaf of a tiny run config, mutated one at a time through a fixed value set.
 
 A value outside the domain its field declares must exit 2 before anything is
-written, and no value may raise out of ``main``. A run that exits 0 writes no
-NaN or Infinity into any artifact and emits no warning. A run may exit 1 when
-a library function refuses its data or the divergence guard stops training;
-numpy's overflow warnings on the way there are those the divergence tests of
-test_cli.py see too, so warnings are recorded here rather than raised.
+written, and no value may raise out of ``main`` or emit a warning. A run that
+exits 0 writes no NaN or Infinity into any artifact. A run may exit 1 when a
+library function refuses its data or the divergence guard stops training.
 """
 
 import json
@@ -13,18 +11,19 @@ import math
 import re
 import warnings
 from dataclasses import asdict, is_dataclass
+from pathlib import Path
 from typing import Annotated, get_args, get_origin
 
 import pytest
 
 from drltrade import cli
-from drltrade.domains import hints
+from drltrade.domains import Interval, hints
 from drltrade.synthetic import make_sine_series
 
 TINY = {
     "symbol": "SINE",
     "interval": "4h",
-    "data": {"synthetic": {**cli.DEFAULT_SYNTHETIC, "n_bars": 80, "period": 40}},
+    "data": {"synthetic": {**cli.DEFAULT_SYNTHETIC, "n_bars": 80}},
     "split_fraction": 0.8,
     "algo": "ppo",
     "seed": 0,
@@ -96,6 +95,37 @@ def test_every_leaf_is_mutated():
     assert len(paths) == 63
 
 
+def readme_fields() -> dict:
+    """Each field the README's field table names, with the domain cell of its row."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    fields = {}
+    for line in readme.read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 3:
+            fields.update(dict.fromkeys(re.findall(r"`([^`]+)`", cells[0]), cells[2]))
+    return fields
+
+
+def intervals(hint):
+    """The Interval domains ``hint`` declares, through ``X | None``."""
+    if get_origin(hint) is Annotated:
+        return [domain for domain in hint.__metadata__ if isinstance(domain, Interval)]
+    return [domain for arg in get_args(hint) for domain in intervals(arg)]
+
+
+def test_readme_field_table_matches_the_code():
+    """Every leaf is named in the README table, its row printing each interval it is checked
+    against; a list item's interval is on its list's row."""
+    fields = readme_fields()
+    for path, hint in LEAVES:
+        name = ".".join(key for key in path if isinstance(key, str))
+        assert name in fields, f"README field table does not name {name}"
+        for domain in intervals(hint):
+            assert str(domain) in fields[name], f"{name}: {fields[name]!r} lacks {domain}"
+    for key in cli.FETCH_KEYS:
+        assert f"data.fetch.{key}" in fields
+
+
 @pytest.mark.parametrize(
     "path,hint,value", CASES,
     ids=[f"{'.'.join(map(str, path))}={json.dumps(value)}" for path, _, value in CASES])
@@ -104,8 +134,8 @@ def test_a_mutated_leaf_is_refused_or_runs_clean(tmp_path, monkeypatch, capsys, 
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c.json").write_text(json.dumps(mutated(resolved(), path, value)))
     out = tmp_path / "run"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = cli.main(["--config", "c.json", "train"])
         if code == cli.EXIT_OK:
             code = cli.main(["--config", "c.json", "backtest"])
@@ -119,7 +149,6 @@ def test_a_mutated_leaf_is_refused_or_runs_clean(tmp_path, monkeypatch, capsys, 
         assert "would train no update" in err and not out.exists()
     if code != cli.EXIT_OK:
         return
-    assert [str(w.message) for w in caught] == []
     for artifact in out.rglob("*"):
         if artifact.is_file() and not artifact.name.endswith("_diverged.json"):
             match = NON_FINITE.search(artifact.read_text())

@@ -1,12 +1,14 @@
 """Trust-region step: CG solver, Fisher products, KL budget, restore paths."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from drltrade.agents import conjugate_gradient, fisher_vector_product, gaussian_kl, trpo_step
 from drltrade.agents.ppo import log_std_mask
 from drltrade.agents.trpo import surrogate
-from drltrade.errors import NonFiniteDirection, ShapeMismatch
+from drltrade.errors import ShapeMismatch
 from drltrade.neural import GaussianPolicy
 
 
@@ -142,22 +144,28 @@ def test_zero_budget_restores_bit_identical():
     assert np.array_equal(policy.params(), before)
 
 
-def test_non_finite_advantages_warn_and_noop():
+def test_non_finite_advantages_noop():
+    """A skipped step is recorded in ``accepted`` alone, without a warning."""
     policy, obs, pre, advantages, log_probs = make_batch(seed=4)
     advantages = advantages.copy()
     advantages[0] = np.inf
     before = policy.params().copy()
-    with pytest.warns(NonFiniteDirection), np.errstate(invalid="ignore"):
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        warnings.simplefilter("error")
         stats = trpo_step(policy, obs, pre, advantages, log_probs)
     assert not stats.accepted
+    assert (stats.step_fraction, stats.kl, stats.improvement) == (0.0, 0.0, 0.0)
     assert np.array_equal(policy.params(), before)
 
 
-def test_zero_gradient_degenerate_direction_warns():
+def test_zero_gradient_degenerate_direction_noops():
     policy, obs, pre, _, log_probs = make_batch(seed=5)
-    with pytest.warns(NonFiniteDirection):
+    before = policy.params().copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         stats = trpo_step(policy, obs, pre, np.zeros(len(obs)), log_probs)
     assert not stats.accepted
+    assert np.array_equal(policy.params(), before)
 
 
 def test_entropy_coefficient_raises_log_std():
