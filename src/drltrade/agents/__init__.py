@@ -14,7 +14,6 @@ from .buffers import (
 from .gail import (
     ExpertDataset,
     GailConfig,
-    GailResult,
     discriminator_loss_and_grads,
     gail_discriminator_update,
     gail_reward,
@@ -22,11 +21,10 @@ from .gail import (
     generate_expert_dataset,
     save_expert_dataset,
 )
-from .ppo import PpoConfig, PpoResult, ppo_surrogate, ppo_train
+from .ppo import PpoConfig, ppo_surrogate, ppo_train
 from .sac import (
     SacConfig,
     SacNets,
-    SacResult,
     alpha_gradient,
     make_sac_nets,
     polyak_update,

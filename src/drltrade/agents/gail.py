@@ -9,7 +9,7 @@ from the relabeled rewards; actions enter the discriminator pre-squash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
@@ -201,24 +201,12 @@ def gail_reward(disc: Mlp, obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
     return -np.log(d)
 
 
-@dataclass
-class GailResult(TrainResult):
-    policy: GaussianPolicy
-    value_net: Mlp
-    discriminator: Mlp
-    history: list[dict] = field(default_factory=list)
-
-    def named_nets(self) -> dict:
-        return {"policy": self.policy, "value_net": self.value_net,
-                "discriminator": self.discriminator}
-
-
 def gail_train(
     env: TradingEnv,
     expert: ExpertDataset,
     config: GailConfig,
     rng: np.random.Generator,
-) -> GailResult:
+) -> TrainResult:
     """Alternate rollouts, discriminator steps, and trust-region policy steps."""
     if expert.obs.shape[1] != env.observation_dim:
         raise ValueError(
@@ -229,7 +217,7 @@ def gail_train(
     disc = Mlp((env.observation_dim + env.action_dim,) + config.hidden + (1,), rng)
     disc_opt = Adam(disc.params(), lr=config.disc_learning_rate)
     value_opt = Adam(value_net.params(), lr=config.value_lr)
-    result = GailResult(policy=policy, value_net=value_net, discriminator=disc)
+    result = TrainResult({"policy": policy, "value_net": value_net, "discriminator": disc})
     n_iters = config.total_timesteps // config.horizon
     env.reset()
     for it in range(n_iters):

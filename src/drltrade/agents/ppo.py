@@ -8,7 +8,7 @@ r*A wherever the unclipped branch is active and zero otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
@@ -25,7 +25,7 @@ from ..neural import (
     check_finite,
     flatten_params,
 )
-from .buffers import RolloutBuffer, collect_rollout, rollout_advantages
+from .buffers import collect_rollout, rollout_advantages
 
 
 @dataclass(frozen=True)
@@ -127,27 +127,17 @@ def ppo_surrogate(
     return stats, policy_grads, value_grads
 
 
-@dataclass
-class PpoResult(TrainResult):
-    policy: GaussianPolicy
-    value_net: Mlp
-    history: list[dict] = field(default_factory=list)
-
-    def named_nets(self) -> dict:
-        return {"policy": self.policy, "value_net": self.value_net}
-
-
 def ppo_train(
     env: TradingEnv,
     config: PpoConfig,
     rng: np.random.Generator,
-) -> PpoResult:
+) -> TrainResult:
     """Alternate rollout collection and clipped-surrogate epochs."""
     policy = GaussianPolicy(env.observation_dim, env.action_dim, config.hidden, rng)
     value_net = Mlp((env.observation_dim,) + config.hidden + (1,), rng)
     policy_opt = Adam(policy.params(), lr=config.learning_rate)
     value_opt = Adam(value_net.params(), lr=config.learning_rate)
-    result = PpoResult(policy=policy, value_net=value_net)
+    result = TrainResult({"policy": policy, "value_net": value_net})
     n_updates = config.total_timesteps // config.n_steps
     episode_return = 0.0
     last_episode_return = float("nan")

@@ -14,7 +14,7 @@ and dQ/da comes from the critic's input gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
@@ -56,13 +56,6 @@ class SacNets:
     @property
     def alpha(self) -> float:
         return float(np.exp(self.log_alpha[0]))
-
-    def named_nets(self) -> dict:
-        """The policy and the four critics, under their checkpoint names."""
-        q1, q2 = self.critics.members()
-        q1_target, q2_target = self.targets.members()
-        return {"policy": self.policy, "q1": q1, "q2": q2,
-                "q1_target": q1_target, "q2_target": q2_target}
 
 
 def make_sac_nets(obs_dim: int, act_dim: int, config: SacConfig,
@@ -194,20 +187,14 @@ def sac_update(nets: SacNets, buffer: ReplayBuffer, config: SacConfig,
     }
 
 
-@dataclass
-class SacResult(TrainResult):
-    nets: SacNets
-    history: list[dict] = field(default_factory=list)
-
-    def named_nets(self) -> dict:
-        return {**self.nets.named_nets(), "log_alpha": self.nets.log_alpha}
-
-
-def sac_train(env: TradingEnv, config: SacConfig, rng: np.random.Generator) -> SacResult:
+def sac_train(env: TradingEnv, config: SacConfig, rng: np.random.Generator) -> TrainResult:
     """Stochastic stepping into the replay ring, one update per step once warm."""
     nets = make_sac_nets(env.observation_dim, env.action_dim, config, rng)
     buffer = ReplayBuffer(config.buffer_size, env.observation_dim, env.action_dim)
-    result = SacResult(nets=nets)
+    q1, q2 = nets.critics.members()
+    q1_target, q2_target = nets.targets.members()
+    result = TrainResult({"policy": nets.policy, "q1": q1, "q2": q2, "q1_target": q1_target,
+                          "q2_target": q2_target, "log_alpha": nets.log_alpha})
     episode_return = 0.0
     last_episode_return = float("nan")
     obs = env.reset()

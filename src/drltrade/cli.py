@@ -42,7 +42,7 @@ from .backtest import (
 )
 from .domains import Checked, Interval, Natural, check, hints
 from .env import EnvConfig, TradingEnv
-from .errors import DimensionMismatch, DivergenceDetected, NetworkError
+from .errors import DimensionMismatch, DivergenceDetected
 from .features import (
     FeatureConfig,
     Normalizer,
@@ -81,11 +81,10 @@ UPDATE_FLOORS = {
     "gail": [("total_timesteps", "horizon")],
 }
 
-# The checkpoint entries each reader decodes; the rest (value, critic and
-# discriminator nets) is syntax-checked but not converted.
-BACKTEST_KEYS = ("kind", "policy", "feature_config", "env_config", "normalizer",
-                 "split_fraction")
-EXPERT_KEYS = ("policy", "feature_config", "normalizer")
+# The checkpoint entries _read_checkpoint decodes; the rest (value, critic
+# and discriminator nets) is syntax-checked but not converted.
+CHECKPOINT_KEYS = ("kind", "policy", "feature_config", "env_config", "normalizer",
+                   "split_fraction")
 
 
 # The keys of a data.synthetic block and their defaults: make_sine_series's
@@ -254,8 +253,8 @@ def resolve_series(config: RunConfig, transport=None) -> KlineSeries:
     }
     if cache.exists() and _read_key(key_path) == key:
         return load_klines_csv(cache, symbol=config.symbol, interval_ms=interval_ms)
-    client = BinanceClient(transport=transport) if transport else BinanceClient()
-    series = client.fetch_klines(config.symbol, config.interval, key["start_ms"], key["end_ms"])
+    series = BinanceClient(transport=transport).fetch_klines(
+        config.symbol, config.interval, key["start_ms"], key["end_ms"])
     cache.parent.mkdir(parents=True, exist_ok=True)
     key_path.unlink(missing_ok=True)
     save_klines_csv(series, cache)
@@ -407,18 +406,19 @@ def _save_trained(config: RunConfig, algo: str, base: dict, result) -> None:
 def _expert_dataset(config: RunConfig, base: dict, train_env: TradingEnv) -> ExpertDataset:
     """GAIL's expert pairs, from the PPO checkpoint in ``out`` or one trained now.
 
-    A stored expert is refused when it saw other features or another
-    normalizer than this run: its observations would mean something else.
+    A stored expert is read as ``backtest`` reads a checkpoint, and refused
+    when it saw other features or another normalizer than this run: its
+    observations would mean something else.
     """
     out = Path(config.out)
     ppo_ckpt = out / "checkpoints" / "ppo.json"
     if ppo_ckpt.exists():
-        doc = load_checkpoint(ppo_ckpt, EXPERT_KEYS)
-        for key in ("feature_config", "normalizer"):
-            if json.dumps(doc[key], sort_keys=True) != json.dumps(base[key], sort_keys=True):
+        _, policy, run, normalizer = _read_checkpoint(ppo_ckpt, config)
+        for key, value in (("feature_config", asdict(run.features)),
+                           ("normalizer", normalizer_to_json(normalizer))):
+            if value != base[key]:
                 raise ValueError(f"expert {ppo_ckpt} was trained with another {key} "
                                  f"than this run; remove it or train with --out elsewhere")
-        policy = _decode_policy(ppo_ckpt, doc)
     else:
         result = ppo_train(train_env, config.ppo, np.random.default_rng(config.seed))
         _save_trained(config, "ppo", base, result)
@@ -439,16 +439,29 @@ def _decode(path: Path, doc: dict, key: str, decode):
         raise ValueError(f"checkpoint {path} has a malformed {key} entry") from None
 
 
-def _decode_policy(path: Path, doc: dict) -> GaussianPolicy:
-    """The checkpoint's policy, refused if a parameter is not finite.
+def _read_checkpoint(path: Path,
+                     config: RunConfig) -> tuple[str, GaussianPolicy, RunConfig, Normalizer]:
+    """The checkpoint's algorithm, policy, ``config`` with its features, env
+    and split, and normalizer, each checked by the config's rules.
 
-    A NaN mean would read as "hold" on every bar: a backtest would pass it for
-    a report, and GAIL would imitate the expert pairs it generates.
+    ``kind`` names report files, so it must name an algorithm. A policy with a
+    non-finite parameter is refused: a NaN mean reads as "hold" on every bar,
+    so a backtest would pass it for a report and GAIL would imitate it.
     """
+    doc = load_checkpoint(path, CHECKPOINT_KEYS)
+    where = f"checkpoint {path}"
+    algo = check(hints(RunConfig)["algo"], doc["kind"], f"{where} kind")
     policy = _decode(path, doc, "policy", GaussianPolicy.from_json)
     if not np.isfinite(policy.params()).all():
-        raise ValueError(f"checkpoint {path} has a policy with non-finite parameters")
-    return policy
+        raise ValueError(f"{where} has a policy with non-finite parameters")
+    run = replace(
+        config,
+        features=_block(FeatureConfig, doc["feature_config"], f"{where} feature_config"),
+        env=_block(EnvConfig, doc["env_config"], f"{where} env_config"),
+        split_fraction=_value(hints(RunConfig)["split_fraction"], doc["split_fraction"],
+                              f"{where} split_fraction"),
+    )
+    return algo, policy, run, _decode(path, doc, "normalizer", normalizer_from_json)
 
 
 def cmd_backtest(config: RunConfig, checkpoint: str | None, force: bool) -> int:
@@ -456,25 +469,11 @@ def cmd_backtest(config: RunConfig, checkpoint: str | None, force: bool) -> int:
     ckpt_path = Path(checkpoint) if checkpoint else out / "checkpoints" / f"{config.algo}.json"
     if not ckpt_path.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt_path}")
-    doc = load_checkpoint(ckpt_path, BACKTEST_KEYS)
-    # kind names the report files, so it must name an algorithm
-    algo = check(hints(RunConfig)["algo"], doc["kind"], f"checkpoint {ckpt_path} kind")
+    algo, policy, run, normalizer = _read_checkpoint(ckpt_path, config)
     report_path = out / "reports" / f"{algo}_report.json"
     if report_path.exists() and not force:
         print(f"refusing to overwrite {report_path} (use --force)", file=sys.stderr)
         return EXIT_REFUSED
-    policy = _decode_policy(ckpt_path, doc)
-    where = f"checkpoint {ckpt_path}"
-    feature_config = _block(FeatureConfig, doc["feature_config"], f"{where} feature_config")
-    env_config = _block(EnvConfig, doc["env_config"], f"{where} env_config")
-    normalizer = _decode(ckpt_path, doc, "normalizer", normalizer_from_json)
-    run = replace(
-        config,
-        features=feature_config,
-        env=env_config,
-        split_fraction=_value(hints(RunConfig)["split_fraction"], doc["split_fraction"],
-                              f"{where} split_fraction"),
-    )
     _, test_env, _ = prepare(run, normalizer=normalizer)
     if policy.obs_dim != test_env.observation_dim:
         raise DimensionMismatch(
@@ -559,7 +558,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_MISSING
-    except (NetworkError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

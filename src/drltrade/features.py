@@ -113,23 +113,32 @@ def build_feature_matrix(series: KlineSeries, config: FeatureConfig = FeatureCon
 
     A column's warm-up is its leading run of NaN. A value that is not finite
     from valid_from on is refused: it would reach the normalizer and every
-    observation window over it.
+    observation window over it. A column that is NaN on every bar is refused
+    by name when computing the columns overflowed (prices near the float
+    limit), and as a series too short for its warm-up otherwise.
     """
     n = len(series)
     calls: dict = {}
     cols = []
+    overflows = []
     for name in config.columns:
         try:
-            # prices near the float limit overflow here; the check below refuses
-            with np.errstate(all="ignore"):
+            # prices near the float limit overflow here; the checks below refuse
+            with np.errstate(all="ignore", over="call", call=lambda *_: overflows.append(1)):
                 cols.append(_column_series(series, name, config, calls))
         except TooShort as exc:
             raise TooShort(f"series too short for column {name!r}: {exc}") from exc
     # A column's NaN count is at least its NaN prefix, so valid_from is at
     # least every column's warm-up; every row from valid_from on is then
     # checked to be finite.
-    valid_from = max(int(np.count_nonzero(np.isnan(col))) for col in cols)
+    nan_counts = [int(np.count_nonzero(np.isnan(col))) for col in cols]
+    valid_from = max(nan_counts)
     if valid_from >= n:
+        if overflows:
+            raise InvariantViolation(
+                f"column {config.columns[nan_counts.index(n)]!r} is NaN on all {n} bars: "
+                f"computing the features overflowed, the prices are too large"
+            )
         raise TooShort(
             f"series of {n} bars never clears the largest warm-up ({valid_from})"
         )

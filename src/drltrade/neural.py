@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -242,28 +242,37 @@ def _assign(theta: np.ndarray, values: np.ndarray) -> None:
     theta[:] = values
 
 
+@dataclass
 class TrainResult:
-    """What training returns; its ``named_nets()`` lists what a checkpoint stores.
+    """What training returns: the networks a checkpoint stores and the log rows.
 
-    That dict maps each checkpoint name to a network, or to a bare parameter
-    array such as SAC's ``log_alpha``, in checkpoint order.
+    ``nets`` maps each checkpoint name to a network, or to a bare parameter
+    array such as SAC's ``log_alpha``, in checkpoint order; its entries are
+    the live objects training updates.
     """
+
+    nets: dict
+    history: list[dict] = field(default_factory=list)
+
+    @property
+    def policy(self) -> GaussianPolicy:
+        return self.nets["policy"]
 
     def networks_json(self) -> dict:
         """The trained networks a checkpoint stores, keyed by name."""
         return {name: net.tolist() if isinstance(net, np.ndarray) else net.to_json()
-                for name, net in self.named_nets().items()}
+                for name, net in self.nets.items()}
 
 
 def check_finite(step: int, stats: dict, result: TrainResult) -> None:
     """Raise DivergenceDetected if an update left a NaN or an inf behind.
 
     Every value in ``stats`` is looked at, then every entry of
-    ``result.named_nets()`` in order; the first non-finite one is named. The
+    ``result.nets`` in order; the first non-finite one is named. The
     exception carries ``result.networks_json()`` and ``step``.
     """
     params = {name: net if isinstance(net, np.ndarray) else net.params()
-              for name, net in result.named_nets().items()}
+              for name, net in result.nets.items()}
     for name, value in {**stats, **params}.items():
         if not np.isfinite(value).all():
             raise DivergenceDetected(f"non-finite {name} at step {step}",

@@ -426,7 +426,7 @@ def test_criterion_09_sine_profitability(sine_lab, ppo_runs):
         started = time.monotonic()
         result = sac_train(sine_lab.train_env, sac_config, np.random.default_rng(seed))
         sac_max_s = max(sac_max_s, time.monotonic() - started)
-        sac_hits += sine_lab.held_out_profit(result.nets.policy) > 0.0
+        sac_hits += sine_lab.held_out_profit(result.policy) > 0.0
 
     ok = ppo_hits >= 4 and sac_hits >= 4 and ppo_max_s < 600.0 and sac_max_s < 600.0
     report_criterion(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from drltrade import cli
+from drltrade import cli, market_data
 from drltrade.agents import GailConfig, PpoConfig, SacConfig
 from drltrade.env import EnvConfig
 from drltrade.errors import InvariantViolation, NetworkError
@@ -346,8 +346,9 @@ def test_failed_forced_fetch_keeps_the_csv(tmp_path, monkeypatch, capsys):
     def unreachable(url, params, timeout):
         raise NetworkError("connection refused")
 
-    monkeypatch.setattr(cli, "BinanceClient",
-                        partial(BinanceClient, transport=unreachable, sleep=lambda s: None))
+    # every client the fetch builds reaches only ``unreachable``, and retries at once
+    monkeypatch.setattr(market_data, "_default_transport", unreachable)
+    monkeypatch.setattr(cli, "BinanceClient", partial(BinanceClient, sleep=lambda s: None))
     cfg = write_config(tmp_path / "c.json", out,
                        data={"fetch": {"start": "2021-01-01", "end": "2021-01-02"}})
     assert cli.main(["--config", str(cfg), "--force", "fetch"]) == cli.EXIT_RUNTIME
@@ -433,7 +434,9 @@ def test_train_refuses_a_split_too_short_for_an_episode(tmp_path, capsys, split_
 @pytest.mark.parametrize(
     "columns,message",
     [(["close", "return"], "column 'close' has a non-finite mean or spread over rows 0:96"),
-     (list(FeatureConfig.columns), "error: ")],
+     (list(FeatureConfig.columns),
+      "error: column 'macd' is NaN on all 120 bars: computing the features overflowed, "
+      "the prices are too large\n")],
     ids=["normalizer", "indicators"],
 )
 def test_prices_near_the_float_limit_are_refused_without_a_warning(tmp_path, capsys, columns,
@@ -819,3 +822,58 @@ def test_gail_refuses_an_expert_of_other_features(tmp_path, capsys, gail_patch, 
     assert not (out / "checkpoints" / "gail.json").exists()
     assert not (out / "data" / "expert.csv").exists()
     assert (out / "checkpoints" / "ppo.json").read_bytes() == expert_bytes
+
+
+@pytest.mark.parametrize(
+    "key,malform",
+    [
+        ("env_config", lambda env: {**env, "fee_rate": 1.5}),
+        ("split_fraction", lambda split: 1.5),
+        ("kind", lambda kind: "../x"),
+    ],
+    ids=["fee_rate", "split_fraction", "kind"],
+)
+def test_gail_refuses_an_expert_entry_out_of_its_domain(tmp_path, capsys, key, malform):
+    """The expert is read as backtest reads a checkpoint: every entry by the config's rules."""
+    out = tmp_path / "run"
+    ppo_cfg = write_config(tmp_path / "ppo.json", out)
+    gail_cfg = write_config(tmp_path / "gail.json", out, algo="gail")
+    assert cli.main(["--config", str(ppo_cfg), "train"]) == cli.EXIT_OK
+    expert = out / "checkpoints" / "ppo.json"
+    doc = json.loads(expert.read_text())
+    doc[key] = malform(doc[key])
+    write_json(expert, doc)
+    capsys.readouterr()
+    assert cli.main(["--config", str(gail_cfg), "train"]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {expert} {key}") and err.count("\n") == 1, err
+    for rel in ("checkpoints/gail.json", "logs/gail_train.csv", "data/expert.csv"):
+        assert not (out / rel).exists(), rel
+
+
+def test_gail_reuses_an_expert_whose_features_differ_only_in_number_type(tmp_path):
+    """A bollinger_m of 2 in the GAIL config is the 2.0 the expert was trained with."""
+    out = tmp_path / "run"
+    ppo_cfg = write_config(tmp_path / "ppo.json", out)
+    gail_cfg = write_config(tmp_path / "gail.json", out, algo="gail",
+                            features={**BASE_CONFIG["features"], "bollinger_m": 2})
+    assert cli.main(["--config", str(ppo_cfg), "train"]) == cli.EXIT_OK
+    assert cli.main(["--config", str(gail_cfg), "train"]) == cli.EXIT_OK
+    assert (out / "checkpoints" / "gail.json").exists()
+
+
+def test_backtest_refuses_a_bad_policy_before_an_existing_report(trained, tmp_path, capsys):
+    """The checkpoint is read whole before the overwrite check: a non-finite policy
+    exits 1 even where its report exists, and the report is left as it was."""
+    cfg, out = trained
+    doc = json.loads((out / "checkpoints" / "ppo.json").read_text())
+    doc["policy"]["log_std"][0] = float("nan")
+    ckpt = tmp_path / "ppo.json"
+    ckpt.write_text(json.dumps(doc))
+    report = out / "reports" / "ppo_report.json"
+    before = report.read_bytes()
+    code = cli.main(["--config", str(cfg), "backtest", "--checkpoint", str(ckpt)])
+    assert code == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {ckpt} has a policy with non-finite parameters\n")
+    assert report.read_bytes() == before

@@ -26,6 +26,7 @@ from drltrade.features import (
     normalizer_to_json,
 )
 from drltrade.market_data import KlineSeries
+from drltrade.synthetic import make_sine_series
 
 
 def test_default_columns_and_dims(random_series):
@@ -95,6 +96,16 @@ def test_too_short_messages(rng):
     with pytest.raises(TooShort, match=r"^series of 25 bars never clears the largest "
                        r"warm-up \(25\)$"):
         build_feature_matrix(short, FeatureConfig(columns=("sma30", "close")))
+
+
+@pytest.mark.parametrize("column", ["macd", "boll_upper", "boll_lower"])
+def test_a_column_that_overflows_on_every_bar_is_named(column):
+    """Near the float limit a column can be NaN on every bar, as a too-short one is;
+    the overflow tells them apart."""
+    series = make_sine_series(120, base=1e308)
+    with pytest.raises(InvariantViolation, match=rf"^column '{column}' is NaN on all 120 bars: "
+                       r"computing the features overflowed, the prices are too large$"):
+        build_feature_matrix(series, FeatureConfig(columns=("close", column)))
 
 
 def test_return_column(random_series):

@@ -234,8 +234,8 @@ def test_train_history_and_determinism(rng):
         assert 0.0 <= row["imitation_reward_mean"] <= -np.log(1e-8)
     repeat = run()
     assert result.policy.to_json() == repeat.policy.to_json()
-    assert result.value_net.to_json() == repeat.value_net.to_json()
-    assert result.discriminator.to_json() == repeat.discriminator.to_json()
+    for name in ("value_net", "discriminator"):
+        assert result.nets[name].to_json() == repeat.nets[name].to_json()
     assert result.history == repeat.history
 
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import make_random_series
-from drltrade.agents import PpoConfig, PpoResult, ppo_surrogate, ppo_train
+from drltrade.agents import PpoConfig, ppo_surrogate, ppo_train
 from drltrade.agents.ppo import log_std_mask
 from drltrade.env import EnvConfig, TradingEnv
 from drltrade.errors import DivergenceDetected
 from drltrade.features import FeatureConfig, build_feature_matrix, fit_normalizer, normalize
-from drltrade.neural import GaussianPolicy, Mlp, check_finite
+from drltrade.neural import GaussianPolicy, Mlp, TrainResult, check_finite
 from oracles import fd_gradient, vector_rel_error
 
 OBS_DIM = 3
@@ -164,7 +164,7 @@ def test_config_validation():
 
 def test_check_finite_raises_with_artifacts(rng):
     policy, value_net = make_nets(rng)
-    result = PpoResult(policy=policy, value_net=value_net)
+    result = TrainResult({"policy": policy, "value_net": value_net})
     check_finite(10, {"loss": 1.0}, result)  # sane state passes
     with pytest.raises(DivergenceDetected) as info:
         check_finite(10, {"loss": float("nan")}, result)
@@ -207,5 +207,5 @@ def test_train_history_and_determinism(rng):
     env2 = make_env(np.random.default_rng(0))
     repeat = ppo_train(env2, config, np.random.default_rng(3))
     assert result.policy.to_json() == repeat.policy.to_json()
-    assert result.value_net.to_json() == repeat.value_net.to_json()
+    assert result.nets["value_net"].to_json() == repeat.nets["value_net"].to_json()
     assert result.history == repeat.history

@@ -187,23 +187,36 @@ def test_stacked_update_is_bit_identical_to_the_twin_loop_update():
     assert nets.log_alpha.tobytes() == twin.log_alpha.tobytes()
 
 
-def test_train_defers_updates_until_learning_starts(rng):
+def train_keeping_nets(monkeypatch, env, config, rng):
+    """sac_train's result and the SacNets it updated, caught from make_sac_nets."""
+    made = []
+    real_make = sac.make_sac_nets
+
+    def make(*args):
+        made.append(real_make(*args))
+        return made[-1]
+
+    monkeypatch.setattr(sac, "make_sac_nets", make)
+    return sac_train(env, config, rng), made[0]
+
+
+def test_train_defers_updates_until_learning_starts(rng, monkeypatch):
     env = make_env(rng)
     config = small_config(learning_starts=100, total_timesteps=24)
-    result = sac_train(env, config, np.random.default_rng(1))
+    result, nets = train_keeping_nets(monkeypatch, env, config, np.random.default_rng(1))
     # never warm: no optimizer ever stepped, history rows carry no stats
-    assert result.nets.policy_opt.t == 0
-    assert result.nets.critics_opt.t == 0
-    assert result.nets.alpha + 0 == pytest.approx(config.alpha_init)
+    assert nets.policy_opt.t == 0
+    assert nets.critics_opt.t == 0
+    assert nets.alpha + 0 == pytest.approx(config.alpha_init)
     assert all(set(row) == {"step", "episode_return"} for row in result.history)
 
 
-def test_train_updates_once_warm_and_logs(rng):
+def test_train_updates_once_warm_and_logs(rng, monkeypatch):
     env = make_env(rng)
     config = small_config()
-    result = sac_train(env, config, np.random.default_rng(1))
+    result, nets = train_keeping_nets(monkeypatch, env, config, np.random.default_rng(1))
     # one update per step from the step where the buffer reaches 8
-    assert result.nets.policy_opt.t == config.total_timesteps - config.learning_starts + 1
+    assert nets.policy_opt.t == config.total_timesteps - config.learning_starts + 1
     assert [row["step"] for row in result.history] == [8, 16, 24]
     last = result.history[-1]
     assert {"critic_loss", "actor_loss", "alpha", "batch_entropy"} <= set(last)
@@ -242,7 +255,7 @@ def test_train_checks_finiteness_after_every_update(rng, monkeypatch, poison):
             if poison == "critic_loss":
                 stats["critic_loss"] = float("nan")
             else:
-                nets.named_nets()["q2_target"].params()[0] = np.nan
+                nets.targets.members()[1].params()[0] = np.nan
         return stats
 
     monkeypatch.setattr(sac, "sac_update", update)
@@ -257,10 +270,10 @@ def test_train_determinism(rng):
     config = small_config()
     first = sac_train(make_env(np.random.default_rng(5)), config, np.random.default_rng(2))
     second = sac_train(make_env(np.random.default_rng(5)), config, np.random.default_rng(2))
-    assert first.nets.policy.to_json() == second.nets.policy.to_json()
-    assert first.nets.critics.params().tobytes() == second.nets.critics.params().tobytes()
-    assert first.nets.targets.params().tobytes() == second.nets.targets.params().tobytes()
-    assert first.nets.log_alpha[0] == second.nets.log_alpha[0]
+    assert first.policy.to_json() == second.policy.to_json()
+    for name in ("q1", "q2", "q1_target", "q2_target"):
+        assert first.nets[name].params().tobytes() == second.nets[name].params().tobytes()
+    assert first.nets["log_alpha"][0] == second.nets["log_alpha"][0]
     assert len(first.history) == len(second.history)
     for a, b in zip(first.history, second.history):
         assert set(a) == set(b)
