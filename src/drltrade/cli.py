@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 runtime failure, 2 missing input, 3 refused overwrite.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
@@ -81,10 +82,10 @@ UPDATE_FLOORS = {
     "gail": [("total_timesteps", "horizon")],
 }
 
-# The checkpoint entries _read_checkpoint decodes; the rest (value, critic
-# and discriminator nets) is syntax-checked but not converted.
+# The checkpoint entries _read_checkpoint decodes; the other networks (value,
+# critic and discriminator nets) are parsed but not decoded.
 CHECKPOINT_KEYS = ("kind", "policy", "feature_config", "env_config", "normalizer",
-                   "split_fraction")
+                   "split_fraction", "train_data")
 
 
 # The keys of a data.synthetic block and their defaults: make_sine_series's
@@ -338,7 +339,22 @@ def prepare(config: RunConfig,
             normalizer)
 
 
-def _checkpoint_payload(config: RunConfig, normalizer: Normalizer) -> dict:
+def _train_data(train_env: TradingEnv) -> dict:
+    """The train bars' count and the sha256 of their six arrays' little-endian bytes.
+
+    The source is left out: the same bars read from another path are the
+    same training data.
+    """
+    n_train = train_env.episode.stop
+    open_times, *values = train_env.series[:n_train].columns()
+    digest = hashlib.sha256(open_times.astype("<i8").tobytes())
+    for column in values:
+        digest.update(column.astype("<f8").tobytes())
+    return {"n_train": n_train, "sha256": digest.hexdigest()}
+
+
+def _checkpoint_payload(config: RunConfig, normalizer: Normalizer,
+                        train_env: TradingEnv) -> dict:
     return {
         "symbol": config.symbol,
         "interval": config.interval,
@@ -347,6 +363,7 @@ def _checkpoint_payload(config: RunConfig, normalizer: Normalizer) -> dict:
         "feature_config": asdict(config.features),
         "env_config": asdict(config.env),
         "normalizer": normalizer_to_json(normalizer),
+        "train_data": _train_data(train_env),
     }
 
 
@@ -369,7 +386,7 @@ def cmd_train(config: RunConfig, force: bool) -> int:
         return EXIT_REFUSED
     train_env, _, normalizer = prepare(config)
     rng = np.random.default_rng(config.seed)
-    base = _checkpoint_payload(config, normalizer)
+    base = _checkpoint_payload(config, normalizer, train_env)
     ckpt_path.parent.mkdir(parents=True, exist_ok=True)
     (out / "logs").mkdir(parents=True, exist_ok=True)
     _echo_config(config)
@@ -407,18 +424,19 @@ def _expert_dataset(config: RunConfig, base: dict, train_env: TradingEnv) -> Exp
     """GAIL's expert pairs, from the PPO checkpoint in ``out`` or one trained now.
 
     A stored expert is read as ``backtest`` reads a checkpoint, and refused
-    when it saw other features or another normalizer than this run: its
-    observations would mean something else.
+    when it saw other features, another normalizer or other train bars than
+    this run: its observations would mean something else.
     """
     out = Path(config.out)
     ppo_ckpt = out / "checkpoints" / "ppo.json"
     if ppo_ckpt.exists():
-        _, policy, run, normalizer = _read_checkpoint(ppo_ckpt, config)
+        _, policy, run, normalizer, train_data = _read_checkpoint(ppo_ckpt, config)
         for key, value in (("feature_config", asdict(run.features)),
                            ("normalizer", normalizer_to_json(normalizer))):
             if value != base[key]:
                 raise ValueError(f"expert {ppo_ckpt} was trained with another {key} "
                                  f"than this run; remove it or train with --out elsewhere")
+        _check_train_data(ppo_ckpt, train_data, base["train_data"])
     else:
         result = ppo_train(train_env, config.ppo, np.random.default_rng(config.seed))
         _save_trained(config, "ppo", base, result)
@@ -439,10 +457,17 @@ def _decode(path: Path, doc: dict, key: str, decode):
         raise ValueError(f"checkpoint {path} has a malformed {key} entry") from None
 
 
-def _read_checkpoint(path: Path,
-                     config: RunConfig) -> tuple[str, GaussianPolicy, RunConfig, Normalizer]:
+def _check_train_data(path: Path, stored, expected: dict) -> None:
+    """Refuse a checkpoint whose ``train_data`` is not the ``_train_data`` of this run."""
+    if stored != expected:
+        raise ValueError(f"checkpoint {path} was trained on other data than this config names")
+
+
+def _read_checkpoint(path: Path, config: RunConfig
+                     ) -> tuple[str, GaussianPolicy, RunConfig, Normalizer, dict]:
     """The checkpoint's algorithm, policy, ``config`` with its features, env
-    and split, and normalizer, each checked by the config's rules.
+    and split, and normalizer, each checked by the config's rules, and its
+    ``train_data`` as stored, for ``_check_train_data``.
 
     ``kind`` names report files, so it must name an algorithm. A policy with a
     non-finite parameter is refused: a NaN mean reads as "hold" on every bar,
@@ -461,7 +486,8 @@ def _read_checkpoint(path: Path,
         split_fraction=_value(hints(RunConfig)["split_fraction"], doc["split_fraction"],
                               f"{where} split_fraction"),
     )
-    return algo, policy, run, _decode(path, doc, "normalizer", normalizer_from_json)
+    normalizer = _decode(path, doc, "normalizer", normalizer_from_json)
+    return algo, policy, run, normalizer, doc["train_data"]
 
 
 def cmd_backtest(config: RunConfig, checkpoint: str | None, force: bool) -> int:
@@ -469,12 +495,13 @@ def cmd_backtest(config: RunConfig, checkpoint: str | None, force: bool) -> int:
     ckpt_path = Path(checkpoint) if checkpoint else out / "checkpoints" / f"{config.algo}.json"
     if not ckpt_path.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt_path}")
-    algo, policy, run, normalizer = _read_checkpoint(ckpt_path, config)
+    algo, policy, run, normalizer, train_data = _read_checkpoint(ckpt_path, config)
     report_path = out / "reports" / f"{algo}_report.json"
     if report_path.exists() and not force:
         print(f"refusing to overwrite {report_path} (use --force)", file=sys.stderr)
         return EXIT_REFUSED
-    _, test_env, _ = prepare(run, normalizer=normalizer)
+    train_env, test_env, _ = prepare(run, normalizer=normalizer)
+    _check_train_data(ckpt_path, train_data, _train_data(train_env))
     if policy.obs_dim != test_env.observation_dim:
         raise DimensionMismatch(
             f"checkpoint expects {policy.obs_dim}-dim observations, features "

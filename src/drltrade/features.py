@@ -12,6 +12,7 @@ unchanged to test rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,9 +237,21 @@ def normalizer_to_json(normalizer: Normalizer) -> dict:
 
 
 def normalizer_from_json(payload: dict) -> Normalizer:
-    return Normalizer(
-        column_names=tuple(payload["column_names"]),
-        means=np.array(payload["means"], dtype=float),
-        stds=np.array(payload["stds"], dtype=float),
-        fitted_on=tuple(payload["fitted_on"]),
-    )
+    """The normalizer ``normalizer_to_json`` wrote; ValueError for one it could not have.
+
+    ``normalize`` would broadcast a short ``means`` and read a NaN spread as 1,
+    so each of ``means`` and ``stds`` must hold one finite float per column.
+    """
+    names = tuple(payload["column_names"])
+    means, stds, fitted_on = payload["means"], payload["stds"], payload["fitted_on"]
+    for key, values in (("means", means), ("stds", stds)):
+        if not (type(values) is list and len(values) == len(names)
+                and all(type(v) is float and math.isfinite(v) for v in values)):
+            raise ValueError(f"{key} must hold one finite float per column")
+    if min(stds, default=0.0) < 0.0:
+        raise ValueError("stds must not be negative")
+    if not (type(fitted_on) is list and len(fitted_on) == 2
+            and all(type(row) is int for row in fitted_on)):
+        raise ValueError(f"fitted_on must be two ints, got {fitted_on!r}")
+    return Normalizer(column_names=names, means=np.array(means), stds=np.array(stds),
+                      fitted_on=tuple(fitted_on))

@@ -1,13 +1,14 @@
-"""load_checkpoint: json.load's result and refusals, decoding only the keys asked for."""
+"""load_checkpoint: json.load's result and refusals, and the entries asked for."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drltrade import cli
-from drltrade.neural import load_checkpoint, write_json
+from drltrade.neural import CHECKPOINT_FORMAT_VERSION, load_checkpoint, write_json
 from test_cli import write_config
 from test_json_writer import documents
 
@@ -18,14 +19,15 @@ WRITERS = {
     "indent2": lambda path, doc: path.write_text(json.dumps(doc, indent=2)),
 }
 
+VERSION = CHECKPOINT_FORMAT_VERSION
 CHECKPOINT = {
-    "format_version": 1,
+    "format_version": VERSION,
     "kind": "sac",
-    "policy": {"log_std": [-0.5], "mean_net": {"weights": [[[0.25, -1.5e-3]]]}},
-    "q1": {"sizes": [2, 1], "weights": [[[123.456], [7e-05]]], "biases": [[0.0]]},
-    "log_alpha": [0.0],
+    "policy": {"sizes": [1, 1], "theta": "AAAAAAAA0D8AAAAAAAAAAAAAAAAAAOC/"},
+    "q1": {"sizes": [2, 1], "theta": "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"},
+    "log_alpha": [123.456, 7e-05],
 }
-KEYS = ("kind", "policy")  # "q1" and "log_alpha" are only checked
+KEYS = ("kind", "policy")  # "q1" and "log_alpha" are read but not returned
 
 
 def same(a, b) -> bool:
@@ -49,7 +51,7 @@ def readers(path):
     data=st.data(),
 )
 def test_matches_json_load(tmp_path_factory, doc, writer, data):
-    doc = {**doc, "format_version": 1}
+    doc = {**doc, "format_version": VERSION}
     path = tmp_path_factory.getbasetemp() / "ckpt.json"
     WRITERS[writer](path, doc)
     with open(path) as fh:
@@ -70,9 +72,9 @@ def test_reads_a_checkpoint_in_every_layout(tmp_path, writer):
 @pytest.mark.parametrize("keys", [None, ("kind",), ("kind", "q1")])
 def test_last_duplicate_key_wins(tmp_path, keys):
     path = tmp_path / "ckpt.json"
-    path.write_text('{"format_version": 1, "kind": "ppo", "q1": [1.5], "kind": "sac",'
+    path.write_text(f'{{"format_version": {VERSION}, "kind": "ppo", "q1": [1.5], "kind": "sac",'
                     ' "q1": [2.5]}')
-    expected = {"format_version": 1, "kind": "sac", "q1": [2.5]}
+    expected = {"format_version": VERSION, "kind": "sac", "q1": [2.5]}
     assert json.loads(path.read_text()) == expected
     doc = load_checkpoint(path, keys)
     assert doc == (expected if keys is None else {key: expected[key] for key in keys})
@@ -142,10 +144,12 @@ def test_malformed_object_is_refused(tmp_path, text):
 
 def test_format_version_is_checked_when_not_asked_for(tmp_path):
     path = tmp_path / "ckpt.json"
-    write_json(path, {**CHECKPOINT, "format_version": 2})
-    for keys in (None, KEYS):
-        with pytest.raises(ValueError, match="format_version 2"):
-            load_checkpoint(path, keys)
+    for version in (1, VERSION + 1, None, str(VERSION)):
+        write_json(path, {**CHECKPOINT, "format_version": version})
+        for keys in (None, KEYS):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"format_version {version!r} in {path}; this version reads format {VERSION}")):
+                load_checkpoint(path, keys)
 
 
 def test_missing_key_names_the_file_and_the_key(tmp_path):
@@ -158,15 +162,15 @@ def test_missing_key_names_the_file_and_the_key(tmp_path):
 
 
 def test_backtest_refuses_a_corrupt_block_it_does_not_use(tmp_path, capsys):
-    """Skipping the critic's floats is no licence to accept a broken file."""
+    """Backtest decodes no critic, but a file with a broken critic block is refused."""
     out = tmp_path / "run"
     cfg = write_config(tmp_path / "c.json", out, algo="sac")
     assert cli.main(["--config", str(cfg), "train"]) == cli.EXIT_OK
     ckpt = out / "checkpoints" / "sac.json"
     doc = json.loads(ckpt.read_text())
-    doc["q1"]["weights"][0][0][0] = 123.456
+    doc["q1"]["sizes"][0] = 123456
     write_json(ckpt, doc)
-    ckpt.write_text(ckpt.read_text().replace("123.456", "1.2.3"))
+    ckpt.write_text(ckpt.read_text().replace("123456", "1.2.3"))
     capsys.readouterr()
     assert cli.main(["--config", str(cfg), "backtest"]) == cli.EXIT_RUNTIME
     err = capsys.readouterr().err

@@ -1,11 +1,14 @@
 """End-to-end command pipeline: config handling, exit codes, artifacts."""
 
+import base64
 import json
+import math
 import warnings
 from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
@@ -57,6 +60,13 @@ def write_config(path: Path, out: Path, **extra) -> Path:
     doc = {**BASE_CONFIG, "out": str(out), **extra}
     path.write_text(json.dumps(doc))
     return path
+
+
+def edit_theta(entry: dict, edit) -> dict:
+    """A checkpoint network ``entry`` whose decoded parameter vector went through ``edit``."""
+    theta = np.frombuffer(base64.b64decode(entry["theta"]), dtype="<f8")
+    raw = np.asarray(edit(theta.copy()), dtype="<f8").tobytes()
+    return {**entry, "theta": base64.b64encode(raw).decode("ascii")}
 
 
 def test_defaults_without_config_file():
@@ -590,7 +600,8 @@ def _backtest_edited_checkpoint(trained, tmp_path, edit):
 
 
 @pytest.mark.parametrize(
-    "key", ["kind", "policy", "feature_config", "env_config", "normalizer", "split_fraction"]
+    "key", ["kind", "policy", "feature_config", "env_config", "normalizer", "split_fraction",
+            "train_data"]
 )
 def test_backtest_refuses_a_checkpoint_without_a_key_it_reads(trained, tmp_path, capsys, key):
     code, ckpt, other = _backtest_edited_checkpoint(trained, tmp_path, lambda doc: doc.pop(key))
@@ -604,7 +615,7 @@ def test_backtest_refuses_a_checkpoint_without_a_key_it_reads(trained, tmp_path,
     "key,malform",
     [
         ("kind", lambda kind: "../x"),  # would name report files outside reports/
-        ("policy", lambda policy: {"mean_net": policy["mean_net"]}),
+        ("policy", lambda policy: edit_theta(policy, lambda theta: theta[:-1])),
         ("policy", lambda policy: [policy]),
         ("normalizer", lambda norm: {k: v for k, v in norm.items() if k != "means"}),
         ("split_fraction", str),
@@ -628,7 +639,7 @@ def test_backtest_refuses_non_finite_policy(trained, tmp_path, capsys, bad):
     """A NaN weight would hold on every bar and print a normal report."""
     cfg, out = trained
     doc = json.loads((out / "checkpoints" / "ppo.json").read_text())
-    doc["policy"]["mean_net"]["weights"][0][0][0] = float(bad)
+    doc["policy"] = edit_theta(doc["policy"], lambda theta: np.r_[float(bad), theta[1:]])
     ckpt = tmp_path / "ppo_diverged.json"
     ckpt.write_text(json.dumps(doc))
     other = tmp_path / "elsewhere"
@@ -640,6 +651,98 @@ def test_backtest_refuses_non_finite_policy(trained, tmp_path, capsys, bad):
     assert str(ckpt) in captured.err and "non-finite" in captured.err
     assert captured.out == ""
     assert not (other / "reports").exists()
+
+
+def _set_sizes(sizes):
+    def edit(doc):
+        doc["policy"]["sizes"] = sizes(doc["policy"]["sizes"])
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda doc: doc.update(format_version=1), "unsupported checkpoint format_version 1 in"),
+        (lambda doc: doc["policy"].update(theta=[0.25]), "has a malformed policy entry"),
+        (lambda doc: doc["policy"].update(theta="not base64!"), "has a malformed policy entry"),
+        (lambda doc: doc["policy"].update(
+            theta=base64.encodebytes(base64.b64decode(doc["policy"]["theta"])).decode()),
+         "has a malformed policy entry"),
+        (lambda doc: doc.update(policy=edit_theta(doc["policy"], lambda t: np.r_[t, 0.0])),
+         "has a malformed policy entry"),
+        (_set_sizes(lambda sizes: [sizes[0], 8, 0]), "has a malformed policy entry"),
+        (_set_sizes(lambda sizes: [sizes[0], 8.0, 1]), "has a malformed policy entry"),
+        (_set_sizes(lambda sizes: [sizes[0], True, 8, 1]), "has a malformed policy entry"),
+        (_set_sizes(lambda sizes: sizes[:1]), "has a malformed policy entry"),
+        (_set_sizes(lambda sizes: "8,1"), "has a malformed policy entry"),
+    ],
+    ids=["format_version_1", "theta_list", "theta_not_base64", "theta_line_breaks",
+         "theta_byte_count", "sizes_zero", "sizes_float", "sizes_bool", "sizes_one",
+         "sizes_string"],
+)
+def test_backtest_refuses_a_policy_it_cannot_decode(trained, tmp_path, capsys, edit, message):
+    code, ckpt, other = _backtest_edited_checkpoint(trained, tmp_path, edit)
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(ckpt) in err, err
+    assert message in err
+    assert not other.exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda norm: {**norm, "means": norm["means"][:1]},
+        lambda norm: {**norm, "stds": [math.nan] * len(norm["stds"])},
+        lambda norm: {**norm, "stds": [-s for s in norm["stds"]]},
+        lambda norm: {**norm, "means": [math.inf] + norm["means"][1:]},
+        lambda norm: {**norm, "means": [1] + norm["means"][1:]},
+        lambda norm: {**norm, "fitted_on": [float(row) for row in norm["fitted_on"]]},
+        lambda norm: {**norm, "fitted_on": norm["fitted_on"][:1]},
+    ],
+    ids=["means_cut", "stds_nan", "stds_negative", "means_inf", "means_int",
+         "fitted_on_floats", "fitted_on_one"],
+)
+def test_backtest_refuses_a_normalizer_it_cannot_trust(trained, tmp_path, capsys, edit):
+    """A short ``means`` broadcast to a 0-trade report and NaN ``stds`` to a 9-trade one."""
+    def malform(doc):
+        doc["normalizer"] = edit(doc["normalizer"])
+
+    code, ckpt, other = _backtest_edited_checkpoint(trained, tmp_path, malform)
+    assert code == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {ckpt} has a malformed normalizer entry\n")
+    assert not other.exists()
+
+
+def test_backtest_refuses_a_checkpoint_trained_on_other_data(trained, tmp_path, capsys):
+    """Another amplitude names other bars: their test split may overlap the training bars."""
+    cfg, out = trained
+    other = tmp_path / "elsewhere"
+    data = {"synthetic": {**BASE_CONFIG["data"]["synthetic"], "amplitude": 0.2}}
+    other_cfg = write_config(tmp_path / "other.json", other, data=data)
+    ckpt = out / "checkpoints" / "ppo.json"
+    code = cli.main(["--config", str(other_cfg), "backtest", "--checkpoint", str(ckpt)])
+    assert code == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {ckpt} was trained on other data than this config names\n")
+    assert not other.exists()
+
+
+def test_backtest_accepts_the_same_bars_from_another_source(trained, tmp_path):
+    """The fingerprint covers the bars, not where they were read from."""
+    cfg, out = trained
+    fetched = tmp_path / "fetched"
+    assert cli.main(["--config", str(cfg), "--out", str(fetched), "fetch"]) == cli.EXIT_OK
+    csv = tmp_path / "bars.csv"
+    csv.write_bytes((fetched / "data" / "klines.csv").read_bytes())
+    other = tmp_path / "elsewhere"
+    csv_cfg = write_config(tmp_path / "csv.json", other, data={"csv": str(csv)})
+    ckpt = out / "checkpoints" / "ppo.json"
+    code = cli.main(["--config", str(csv_cfg), "backtest", "--checkpoint", str(ckpt)])
+    assert code == cli.EXIT_OK
+    for name in ("ppo_report.json", "ppo_annotated.csv"):
+        assert (other / "reports" / name).read_bytes() == (out / "reports" / name).read_bytes()
 
 
 def test_report_prints_metrics(trained, capsys):
@@ -741,7 +844,7 @@ def test_gail_refuses_a_malformed_expert_policy(tmp_path, capsys):
     assert cli.main(["--config", str(ppo_cfg), "train"]) == cli.EXIT_OK
     expert = out / "checkpoints" / "ppo.json"
     doc = json.loads(expert.read_text())
-    del doc["policy"]["log_std"]
+    doc["policy"] = edit_theta(doc["policy"], lambda theta: theta[:-1])  # no log_std
     write_json(expert, doc)
     capsys.readouterr()
     assert cli.main(["--config", str(gail_cfg), "train"]) == cli.EXIT_RUNTIME
@@ -760,7 +863,7 @@ def test_gail_refuses_a_non_finite_expert_policy(tmp_path, capsys, bad):
     assert cli.main(["--config", str(ppo_cfg), "train"]) == cli.EXIT_OK
     expert = out / "checkpoints" / "ppo.json"
     doc = json.loads(expert.read_text())
-    doc["policy"]["mean_net"]["weights"][0][0][0] = float(bad)
+    doc["policy"] = edit_theta(doc["policy"], lambda theta: np.r_[float(bad), theta[1:]])
     expert.write_text(json.dumps(doc))
     capsys.readouterr()
     assert cli.main(["--config", str(gail_cfg), "train"]) == cli.EXIT_RUNTIME
@@ -851,6 +954,31 @@ def test_gail_refuses_an_expert_entry_out_of_its_domain(tmp_path, capsys, key, m
         assert not (out / rel).exists(), rel
 
 
+def test_gail_refuses_an_expert_trained_on_other_bars(tmp_path, capsys):
+    """Bars that differ only in a column the features skip give the same normalizer,
+    so the expert's data fingerprint is what tells them apart."""
+    fetched = tmp_path / "fetched"
+    cfg = write_config(tmp_path / "fetch.json", fetched)
+    assert cli.main(["--config", str(cfg), "fetch"]) == cli.EXIT_OK
+    lines = (fetched / "data" / "klines.csv").read_text().splitlines(keepends=True)
+    ppo_csv, gail_csv = tmp_path / "ppo.csv", tmp_path / "gail.csv"
+    ppo_csv.write_text("".join(lines))
+    first = lines[1].split(",")  # the first bar's volume, not a feature column
+    lines[1] = ",".join(first[:-1] + [str(float(first[-1]) + 1.0)]) + "\r\n"
+    gail_csv.write_text("".join(lines))
+    out = tmp_path / "run"
+    ppo_cfg = write_config(tmp_path / "ppo.json", out, data={"csv": str(ppo_csv)})
+    gail_cfg = write_config(tmp_path / "gail.json", out, algo="gail", data={"csv": str(gail_csv)})
+    assert cli.main(["--config", str(ppo_cfg), "train"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["--config", str(gail_cfg), "train"]) == cli.EXIT_RUNTIME
+    expert = out / "checkpoints" / "ppo.json"
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {expert} was trained on other data than this config names\n")
+    for rel in ("checkpoints/gail.json", "logs/gail_train.csv", "data/expert.csv"):
+        assert not (out / rel).exists(), rel
+
+
 def test_gail_reuses_an_expert_whose_features_differ_only_in_number_type(tmp_path):
     """A bollinger_m of 2 in the GAIL config is the 2.0 the expert was trained with."""
     out = tmp_path / "run"
@@ -867,7 +995,7 @@ def test_backtest_refuses_a_bad_policy_before_an_existing_report(trained, tmp_pa
     exits 1 even where its report exists, and the report is left as it was."""
     cfg, out = trained
     doc = json.loads((out / "checkpoints" / "ppo.json").read_text())
-    doc["policy"]["log_std"][0] = float("nan")
+    doc["policy"] = edit_theta(doc["policy"], lambda theta: np.r_[theta[:-1], math.nan])
     ckpt = tmp_path / "ppo.json"
     ckpt.write_text(json.dumps(doc))
     report = out / "reports" / "ppo_report.json"

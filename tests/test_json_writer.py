@@ -1,6 +1,5 @@
-"""write_json: the bytes of json.dump(sort_keys=True, indent=1), written in pieces."""
+"""write_json: the bytes of json.dumps(sort_keys=True, indent=1) and a newline."""
 
-import io
 import json
 import math
 
@@ -8,9 +7,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drltrade import cli, neural
+from drltrade import cli
 from drltrade.agents import sac
-from drltrade.neural import GaussianPolicy, Mlp, load_checkpoint, save_checkpoint, write_json
+from drltrade.neural import (
+    CHECKPOINT_FORMAT_VERSION,
+    GaussianPolicy,
+    Mlp,
+    load_checkpoint,
+    save_checkpoint,
+    write_json,
+)
 from oracles import reference_json
 from test_cli import write_config
 
@@ -69,43 +75,20 @@ def test_matches_stdlib_on_edge_document(tmp_path):
         assert path.read_text() == reference_json(top)
 
 
-class RecordingFile(io.StringIO):
-    """A text file that keeps the size of every chunk passed to ``write``."""
-
-    def __init__(self):
-        super().__init__()
-        self.chunks = []
-
-    def write(self, text):
-        self.chunks.append(len(text))
-        return super().write(text)
-
-    def close(self):
-        self.text = self.getvalue()
-        super().close()
-
-
-def test_checkpoint_at_paper_observation_writes_small_chunks(monkeypatch, tmp_path):
-    # 60 bars x 18 features + 2 account entries: about 147k floats, 4 MB of JSON.
+def test_checkpoint_at_paper_observation_is_small(tmp_path):
+    # 60 bars x 18 features + 2 account entries: about 147k parameters, which
+    # took 4 MB as JSON floats and take 8 bytes each as base64 (4/3 x 8 x 147k).
     rng = np.random.default_rng(0)
     obs_dim = 60 * 18 + 2
     payload = {
         "policy": GaussianPolicy(obs_dim, 1, (64, 64), rng).to_json(),
         "value_net": Mlp((obs_dim, 64, 64, 1), rng).to_json(),
     }
-    files = []
-
-    def recording_open(path, mode):
-        files.append(RecordingFile())
-        return files[-1]
-
-    monkeypatch.setattr(neural, "open", recording_open, raising=False)
-    save_checkpoint(tmp_path / "ppo.json", "ppo", payload)
-    (fh,) = files
-    expected = reference_json({"format_version": 1, "kind": "ppo", **payload})
-    assert fh.text == expected
-    assert len(expected) > 4_000_000
-    assert max(fh.chunks) <= 64 * 1024
+    path = tmp_path / "ppo.json"
+    save_checkpoint(path, "ppo", payload)
+    doc = {"format_version": CHECKPOINT_FORMAT_VERSION, "kind": "ppo", **payload}
+    assert path.read_text() == reference_json(doc)
+    assert path.stat().st_size < 2_000_000
 
 
 def test_diverged_sac_checkpoint_with_non_finite_parameters(monkeypatch, tmp_path):

@@ -1,9 +1,12 @@
 """MLP gradients vs finite differences, Adam, the squashed policy, checkpoints."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drltrade.errors import DimensionMismatch, ShapeMismatch
 from drltrade.neural import (
@@ -397,6 +400,52 @@ def test_checkpoint_round_trip_and_determinism(rng, tmp_path):
     restored = GaussianPolicy.from_json(doc["policy"])
     x = rng.normal(size=(2, 3))
     assert np.array_equal(restored.mean_net.forward(x), policy.mean_net.forward(x))
+
+
+# Bit patterns: quiet and signalling NaNs with payloads and either sign, the
+# infinities, both zeros, subnormals and the extremes, or any 64 bits at all.
+EDGE_BITS = [struct.unpack("<Q", struct.pack("<d", x))[0]
+             for x in (float("inf"), float("-inf"), -0.0, 0.0, 5e-324, -5e-324, 2.2e-308,
+                       1.7976931348623157e308)]
+EDGE_BITS += [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+              0x7FF4000000000000, 0xFFF0000000000ABC, 0x7FFFFFFFFFFFFFFF, 0x000FFFFFFFFFFFFF]
+BITS = st.sampled_from(EDGE_BITS) | st.integers(0, 2**64 - 1)
+
+
+def float_bits(values: np.ndarray) -> bytes:
+    return np.asarray(values, dtype="<f8").tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(sizes=st.lists(st.integers(1, 4), min_size=2, max_size=4), k=st.integers(1, 3),
+       data=st.data())
+def test_checkpoint_round_trip_is_bit_exact(tmp_path_factory, sizes, k, data):
+    """Mlp, stack members and GaussianPolicy come back with every bit of every parameter."""
+    rng = np.random.default_rng(0)
+
+    def vector(n):
+        bits = data.draw(st.lists(BITS, min_size=n, max_size=n))
+        return np.array(bits, dtype="<u8").view("<f8").astype(float)
+
+    net = Mlp(sizes, rng)
+    net.params()[:] = vector(net.params().size)
+    stack = Mlp.stack([Mlp(sizes, rng) for _ in range(k)])
+    stack.params()[:] = vector(stack.params().size).reshape(stack.params().shape)
+    policy = GaussianPolicy(sizes[0], sizes[-1], sizes[1:-1], rng)
+    policy.params()[:] = vector(policy.params().size)
+    nets = {"net": net, "policy": policy,
+            **{f"member{i}": member for i, member in enumerate(stack.members())}}
+    path = tmp_path_factory.getbasetemp() / "round_trip.json"
+    save_checkpoint(path, "sac", {name: item.to_json() for name, item in nets.items()})
+    doc = load_checkpoint(path)
+    for name, item in nets.items():
+        back = (GaussianPolicy if name == "policy" else Mlp).from_json(doc[name])
+        assert float_bits(back.params()) == float_bits(item.params()), name
+        assert back.params().flags.writeable and back.params().dtype == np.float64
+    back = GaussianPolicy.from_json(doc["policy"])
+    assert float_bits(back.log_std) == float_bits(policy.log_std)
+    assert float_bits(back.mean_net.params()) == float_bits(policy.mean_net.params())
+    assert np.shares_memory(back.log_std, back.params())
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):

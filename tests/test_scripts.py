@@ -1,10 +1,16 @@
 """The scripts under ``scripts/`` run end to end."""
 
+import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from drltrade import cli
+from drltrade.neural import CHECKPOINT_FORMAT_VERSION, GaussianPolicy, load_checkpoint
+from test_cli import write_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,3 +51,34 @@ def test_bench_pairs_compares_artifact_digests():
     assert not same_artifacts(record, {"artifacts": {"out/a.csv": "ab12"}})
     assert not same_artifacts(record, {})
     assert not same_artifacts({"artifacts": {}}, {"artifacts": {}})
+
+
+def test_checkpoint_info_summarizes_each_network(tmp_path):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.json", out, algo="sac")
+    assert cli.main(["--config", str(cfg), "train"]) == cli.EXIT_OK
+    ckpt = out / "checkpoints" / "sac.json"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = [sys.executable, str(ROOT / "scripts" / "checkpoint_info.py"), str(ckpt)]
+    proc = subprocess.run(script, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = load_checkpoint(ckpt)
+    lines = dict(line.split("\t", 1) for line in proc.stdout.splitlines())
+    assert lines["format_version"] == str(CHECKPOINT_FORMAT_VERSION)
+    assert lines["kind"] == '"sac"'
+    assert json.loads(lines["train_data"]) == doc["train_data"]
+    assert sorted(lines) == sorted(["format_version", "kind", "train_data", "policy", "q1", "q2",
+                                    "q1_target", "q2_target"])
+    policy = GaussianPolicy.from_json(doc["policy"]).params()
+    fields = dict(field.split(" ", 1) for field in lines["policy"].split("\t"))
+    assert fields == {
+        "sizes": str(doc["policy"]["sizes"]),
+        "params": str(policy.size),
+        "finite": "True",
+        "min": str(policy.min()),
+        "max": str(policy.max()),
+        "sha256": hashlib.sha256(policy.astype("<f8").tobytes()).hexdigest(),
+    }
+    ckpt.write_text(ckpt.read_text().replace('"format_version": 2', '"format_version": 1'))
+    proc = subprocess.run(script, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1 and "format_version 1" in proc.stderr
