@@ -29,7 +29,6 @@ from .agents import (
     PpoConfig,
     SacConfig,
     generate_expert_dataset,
-    ppo_train,
     save_expert_dataset,
     write_training_log,
 )
@@ -230,7 +229,7 @@ def _date_ms(text: str) -> int:
     return int(dt.timestamp() * 1000)
 
 
-def resolve_series(config: RunConfig, transport=None) -> KlineSeries:
+def resolve_series(config: RunConfig) -> KlineSeries:
     """Materialize the configured data source as a validated series."""
     interval_ms = INTERVAL_MS[config.interval]
     data = config.data
@@ -254,7 +253,7 @@ def resolve_series(config: RunConfig, transport=None) -> KlineSeries:
     }
     if cache.exists() and _read_key(key_path) == key:
         return load_klines_csv(cache, symbol=config.symbol, interval_ms=interval_ms)
-    series = BinanceClient(transport=transport).fetch_klines(
+    series = BinanceClient().fetch_klines(
         config.symbol, config.interval, key["start_ms"], key["end_ms"])
     cache.parent.mkdir(parents=True, exist_ok=True)
     key_path.unlink(missing_ok=True)
@@ -370,20 +369,21 @@ def _checkpoint_payload(config: RunConfig, normalizer: Normalizer,
 def cmd_train(config: RunConfig, force: bool) -> int:
     out = Path(config.out)
     ckpt_path = out / "checkpoints" / f"{config.algo}.json"
-    trained = [config.algo]
-    if config.algo == "gail" and not (out / "checkpoints" / "ppo.json").exists():
-        trained.append("ppo")  # the expert _expert_dataset trains first
-    for algo in trained:
-        block = getattr(config, algo)
-        for name, floor in UPDATE_FLOORS[algo]:
-            if getattr(block, name) < getattr(block, floor):
-                print(f"invalid configuration: {algo}.{name} {getattr(block, name)} is below "
-                      f"{algo}.{floor} {getattr(block, floor)}: {algo} would train no update",
-                      file=sys.stderr)
-                return EXIT_MISSING
+    block = getattr(config, config.algo)
+    for name, floor in UPDATE_FLOORS[config.algo]:
+        if getattr(block, name) < getattr(block, floor):
+            print(f"invalid configuration: {config.algo}.{name} {getattr(block, name)} is "
+                  f"below {config.algo}.{floor} {getattr(block, floor)}: {config.algo} "
+                  f"would train no update", file=sys.stderr)
+            return EXIT_MISSING
     if ckpt_path.exists() and not force:
         print(f"refusing to overwrite {ckpt_path} (use --force)", file=sys.stderr)
         return EXIT_REFUSED
+    if config.algo == "gail" and not (out / "checkpoints" / "ppo.json").exists():
+        # GAIL's expert is the one `train --algo ppo` writes, so that command trains it
+        code = cmd_train(replace(config, algo="ppo"), force)
+        if code != EXIT_OK:
+            return code
     train_env, _, normalizer = prepare(config)
     rng = np.random.default_rng(config.seed)
     base = _checkpoint_payload(config, normalizer, train_env)
@@ -397,50 +397,35 @@ def cmd_train(config: RunConfig, force: bool) -> int:
         with np.errstate(all="ignore"):
             if config.algo == "gail":
                 train = partial(train, expert=_expert_dataset(config, base, train_env))
-            result = train(train_env, config=getattr(config, config.algo), rng=rng)
+            result = train(train_env, config=block, rng=rng)
     except DivergenceDetected as exc:
         crash_path = out / "checkpoints" / f"{config.algo}_diverged.json"
         save_checkpoint(crash_path, config.algo, {**base, **exc.artifacts})
         print(f"training diverged: {exc}; state saved to {crash_path}", file=sys.stderr)
         return EXIT_RUNTIME
-    _save_trained(config, config.algo, base, result)
+    save_checkpoint(ckpt_path, config.algo,
+                    {**base, "train_config": asdict(block), **result.networks_json()})
+    write_training_log(result.history, out / "logs" / f"{config.algo}_train.csv")
     print(f"wrote {ckpt_path}")
     return EXIT_OK
 
 
-def _save_trained(config: RunConfig, algo: str, base: dict, result) -> None:
-    """Write an algorithm's checkpoint and its training log under ``out``."""
-    out = Path(config.out)
-    payload = {
-        **base,
-        "train_config": asdict(getattr(config, algo)),
-        **result.networks_json(),
-    }
-    save_checkpoint(out / "checkpoints" / f"{algo}.json", algo, payload)
-    write_training_log(result.history, out / "logs" / f"{algo}_train.csv")
-
-
 def _expert_dataset(config: RunConfig, base: dict, train_env: TradingEnv) -> ExpertDataset:
-    """GAIL's expert pairs, from the PPO checkpoint in ``out`` or one trained now.
+    """GAIL's expert pairs, from the PPO checkpoint in ``out``.
 
-    A stored expert is read as ``backtest`` reads a checkpoint, and refused
-    when it saw other features, another normalizer or other train bars than
-    this run: its observations would mean something else.
+    The expert is read as ``backtest`` reads a checkpoint, and refused when
+    it saw other features, another normalizer or other train bars than this
+    run: its observations would mean something else.
     """
     out = Path(config.out)
     ppo_ckpt = out / "checkpoints" / "ppo.json"
-    if ppo_ckpt.exists():
-        _, policy, run, normalizer, train_data = _read_checkpoint(ppo_ckpt, config)
-        for key, value in (("feature_config", asdict(run.features)),
-                           ("normalizer", normalizer_to_json(normalizer))):
-            if value != base[key]:
-                raise ValueError(f"expert {ppo_ckpt} was trained with another {key} "
-                                 f"than this run; remove it or train with --out elsewhere")
-        _check_train_data(ppo_ckpt, train_data, base["train_data"])
-    else:
-        result = ppo_train(train_env, config.ppo, np.random.default_rng(config.seed))
-        _save_trained(config, "ppo", base, result)
-        policy = result.policy
+    _, policy, run, normalizer, train_data = _read_checkpoint(ppo_ckpt, config)
+    for key, value in (("feature_config", asdict(run.features)),
+                       ("normalizer", normalizer_to_json(normalizer))):
+        if value != base[key]:
+            raise ValueError(f"expert {ppo_ckpt} was trained with another {key} "
+                             f"than this run; remove it or train with --out elsewhere")
+    _check_train_data(ppo_ckpt, train_data, base["train_data"])
     gail = config.gail
     expert = generate_expert_dataset(policy, train_env, gail.n_expert_episodes,
                                      gail.traj_limitation)
@@ -568,7 +553,7 @@ def main(argv=None) -> int:
     }
     try:
         config = load_run_config(args.config, overrides)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing config file or one that cannot be read
         print(str(exc), file=sys.stderr)
         return EXIT_MISSING
     except (ValueError, TypeError, json.JSONDecodeError) as exc:
@@ -585,7 +570,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_MISSING
-    except (ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -3,6 +3,7 @@
 import base64
 import json
 import math
+import re
 import warnings
 from dataclasses import asdict, replace
 from functools import partial
@@ -289,6 +290,64 @@ def test_invalid_config_exits_missing(tmp_path, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+def _config_is_a_directory(tmp_path):
+    (tmp_path / "c.json").mkdir()
+    return ["--config", str(tmp_path / "c.json"), "fetch"]
+
+
+def _checkpoint_is_a_directory(tmp_path):
+    (tmp_path / "ckpt.json").mkdir()
+    cfg = write_config(tmp_path / "c.json", tmp_path / "run")
+    return ["--config", str(cfg), "backtest", "--checkpoint", str(tmp_path / "ckpt.json")]
+
+
+def _report_is_a_directory(tmp_path):
+    (tmp_path / "run" / "reports" / "ppo_report.json").mkdir(parents=True)
+    return ["--config", str(write_config(tmp_path / "c.json", tmp_path / "run")), "report"]
+
+
+def _csv_is_a_directory(tmp_path):
+    (tmp_path / "bars.csv").mkdir()
+    cfg = write_config(tmp_path / "c.json", tmp_path / "run",
+                       data={"csv": str(tmp_path / "bars.csv")})
+    return ["--config", str(cfg), "train"]
+
+
+def _out_below_a_file(tmp_path):
+    (tmp_path / "file").write_text("")
+    cfg = write_config(tmp_path / "c.json", tmp_path / "run")
+    return ["--config", str(cfg), "--out", str(tmp_path / "file" / "x"), "train"]
+
+
+def _out_is_a_file(tmp_path):
+    (tmp_path / "file").write_text("")
+    cfg = write_config(tmp_path / "c.json", tmp_path / "run")
+    return ["--config", str(cfg), "--out", str(tmp_path / "file"), "fetch"]
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (_config_is_a_directory, cli.EXIT_MISSING),
+        (_checkpoint_is_a_directory, cli.EXIT_RUNTIME),
+        (_report_is_a_directory, cli.EXIT_RUNTIME),
+        (_csv_is_a_directory, cli.EXIT_RUNTIME),
+        (_out_below_a_file, cli.EXIT_RUNTIME),
+        (_out_is_a_file, cli.EXIT_RUNTIME),
+    ],
+    ids=["config", "checkpoint", "report", "csv", "out_below_a_file", "out_is_a_file"],
+)
+def test_a_path_that_cannot_be_a_file_is_refused(tmp_path, capsys, argv, code):
+    """A directory where a file goes, or a path below a regular file, is refused
+    with the OS error on one line rather than a traceback; a config file's
+    error reads as a missing config's does, the others as runtime errors."""
+    assert cli.main(argv(tmp_path)) == code
+    err = capsys.readouterr().err
+    prefix = "[Errno " if code == cli.EXIT_MISSING else "error: [Errno "
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert str(tmp_path) in err
+
+
 def test_globals_must_precede_subcommand(tmp_path):
     cfg = write_config(tmp_path / "c.json", tmp_path / "run")
     with pytest.raises(SystemExit):
@@ -382,7 +441,7 @@ def test_fetch_reports_filled_bars(tmp_path, capsys):
     )
 
 
-def test_fetch_cache_is_keyed_by_request(tmp_path):
+def test_fetch_cache_is_keyed_by_request(tmp_path, monkeypatch):
     calls = []
 
     def transport(url, params, timeout):
@@ -392,10 +451,12 @@ def test_fetch_cache_is_keyed_by_request(tmp_path):
         rows = [[params["startTime"] + i * 4 * hour] + [price] * 4 + ["1.0"] for i in range(5)]
         return 200, rows
 
+    monkeypatch.setattr(market_data, "_default_transport", transport)
+
     def resolve(symbol):
         cfg = write_config(tmp_path / "c.json", tmp_path / "run", symbol=symbol,
                            data={"fetch": {"start": "2021-01-01", "end": "2021-01-02"}})
-        return cli.resolve_series(cli.load_run_config(str(cfg), {}), transport=transport)
+        return cli.resolve_series(cli.load_run_config(str(cfg), {}))
 
     assert resolve("AAA").closes[0] == 10.0
     assert resolve("AAA").closes[0] == 10.0
@@ -837,6 +898,22 @@ def test_diverged_checkpoint_holds_every_network(tmp_path, capsys, algo, block, 
     assert not (out / "checkpoints" / f"{algo}.json").exists()
 
 
+def test_gail_stops_when_its_expert_diverges(tmp_path, capsys):
+    """An expert that goes non-finite is saved and named as PPO's, and GAIL writes nothing."""
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.json", out,
+                       **{**_algo_patch("ppo", learning_rate=1e308), "algo": "gail"},
+                       data={"synthetic": {"n_bars": 120}})
+    assert cli.main(["--config", str(cfg), "train"]) == cli.EXIT_RUNTIME
+    path = out / "checkpoints" / "ppo_diverged.json"
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"training diverged: non-finite \w+ at step \d+; "
+                        rf"state saved to {re.escape(str(path))}\n", err), err
+    assert load_checkpoint(path)["kind"] == "ppo"
+    for rel in ("checkpoints/gail_diverged.json", "checkpoints/gail.json", "data/expert.csv"):
+        assert not (out / rel).exists(), rel
+
+
 def test_gail_refuses_a_malformed_expert_policy(tmp_path, capsys):
     out = tmp_path / "run"
     ppo_cfg = write_config(tmp_path / "ppo.json", out)
@@ -873,10 +950,13 @@ def test_gail_refuses_a_non_finite_expert_policy(tmp_path, capsys, bad):
         assert not (out / rel).exists(), rel
 
 
-def test_gail_trains_expert_then_reuses_it(tmp_path):
+def test_gail_trains_expert_then_reuses_it(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = write_config(tmp_path / "c.json", out, algo="gail")
     assert cli.main(["--config", str(cfg), "train"]) == cli.EXIT_OK
+    # the expert is trained by `train --algo ppo`, which prints its own line first
+    assert capsys.readouterr().out == (f"wrote {out / 'checkpoints' / 'ppo.json'}\n"
+                                       f"wrote {out / 'checkpoints' / 'gail.json'}\n")
     for rel in (
         "checkpoints/ppo.json",
         "checkpoints/gail.json",
