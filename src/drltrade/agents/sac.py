@@ -14,7 +14,7 @@ and dQ/da comes from the critic's input gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Annotated
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from ..domains import Checked, Count, Discount, Finite, Interval, Natural, Positive
 from ..env import TradingEnv
 from ..errors import BufferTooSmall
-from ..neural import Adam, GaussianPolicy, Mlp, TrainResult, check_finite, flatten_params
+from ..neural import Adam, GaussianPolicy, Mlp, TrainResult, check_finite
 from .buffers import ReplayBuffer
 from .ppo import log_std_mask
 
@@ -43,6 +43,52 @@ class SacConfig(Checked):
 
 
 @dataclass
+class SacBuffers:
+    """The arrays one SAC update writes into, allocated once at the batch size.
+
+    Each call site has its own set, so no pass overwrites what another still
+    reads: ``policy`` serves the next-state sample, then the actor pass;
+    ``critic`` the regression passes of Q1, then Q2; ``targets`` Q1' and Q2',
+    whose outputs are both read afterwards; ``actor`` Q1 and Q2 on the
+    actor's actions. Every backward and input-gradient pass shares
+    ``scratch``. ``inputs`` holds the Q inputs (s', a'), (s, a) and
+    (s, pi(s)). An update on fewer rows uses ``rows(n)``.
+    """
+
+    policy: list
+    critic: list
+    targets: tuple[list, list]
+    actor: tuple[list, list]
+    scratch: np.ndarray
+    inputs: np.ndarray
+    critic_grads: np.ndarray
+    actor_grads: np.ndarray
+
+    @classmethod
+    def allocate(cls, policy: GaussianPolicy, critic: Mlp, rows: int) -> "SacBuffers":
+        """Buffers for ``rows`` transitions, ``policy`` and two nets sized like ``critic``."""
+        width = max(policy.mean_net.sizes[1:-1] + critic.sizes[1:-1], default=0)
+        return cls(
+            policy=policy.mean_net.new_cache(rows),
+            critic=critic.new_cache(rows),
+            targets=(critic.new_cache(rows), critic.new_cache(rows)),
+            actor=(critic.new_cache(rows), critic.new_cache(rows)),
+            scratch=np.empty((2, rows * width)),
+            inputs=np.empty((3, rows, critic.in_dim)),
+            critic_grads=np.empty((2, critic.theta.size)),
+            actor_grads=np.empty_like(policy.params()),
+        )
+
+    def rows(self, n: int) -> "SacBuffers":
+        """The same buffers with every cache cut to its first ``n`` rows."""
+        def view(cache):
+            return [None] + [a[:n] for a in cache[1:]]
+        return replace(self, policy=view(self.policy), critic=view(self.critic),
+                       targets=tuple(map(view, self.targets)),
+                       actor=tuple(map(view, self.actor)), inputs=self.inputs[:, :n])
+
+
+@dataclass
 class SacNets:
     policy: GaussianPolicy
     critics: Mlp  # a stack of the twin critics Q1, Q2
@@ -52,6 +98,7 @@ class SacNets:
     critics_opt: Adam
     alpha_opt: Adam
     target_entropy: float
+    buffers: SacBuffers  # at min(batch_size, buffer_size) rows
 
     @property
     def alpha(self) -> float:
@@ -76,6 +123,8 @@ def make_sac_nets(obs_dim: int, act_dim: int, config: SacConfig,
         critics_opt=Adam(critics.params(), lr=config.learning_rate),
         alpha_opt=Adam(log_alpha, lr=config.learning_rate),
         target_entropy=target_entropy,
+        buffers=SacBuffers.allocate(policy, critics.members()[0],
+                                    min(config.batch_size, config.buffer_size)),
     )
 
 
@@ -93,27 +142,31 @@ def polyak_update(target: Mlp, online: Mlp, tau: float) -> None:
 
 
 def sac_actor_grads(policy: GaussianPolicy, q1: Mlp, q2: Mlp, obs: np.ndarray,
-                    noise: np.ndarray, alpha: float):
+                    noise: np.ndarray, alpha: float, buffers: SacBuffers | None = None):
     """Reparameterized gradient of mean(alpha*log pi - min Q) wrt policy params.
 
     ``noise`` is the frozen standard-normal draw, so the loss is a plain
     deterministic function of the parameters. Returns
     (param_grad, actor_loss, log_probs); param_grad is one vector in the
-    ``policy.params()`` layout.
+    ``policy.params()`` layout, ``buffers.actor_grads`` itself when
+    ``buffers`` (with ``len(obs)`` rows) are given. Without them, new ones
+    are allocated.
     """
     n = len(obs)
-    mean, cache = policy.mean_net.forward_cached(obs)
+    if buffers is None:
+        buffers = SacBuffers.allocate(policy, q1, n)
+    mean, cache = policy.mean_net.forward_cached(obs, buffers.policy)
     std = policy.std()
     pre = mean + std * noise
     squashed = np.tanh(pre)
     log_probs = policy.log_prob_from_mean(mean, pre)
-    actor_in = np.concatenate([obs, squashed], axis=1)
-    q1_pi, q1_cache = q1.forward_cached(actor_in)
-    q2_pi, q2_cache = q2.forward_cached(actor_in)
+    actor_in = np.concatenate([obs, squashed], axis=1, out=buffers.inputs[2])
+    q1_pi, q1_cache = q1.forward_cached(actor_in, buffers.actor[0])
+    q2_pi, q2_cache = q2.forward_cached(actor_in, buffers.actor[1])
     use_q1 = q1_pi[:, 0] <= q2_pi[:, 0]
     ones = np.ones((n, 1))
-    dq1_din = q1.input_grad(q1_cache, ones)
-    dq2_din = q2.input_grad(q2_cache, ones)
+    dq1_din = q1.input_grad(q1_cache, ones, buffers.scratch)
+    dq2_din = q2.input_grad(q2_cache, ones, buffers.scratch)
     obs_dim = obs.shape[1]
     dq_da = np.where(use_q1[:, None], dq1_din[:, obs_dim:], dq2_din[:, obs_dim:])
     actor_loss = float(np.mean(alpha * log_probs - np.where(use_q1, q1_pi[:, 0], q2_pi[:, 0])))
@@ -127,9 +180,11 @@ def sac_actor_grads(policy: GaussianPolicy, q1: Mlp, q2: Mlp, obs: np.ndarray,
     dlogp_dlogstd = -1.0 + 2.0 * squashed * sigma_noise
     da_dlogstd = da_dmean * sigma_noise
     dloss_dlogstd = (alpha * dlogp_dlogstd - dq_da * da_dlogstd).mean(axis=0)
-    dloss_dlogstd = dloss_dlogstd * log_std_mask(policy)
-    net_grad = policy.mean_net.backward(cache, dloss_dmean)
-    return flatten_params([net_grad, dloss_dlogstd]), actor_loss, log_probs
+    grads = buffers.actor_grads
+    n_net = policy.mean_net.theta.size
+    policy.mean_net.backward(cache, dloss_dmean, out=grads[:n_net], scratch=buffers.scratch)
+    np.multiply(dloss_dlogstd, log_std_mask(policy), out=grads[n_net:])
+    return grads, actor_loss, log_probs
 
 
 def alpha_gradient(alpha: float, log_probs: np.ndarray, target_entropy: float) -> np.ndarray:
@@ -147,30 +202,32 @@ def sac_update(nets: SacNets, buffer: ReplayBuffer, config: SacConfig,
         )
     obs, pre_actions, rewards, next_obs, dones = buffer.sample(config.batch_size, rng)
     n = len(obs)
+    buffers = nets.buffers.rows(n)
     actions = np.tanh(pre_actions)
     alpha = nets.alpha
 
-    next_actions, _, next_log_probs = nets.policy.sample(next_obs, rng)
-    next_in = np.concatenate([next_obs, next_actions], axis=1)
-    q1_next, q2_next = (q.forward(next_in)[:, 0] for q in nets.targets.members())
+    next_actions, _, next_log_probs = nets.policy.sample(next_obs, rng, buffers.policy)
+    next_in = np.concatenate([next_obs, next_actions], axis=1, out=buffers.inputs[0])
+    q1_next, q2_next = (q.forward_cached(next_in, cache)[0][:, 0]
+                        for q, cache in zip(nets.targets.members(), buffers.targets))
     y = sac_target(rewards, dones, q1_next, q2_next, next_log_probs, alpha, config.gamma)
 
     # The batch passes run per member: as one (2, n, hidden) stack they were slower.
-    critic_in = np.concatenate([obs, actions], axis=1)
+    critic_in = np.concatenate([obs, actions], axis=1, out=buffers.inputs[1])
     critics = nets.critics.members()
     critic_losses = []
-    grads = np.empty_like(nets.critics.params())
+    grads = buffers.critic_grads
     for k, q_net in enumerate(critics):
-        q_out, cache = q_net.forward_cached(critic_in)
+        q_out, cache = q_net.forward_cached(critic_in, buffers.critic)
         err = q_out[:, 0] - y
         critic_losses.append(float(np.mean(err**2)))
-        grads[k] = q_net.backward(cache, 2.0 * err[:, None] / n)
+        q_net.backward(cache, 2.0 * err[:, None] / n, out=grads[k], scratch=buffers.scratch)
     nets.critics_opt.step(nets.critics.params(), grads)
 
     # Actor: fresh reparameterized sample through the updated critics.
     noise = rng.standard_normal((n, nets.policy.act_dim))
     actor_grads, actor_loss, log_probs = sac_actor_grads(
-        nets.policy, *critics, obs, noise, alpha
+        nets.policy, *critics, obs, noise, alpha, buffers
     )
     nets.policy_opt.step(nets.policy.params(), actor_grads)
 

@@ -15,6 +15,12 @@ layout, which makes Adam, Polyak averaging and the trust-region line search
 plain vector operations. A stack of K equal-sized MLPs (``Mlp.stack``)
 keeps one such vector per row of a ``(K, P)`` block.
 
+The passes allocate their results unless given arrays to write into: a
+forward cache, a gradient vector and a scratch pair (see ``forward_cached``
+and ``backward``). Adam updates its moments in place. A training loop that
+owns those arrays, as SAC's update does, allocates no activation, gradient
+or optimizer temporaries.
+
 Checkpoints are JSON with sorted keys. Each network is stored as its sizes
 and its parameter vector, the base64 of ``params()`` as little-endian float64
 bytes, so reloading reproduces every bit (NaN payloads, infinities and -0.0
@@ -123,17 +129,30 @@ class Mlp:
         out, _ = self.forward_cached(x)
         return out
 
-    def forward_cached(self, x: np.ndarray):
-        """Returns (output, cache); cache holds activations for backward."""
-        x = self._check_input(x)
-        activations = [x]
-        a = x
+    def new_cache(self, rows: int) -> list:
+        """An uninitialized cache for ``forward_cached`` on ``rows`` input rows."""
+        lead = self.theta.shape[:-1] + (rows,)
+        return [None] + [np.empty(lead + (fan_out,)) for fan_out in self.sizes[1:]]
+
+    def forward_cached(self, x: np.ndarray, cache=None):
+        """Returns (output, cache); cache holds activations for backward.
+
+        The cache is the list [x, a1, ..., aL] of the input and each layer's
+        output. A ``cache`` passed in (one returned before, or row views of
+        one) is overwritten: x takes its first entry and each layer writes
+        into its array, so the output aliases the cache. Without one, a new
+        cache is allocated for ``x``'s rows.
+        """
+        if cache is None:
+            cache = [None] * len(self.sizes)  # matmul allocates each layer's output
+        cache[0] = a = self._check_input(x)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w + b
-            a = z if i == last else np.tanh(z)
-            activations.append(a)
-        return a, activations
+            a = cache[i + 1] = np.matmul(a, w, out=cache[i + 1])
+            a += b
+            if i < last:
+                np.tanh(a, out=a)
+        return a, cache
 
     @staticmethod
     def _check_grad_out(activations, grad_out: np.ndarray) -> np.ndarray:
@@ -144,33 +163,74 @@ class Mlp:
             )
         return g
 
-    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
+    def _scratch(self, g: np.ndarray, scratch) -> np.ndarray:
+        """``scratch``, or a new pair of the size ``backward`` asks for."""
+        if scratch is None:
+            rows = g.size // g.shape[-1]
+            scratch = np.empty((2, rows * max(self.sizes[1:-1], default=0)))
+        return scratch
+
+    def _through_hidden(self, i: int, g: np.ndarray, activations, scratch, step: int):
+        """(g @ W_i^T) * (1 - a_i^2): g, the gradient at layer i's pre-activation,
+        taken back through W_i and the tanh that made a_i.
+
+        It is written into ``scratch[step % 2]``; the other row holds the
+        ``1 - a_i^2`` factor, which may overwrite ``g`` when g is the previous
+        step's result there.
+        """
+        shape = g.shape[:-1] + (self.sizes[i],)
+        count = g.size // g.shape[-1] * self.sizes[i]
+        out = scratch[step % 2, :count].reshape(shape)
+        factor = scratch[1 - step % 2, :count].reshape(shape)
+        np.matmul(g, self.weights[i].swapaxes(-1, -2), out=out)
+        np.square(activations[i], out=factor)
+        np.subtract(1.0, factor, out=factor)
+        return np.multiply(out, factor, out=out)
+
+    def backward(self, cache, grad_out: np.ndarray, out=None, scratch=None) -> np.ndarray:
         """Given d(loss)/d(output), return d(loss)/d(params).
 
-        The gradient is laid out as ``params()``. The input gradient is not
+        The gradient is laid out as ``params()``; it is written into ``out``
+        when given (an array shaped like ``params()``, or a view of one), else
+        into a new array. The hidden layers' gradients pass through
+        ``scratch``, a ``(2, size)`` float64 array with ``size`` at least the
+        rows of ``grad_out`` (times K for a stack) times the widest hidden
+        layer; without one, one is allocated. The input gradient is not
         computed; ``input_grad`` returns it.
         """
         activations = cache
         g = self._check_grad_out(activations, grad_out)
-        grads: list[np.ndarray] = []
-        for i in range(len(self.weights) - 1, -1, -1):
-            grads.append(g.sum(axis=-2))  # db
-            grads.append(activations[i].swapaxes(-1, -2) @ g)  # dW
+        if out is None:
+            out = np.empty_like(self.theta)
+        elif out.shape != self.theta.shape:
+            raise ShapeMismatch(f"out has shape {out.shape}, parameters {self.theta.shape}")
+        scratch = self._scratch(g, scratch)
+        lead = out.shape[:-1]
+        end = out.shape[-1]  # [W0, b0, ..., W_i, b_i] fill out[..., :end]
+        last = len(self.weights) - 1
+        for i in range(last, -1, -1):
+            fan_in, fan_out = self.sizes[i], self.sizes[i + 1]
+            np.add.reduce(g, axis=-2, out=out[..., end - fan_out:end])  # db
+            end -= fan_out + fan_in * fan_out
+            dw = out[..., end:end + fan_in * fan_out].reshape(lead + (fan_in, fan_out))
+            np.matmul(activations[i].swapaxes(-1, -2), g, out=dw)
             if i > 0:
-                g = (g @ self.weights[i].swapaxes(-1, -2)) * (1.0 - activations[i] ** 2)
-        grads.reverse()
-        lead = self.theta.shape[:-1]
-        return np.concatenate([grad.reshape(lead + (-1,)) for grad in grads], axis=-1)
+                g = self._through_hidden(i, g, activations, scratch, last - i)
+        return out
 
-    def input_grad(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        """Given d(loss)/d(output), return d(loss)/d(input) and no parameter gradient."""
+    def input_grad(self, cache, grad_out: np.ndarray, scratch=None) -> np.ndarray:
+        """Given d(loss)/d(output), return d(loss)/d(input) and no parameter gradient.
+
+        The intermediate layers go through ``scratch`` (see ``backward``);
+        the array returned is always new.
+        """
         activations = cache
         g = self._check_grad_out(activations, grad_out)
-        for i in range(len(self.weights) - 1, -1, -1):
-            g = g @ self.weights[i].swapaxes(-1, -2)
-            if i > 0:
-                g = g * (1.0 - activations[i] ** 2)  # through tanh
-        return g
+        scratch = self._scratch(g, scratch)
+        last = len(self.weights) - 1
+        for i in range(last, 0, -1):
+            g = self._through_hidden(i, g, activations, scratch, last - i)
+        return g @ self.weights[0].swapaxes(-1, -2)
 
     def jvp(self, cache, tangent: np.ndarray) -> np.ndarray:
         """Directional derivative of the output along a parameter tangent vector.
@@ -303,7 +363,11 @@ def check_finite(step: int, stats: dict, result: TrainResult) -> None:
 
 
 class Adam:
-    """Adam with bias correction; first step reduces to -lr * g / (|g| + eps)."""
+    """Adam with bias correction; first step reduces to -lr * g / (|g| + eps).
+
+    ``step`` updates ``m``, ``v`` and the parameters in place, through two
+    parameter-sized scratch arrays allocated here, so it allocates nothing.
+    """
 
     def __init__(self, params: np.ndarray, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -314,17 +378,31 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
+        self._scratch = np.empty((2,) + self.m.shape)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
-        """Descend in place along grads (gradients of a loss to minimize)."""
+        """Descend in place along grads (gradients of a loss to minimize).
+
+        The arithmetic is, operand for operand:
+          m = beta1 * m + (1 - beta1) * grads
+          v = beta2 * v + (1 - beta2) * grads**2
+          params -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+        """
         if grads.shape != self.m.shape:
             raise ShapeMismatch(f"grad has shape {grads.shape}, expected {self.m.shape}")
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grads
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grads**2
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self.m, self.v
+        update, denom = self._scratch
+        np.add(np.multiply(self.beta1, m, out=m),
+               np.multiply(1.0 - self.beta1, grads, out=update), out=m)
+        np.square(grads, out=denom)
+        np.add(np.multiply(self.beta2, v, out=v),
+               np.multiply(1.0 - self.beta2, denom, out=denom), out=v)
+        np.divide(m, 1.0 - self.beta1**self.t, out=update)  # m_hat
+        np.divide(v, 1.0 - self.beta2**self.t, out=denom)  # v_hat
+        np.add(np.sqrt(denom, out=denom), self.eps, out=denom)
+        np.multiply(self.lr, update, out=update)
+        np.subtract(params, np.divide(update, denom, out=update), out=params)
 
 
 def tanh_log_det_jacobian(pre: np.ndarray) -> np.ndarray:
@@ -371,9 +449,13 @@ class GaussianPolicy:
     def std(self) -> np.ndarray:
         return np.exp(self.clamped_log_std())
 
-    def sample(self, obs: np.ndarray, rng: np.random.Generator):
-        """Returns (action, pre_squash, log_prob); all batched."""
-        mean = self.mean_net.forward(obs)
+    def sample(self, obs: np.ndarray, rng: np.random.Generator, cache=None):
+        """Returns (action, pre_squash, log_prob); all batched.
+
+        The mean net's activations go into ``cache`` when one is given (see
+        ``Mlp.forward_cached``); the arrays returned are new.
+        """
+        mean, _ = self.mean_net.forward_cached(obs, cache)
         log_std = self.clamped_log_std()
         std = np.exp(log_std)
         noise = rng.standard_normal(mean.shape)

@@ -22,7 +22,7 @@ import numpy as np
 
 from drltrade.agents.sac import alpha_gradient, polyak_update, sac_actor_grads, sac_target
 from drltrade.errors import EmptyInput, InvariantViolation, MalformedRow
-from drltrade.neural import LOG_STD_MAX, LOG_STD_MIN, Adam
+from drltrade.neural import LOG_STD_MAX, LOG_STD_MIN
 
 NAN = float("nan")
 KLINE_FIELDS = ("open_time", "open", "high", "low", "close", "volume")
@@ -349,6 +349,70 @@ def resolved_config_json(config) -> dict:
 # reworked for speed. The reworked code must match them bit for bit.
 
 
+class AllocatingAdam:
+    """``neural.Adam`` as it was before it updated its state in place: every
+    step builds new ``m`` and ``v`` and its temporaries."""
+
+    def __init__(self, params: np.ndarray, lr: float,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        self.t += 1
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grads
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grads**2
+        m_hat = self.m / (1.0 - self.beta1**self.t)
+        v_hat = self.v / (1.0 - self.beta2**self.t)
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def allocating_forward_cached(net, x):
+    """``Mlp.forward_cached`` before it could write into a given cache:
+    (output, [x, a1, ..., aL]), every activation a new array."""
+    x = net._check_input(x)
+    activations = [x]
+    a = x
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ w + b
+        a = z if i == last else np.tanh(z)
+        activations.append(a)
+    return a, activations
+
+
+def allocating_backward(net, cache, grad_out):
+    """``Mlp.backward`` before it wrote into one gradient vector: per-layer
+    gradients, concatenated at the end."""
+    activations = cache
+    g = net._check_grad_out(activations, grad_out)
+    grads = []
+    for i in range(len(net.weights) - 1, -1, -1):
+        grads.append(g.sum(axis=-2))  # db
+        grads.append(activations[i].swapaxes(-1, -2) @ g)  # dW
+        if i > 0:
+            g = (g @ net.weights[i].swapaxes(-1, -2)) * (1.0 - activations[i] ** 2)
+    grads.reverse()
+    lead = net.theta.shape[:-1]
+    return np.concatenate([grad.reshape(lead + (-1,)) for grad in grads], axis=-1)
+
+
+def allocating_input_grad(net, cache, grad_out):
+    """``Mlp.input_grad`` before it used scratch arrays."""
+    activations = cache
+    g = net._check_grad_out(activations, grad_out)
+    for i in range(len(net.weights) - 1, -1, -1):
+        g = g @ net.weights[i].swapaxes(-1, -2)
+        if i > 0:
+            g = g * (1.0 - activations[i] ** 2)  # through tanh
+    return g
+
+
 def recomputing_jvp(net, x, tangent):
     """Forward-mode derivative that re-runs the forward pass from ``x``.
 
@@ -457,21 +521,24 @@ def per_step_rollout(env, policy, value_net, n_steps, rng):
 
 def twin_loop_nets(nets, lr):
     """SAC's networks as six critic objects: copies of the stacked critics
-    and targets of ``nets``, with one fresh Adam per critic. The policy, the
-    temperature and their optimizers are shared with ``nets``."""
+    and targets of ``nets``, with one fresh ``AllocatingAdam`` per critic.
+    The policy and the temperature are shared with ``nets``; their
+    optimizers are fresh ``AllocatingAdam``s too, so ``nets`` must not have
+    been updated yet."""
     q1, q2 = (q.copy() for q in nets.critics.members())
     q1_target, q2_target = (q.copy() for q in nets.targets.members())
     return SimpleNamespace(
         policy=nets.policy, q1=q1, q2=q2, q1_target=q1_target, q2_target=q2_target,
-        log_alpha=nets.log_alpha, policy_opt=nets.policy_opt,
-        q1_opt=Adam(q1.params(), lr=lr), q2_opt=Adam(q2.params(), lr=lr),
-        alpha_opt=nets.alpha_opt, target_entropy=nets.target_entropy,
+        log_alpha=nets.log_alpha, policy_opt=AllocatingAdam(nets.policy.params(), lr=lr),
+        q1_opt=AllocatingAdam(q1.params(), lr=lr), q2_opt=AllocatingAdam(q2.params(), lr=lr),
+        alpha_opt=AllocatingAdam(nets.log_alpha, lr=lr), target_entropy=nets.target_entropy,
     )
 
 
 def twin_loop_sac_update(nets, buffer, config, rng):
     """One SAC update on ``twin_loop_nets``: an Adam step per critic in a loop
-    and one Polyak call per target."""
+    and one Polyak call per target. The critics run through the allocating
+    forms of the forward and backward passes."""
     obs, pre_actions, rewards, next_obs, dones = buffer.sample(config.batch_size, rng)
     n = len(obs)
     actions = np.tanh(pre_actions)
@@ -479,17 +546,17 @@ def twin_loop_sac_update(nets, buffer, config, rng):
 
     next_actions, _, next_log_probs = nets.policy.sample(next_obs, rng)
     next_in = np.concatenate([next_obs, next_actions], axis=1)
-    q1_next = nets.q1_target.forward(next_in)[:, 0]
-    q2_next = nets.q2_target.forward(next_in)[:, 0]
+    q1_next = allocating_forward_cached(nets.q1_target, next_in)[0][:, 0]
+    q2_next = allocating_forward_cached(nets.q2_target, next_in)[0][:, 0]
     y = sac_target(rewards, dones, q1_next, q2_next, next_log_probs, alpha, config.gamma)
 
     critic_in = np.concatenate([obs, actions], axis=1)
     critic_losses = []
     for q_net, q_opt in ((nets.q1, nets.q1_opt), (nets.q2, nets.q2_opt)):
-        q_out, cache = q_net.forward_cached(critic_in)
+        q_out, cache = allocating_forward_cached(q_net, critic_in)
         err = q_out[:, 0] - y
         critic_losses.append(float(np.mean(err**2)))
-        grads = q_net.backward(cache, 2.0 * err[:, None] / n)
+        grads = allocating_backward(q_net, cache, 2.0 * err[:, None] / n)
         q_opt.step(q_net.params(), grads)
 
     noise = rng.standard_normal((n, nets.policy.act_dim))

@@ -1,7 +1,9 @@
 """MLP gradients vs finite differences, Adam, the squashed policy, checkpoints."""
 
 import json
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,10 @@ from drltrade.neural import (
     unflatten_params,
 )
 from oracles import (
+    AllocatingAdam,
+    allocating_backward,
+    allocating_forward_cached,
+    allocating_input_grad,
     clip_log_prob_from_mean,
     clip_sample,
     fd_gradient,
@@ -172,6 +178,125 @@ def test_adam_on_a_stack_equals_adam_per_member(rng):
         assert stack_opt.m[k].tobytes() == opt.m.tobytes()
         assert stack_opt.v[k].tobytes() == opt.v.tobytes()
         assert stack_opt.t == opt.t
+
+
+PAPER_WIDTH = (1082, 64, 64, 1)
+
+
+# (sizes, stacked K or None for one net, rows, rows of the buffers passed in)
+PASS_CASES = {
+    "batch1": ((26, 64, 64, 1), None, 1, 1),
+    "batch": ((27, 64, 64, 1), None, 256, 256),
+    "row_views": ((27, 64, 64, 1), None, 200, 256),
+    "no_hidden": ((3, 2), None, 7, 9),
+    "uneven": ((5, 6, 4, 2), None, 7, 7),
+    "stack_batch1": ((26, 64, 64, 1), 2, 1, 1),
+    "stack_row_views": ((5, 6, 4, 2), 2, 30, 33),
+    "paper_width": (PAPER_WIDTH, None, 32, 40),
+}
+
+
+@pytest.mark.parametrize("case", PASS_CASES)
+def test_mlp_passes_are_bit_identical_to_the_allocating_forms(rng, case):
+    """forward_cached, backward and input_grad, with and without the buffers
+    they can write into, against the allocating forms, by bytes."""
+    sizes, k, rows, buffer_rows = PASS_CASES[case]
+    net = Mlp(sizes, rng) if k is None else Mlp.stack([Mlp(sizes, rng) for _ in range(k)])
+    lead = net.params().shape[:-1]
+    x = rng.normal(size=(rows, sizes[0]))
+    g = rng.normal(size=lead + (rows, sizes[-1]))
+    want_out, want_cache = allocating_forward_cached(net, x)
+    want_grad = allocating_backward(net, want_cache, g)
+    want_input = allocating_input_grad(net, want_cache, g)
+
+    out, cache = net.forward_cached(x)
+    assert [a.tobytes() for a in cache] == [a.tobytes() for a in want_cache]
+    assert net.backward(cache, g).tobytes() == want_grad.tobytes()
+    assert net.input_grad(cache, g).tobytes() == want_input.tobytes()
+
+    # NaN-filled buffers, larger than needed, written twice through row views.
+    full = net.new_cache(buffer_rows)
+    for a in full[1:]:
+        a.fill(np.nan)
+    width = max(sizes[1:-1], default=0)
+    scratch = np.full((2, math.prod(lead) * buffer_rows * width + 3), np.nan)
+    grads = np.full((2,) + net.params().shape, np.nan)
+    for _ in range(2):
+        view = [None] + [a[..., :rows, :] for a in full[1:]]
+        out, cache = net.forward_cached(x, view)
+        assert cache is view and cache[0] is x and out is cache[-1]
+        assert all(np.shares_memory(a, b) for a, b in zip(cache[1:], full[1:]))
+        assert [a.tobytes() for a in cache] == [a.tobytes() for a in want_cache]
+        into = grads[1]
+        assert net.backward(cache, g, out=into, scratch=scratch) is into
+        assert into.tobytes() == want_grad.tobytes()
+        input_grad = net.input_grad(cache, g, scratch)
+        assert input_grad.tobytes() == want_input.tobytes()
+        assert not np.shares_memory(input_grad, scratch)
+    assert np.isnan(grads[0]).all()
+
+
+def test_input_grad_results_survive_the_next_pass_through_the_same_scratch(rng):
+    q1, q2 = Mlp((27, 64, 64, 1), rng), Mlp((27, 64, 64, 1), rng)
+    x = rng.normal(size=(16, 27))
+    ones = np.ones((16, 1))
+    scratch = np.empty((2, 16 * 64))
+    first = q1.input_grad(q1.forward_cached(x)[1], ones, scratch)
+    kept = first.copy()
+    q2.input_grad(q2.forward_cached(x)[1], ones, scratch)
+    assert first.tobytes() == kept.tobytes()
+
+
+def test_backward_refuses_an_out_of_another_shape(rng):
+    net = Mlp((3, 4, 1), rng)
+    _, cache = net.forward_cached(np.zeros((2, 3)))
+    with pytest.raises(ShapeMismatch):
+        net.backward(cache, np.zeros((2, 1)), out=np.empty(net.params().size + 1))
+
+
+def adam_params(rng, shape):
+    if shape == "paper_width":
+        return Mlp(PAPER_WIDTH, rng).params().copy()
+    if shape == "stack":
+        return Mlp.stack([Mlp((27, 64, 64, 1), rng) for _ in range(2)]).params().copy()
+    return rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (3, 2), "stack", "paper_width"])
+@pytest.mark.parametrize("hyper", [{}, {"beta1": 0.5, "beta2": 0.9, "eps": 1e-3}])
+def test_adam_is_bit_identical_to_the_allocating_form(rng, shape, hyper):
+    """Parameters, moments and step count after each of 25 steps, by bytes;
+    the moments are updated in place and the gradients are left alone."""
+    params = adam_params(rng, shape)
+    want_params = params.copy()
+    opt, want = Adam(params, lr=0.01, **hyper), AllocatingAdam(want_params, lr=0.01, **hyper)
+    m, v = opt.m, opt.v
+    for step in range(25):
+        scale = (1e-9, 1.0, 1e4)[step % 3]
+        grads = scale * rng.normal(size=params.shape)
+        grads[..., ::5] = 0.0
+        given = grads.copy()
+        opt.step(params, grads)
+        want.step(want_params, grads)
+        assert grads.tobytes() == given.tobytes()
+        assert params.tobytes() == want_params.tobytes()
+        assert (opt.m.tobytes(), opt.v.tobytes(), opt.t) == (
+            want.m.tobytes(), want.v.tobytes(), want.t)
+    assert opt.m is m and opt.v is v
+
+
+def test_adam_step_allocates_no_parameter_sized_array(rng):
+    params = adam_params(rng, "paper_width")
+    opt = Adam(params, lr=0.01)
+    grads = rng.normal(size=params.shape)
+    opt.step(params, grads)
+    tracemalloc.start()
+    try:
+        opt.step(params, grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params.nbytes // 10
 
 
 def test_members_are_views_of_the_stack(rng):

@@ -123,6 +123,23 @@ def test_alpha_gradient_closed_form():
     assert alpha_gradient(0.7, np.array([-2.0]), 2.0)[0] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_alpha_gradient_matches_finite_differences_of_the_temperature_loss():
+    """d/d(log_alpha) of -exp(log_alpha) * mean(log_probs + target_entropy);
+    the log-probs' median (-0.5) is not their mean (-0.08)."""
+    log_probs = np.array([-3.0, -0.5, 0.2, 4.0, -1.1])
+    assert np.median(log_probs) != np.mean(log_probs)
+    target_entropy = -1.0
+
+    def loss(log_alpha):
+        return float(-np.exp(log_alpha[0]) * np.mean(log_probs + target_entropy))
+
+    for log_alpha in (np.log(0.1), 0.0, 0.7):
+        start = np.array([log_alpha])
+        grad = alpha_gradient(float(np.exp(log_alpha)), log_probs, target_entropy)
+        assert grad.shape == (1,)
+        assert grad[0] == pytest.approx(fd_gradient(loss, start)[0], rel=1e-7)
+
+
 def make_env(rng, episode=range(4, 20)):
     series = make_random_series(rng, 60)
     config = FeatureConfig(window=4, columns=("close", "return"))
@@ -154,37 +171,91 @@ def test_update_requires_warm_buffer(rng):
         sac_update(nets, buffer, config, rng)
 
 
-def test_stacked_update_is_bit_identical_to_the_twin_loop_update():
-    """Parameters, Adam moments and counts, and stats of 25 updates, by bytes."""
-    obs_dim, act_dim = 26, 1
-    config = SacConfig(buffer_size=300, batch_size=256, learning_starts=256)
+def random_transition(data, obs_dim, act_dim):
+    return (data.normal(size=obs_dim), data.normal(size=act_dim), data.normal(),
+            data.normal(size=obs_dim), data.random() < 0.05)
+
+
+def assert_updates_match_the_twin_loop(config, obs_dim, act_dim, filled, updates):
+    """Runs ``updates`` stacked and twin-loop updates on one buffer that
+    holds ``filled`` random transitions at first and gains one after each
+    update; compares stats, parameters, Adam moments and counts by bytes."""
     data = np.random.default_rng(3)
     buffer = ReplayBuffer(config.buffer_size, obs_dim, act_dim)
-    for _ in range(config.buffer_size):
-        buffer.add(data.normal(size=obs_dim), data.normal(size=act_dim), data.normal(),
-                   data.normal(size=obs_dim), data.random() < 0.05)
+    for _ in range(filled):
+        buffer.add(*random_transition(data, obs_dim, act_dim))
     nets = make_sac_nets(obs_dim, act_dim, config, np.random.default_rng(4))
     twin = twin_loop_nets(make_sac_nets(obs_dim, act_dim, config, np.random.default_rng(4)),
                           config.learning_rate)
     rng, twin_rng = np.random.default_rng(5), np.random.default_rng(5)
-    for _ in range(25):
+    for _ in range(updates):
         stats = sac_update(nets, buffer, config, rng)
         want = twin_loop_sac_update(twin, buffer, config, twin_rng)
         assert list(stats) == list(want)
         assert np.array(list(stats.values())).tobytes() == np.array(list(want.values())).tobytes()
+        if filled < config.buffer_size:
+            buffer.add(*random_transition(data, obs_dim, act_dim))
     critics = ((twin.q1, twin.q1_target, twin.q1_opt), (twin.q2, twin.q2_target, twin.q2_opt))
     for k, (q, q_target, q_opt) in enumerate(critics):
         assert nets.critics.params()[k].tobytes() == q.params().tobytes()
         assert nets.targets.params()[k].tobytes() == q_target.params().tobytes()
         assert nets.critics_opt.m[k].tobytes() == q_opt.m.tobytes()
         assert nets.critics_opt.v[k].tobytes() == q_opt.v.tobytes()
-        assert nets.critics_opt.t == q_opt.t == 25
+        assert nets.critics_opt.t == q_opt.t == updates
     for name in ("policy_opt", "alpha_opt"):
         opt, twin_opt = getattr(nets, name), getattr(twin, name)
         assert (opt.m.tobytes(), opt.v.tobytes(), opt.t) == (
             twin_opt.m.tobytes(), twin_opt.v.tobytes(), twin_opt.t)
     assert nets.policy.params().tobytes() == twin.policy.params().tobytes()
     assert nets.log_alpha.tobytes() == twin.log_alpha.tobytes()
+
+
+def test_stacked_update_is_bit_identical_to_the_twin_loop_update():
+    """Parameters, Adam moments and counts, and stats of 25 updates, by bytes."""
+    config = SacConfig(buffer_size=300, batch_size=256, learning_starts=256)
+    assert_updates_match_the_twin_loop(config, 26, 1, filled=config.buffer_size, updates=25)
+
+
+def test_stacked_update_matches_the_twin_loop_update_while_the_batch_ramps():
+    """As above, from learning_starts = 200 rows up to the batch of 256 and
+    past it: the update runs on row views of its buffers first."""
+    config = SacConfig(buffer_size=300, batch_size=256, learning_starts=200)
+    assert_updates_match_the_twin_loop(config, 26, 1, filled=200, updates=60)
+
+
+def test_full_batch_updates_write_into_the_same_arrays(monkeypatch):
+    """Two full-batch updates put each pass's activations into the same
+    arrays; the passes share arrays only as SacBuffers lays them out."""
+    obs_dim, act_dim = 5, 1
+    config = SacConfig(buffer_size=40, batch_size=32, learning_starts=32, hidden=(8, 6))
+    data = np.random.default_rng(3)
+    buffer = ReplayBuffer(config.buffer_size, obs_dim, act_dim)
+    for _ in range(config.buffer_size):
+        buffer.add(*random_transition(data, obs_dim, act_dim))
+    nets = make_sac_nets(obs_dim, act_dim, config, np.random.default_rng(4))
+    passes = []
+    real_forward = Mlp.forward_cached
+
+    def forward_cached(self, x, cache=None):
+        out, cache = real_forward(self, x, cache)
+        passes.append(cache[1:])
+        return out, cache
+
+    monkeypatch.setattr(Mlp, "forward_cached", forward_cached)
+    rng = np.random.default_rng(5)
+    sac_update(nets, buffer, config, rng)
+    first = passes[:]
+    passes.clear()
+    sac_update(nets, buffer, config, rng)
+    # next-state sample, Q1', Q2', Q1 and Q2 regression, actor, Q1 and Q2 on its actions
+    assert len(first) == len(passes) == 8
+    for before, after in zip(first, passes):
+        assert all(np.shares_memory(a, b) for a, b in zip(before, after))
+    sets = [[0, 5], [1], [2], [3, 4], [6], [7]]
+    for i, a in enumerate(passes):
+        for j, b in enumerate(passes):
+            same_set = any(i in s and j in s for s in sets)
+            assert np.shares_memory(a[-1], b[-1]) == same_set, (i, j)
 
 
 def train_keeping_nets(monkeypatch, env, config, rng):

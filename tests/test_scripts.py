@@ -4,9 +4,12 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from drltrade import cli
 from drltrade.neural import CHECKPOINT_FORMAT_VERSION, GaussianPolicy, load_checkpoint
@@ -51,6 +54,31 @@ def test_bench_pairs_compares_artifact_digests():
     assert not same_artifacts(record, {"artifacts": {"out/a.csv": "ab12"}})
     assert not same_artifacts(record, {})
     assert not same_artifacts({"artifacts": {}}, {"artifacts": {}})
+
+
+@pytest.mark.parametrize("args", [
+    ["sac", "--obs", "3", "--batch", "8", "--buffer", "10", "--hidden", "4"],
+    ["ppo", "--obs", "3", "--batch", "4", "--hidden", "4", "3"],
+])
+def test_alloc_probe_prints_time_and_faults_per_update(args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = [sys.executable, str(ROOT / "scripts" / "alloc_probe.py"), *args,
+              "--warmup", "1", "--updates", "3"]
+    proc = subprocess.run(script, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    hidden = "x".join(args[args.index("--hidden") + 1:])
+    assert re.fullmatch(
+        rf"{args[0]} obs 3 batch {args[4]} hidden {hidden}: \d+ us/update \[\d+, \d+\], "
+        r"\d+\.\d\d minor faults/update \(3 updates after 1\)\n", proc.stdout), proc.stdout
+
+
+def test_alloc_probe_refuses_a_buffer_smaller_than_the_batch():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = [sys.executable, str(ROOT / "scripts" / "alloc_probe.py"), "sac", "--batch", "8",
+              "--buffer", "4"]
+    proc = subprocess.run(script, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "--buffer must hold at least --batch" in proc.stderr
 
 
 def test_checkpoint_info_summarizes_each_network(tmp_path):
