@@ -3,9 +3,11 @@
 
 ``sac`` runs ``sac_update`` on a replay buffer of random transitions at the
 given observation width, batch size and hidden sizes (one action, buffer
-``--buffer`` transitions, ``learning_starts`` = batch). ``ppo`` runs one PPO
-epoch on a random batch of ``--batch`` rows: ``ppo_surrogate``, then the
-policy's and the value net's Adam steps. Both first run ``--warmup`` updates,
+``--buffer`` transitions, ``learning_starts`` = batch). ``ppo`` runs
+``ppo_epoch``, the epoch ``ppo_train`` runs, on a random batch of ``--batch``
+rows with buffers allocated once, as ``ppo_train`` allocates them: one
+stacked pass of the policy and the value net and one Adam step over their
+parameter block. Both first run ``--warmup`` updates,
 then time ``--updates`` more, one by one, reading ``getrusage``'s
 ``ru_minflt`` around each. It prints one line: the median, first and third
 quartile of the microseconds per update and the mean minor faults per update.
@@ -34,8 +36,13 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 from drltrade.agents import ReplayBuffer, SacConfig, make_sac_nets, sac_update  # noqa: E402
-from drltrade.agents.ppo import PpoConfig, ppo_surrogate  # noqa: E402
-from drltrade.neural import Adam, GaussianPolicy, Mlp  # noqa: E402
+from drltrade.agents.ppo import (  # noqa: E402
+    PpoBatch,
+    PpoBuffers,
+    PpoConfig,
+    make_ppo_nets,
+    ppo_epoch,
+)
 
 
 def sac_step(obs_dim: int, batch: int, hidden: tuple, buffer_size: int, rng):
@@ -51,23 +58,16 @@ def sac_step(obs_dim: int, batch: int, hidden: tuple, buffer_size: int, rng):
 
 
 def ppo_step(obs_dim: int, batch: int, hidden: tuple, rng):
-    """A function that runs one PPO epoch on a fixed random batch."""
+    """A function that runs one ``ppo_epoch`` on a fixed random batch."""
     config = PpoConfig(hidden=hidden, n_steps=batch)
-    policy = GaussianPolicy(obs_dim, 1, hidden, rng)
-    value_net = Mlp((obs_dim,) + hidden + (1,), rng)
-    policy_opt = Adam(policy.params(), lr=config.learning_rate)
-    value_opt = Adam(value_net.params(), lr=config.learning_rate)
+    nets = make_ppo_nets(obs_dim, 1, config, rng)
+    buffers = PpoBuffers.allocate(nets, batch)
     obs = rng.normal(size=(batch, obs_dim))
     pre = rng.normal(size=(batch, 1))
-    old_log_probs = policy.log_prob(obs, pre)
+    old_log_probs = nets.policy.log_prob(obs, pre)
     advantages, returns = rng.normal(size=batch), rng.normal(size=batch)
-
-    def step():
-        _, policy_grads, value_grads = ppo_surrogate(
-            policy, value_net, obs, pre, old_log_probs, advantages, returns, config)
-        policy_opt.step(policy.params(), policy_grads)
-        value_opt.step(value_net.params(), value_grads)
-    return step
+    rollout = PpoBatch.of(obs, pre, old_log_probs, advantages, returns)
+    return lambda: ppo_epoch(nets, rollout, config, buffers)
 
 
 def probe(step, warmup: int, updates: int) -> tuple[list[float], list[int]]:

@@ -21,7 +21,7 @@ from .gail import (
     generate_expert_dataset,
     save_expert_dataset,
 )
-from .ppo import PpoConfig, ppo_surrogate, ppo_train
+from .ppo import PpoBatch, PpoConfig, make_ppo_nets, ppo_surrogate, ppo_train
 from .sac import (
     SacConfig,
     SacNets,

@@ -18,8 +18,8 @@ keeps one such vector per row of a ``(K, P)`` block.
 The passes allocate their results unless given arrays to write into: a
 forward cache, a gradient vector and a scratch pair (see ``forward_cached``
 and ``backward``). Adam updates its moments in place. A training loop that
-owns those arrays, as SAC's update does, allocates no activation, gradient
-or optimizer temporaries.
+owns those arrays, as SAC's update and PPO's epochs do, allocates no
+activation, gradient or optimizer temporaries.
 
 Checkpoints are JSON with sorted keys. Each network is stored as its sizes
 and its parameter vector, the base64 of ``params()`` as little-endian float64
@@ -148,10 +148,16 @@ class Mlp:
         cache[0] = a = self._check_input(x)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = cache[i + 1] = np.matmul(a, w, out=cache[i + 1])
-            a += b
+            out = cache[i + 1]
+            a = np.matmul(a, w, out=out)
             if i < last:
+                a += b
                 np.tanh(a, out=a)
+            else:
+                # Into a new array without a cache: numpy's in-place add on a
+                # one-element array (a batch-1 output) costs about 0.5 us more.
+                a = np.add(a, b, out=out)
+            cache[i + 1] = a
         return a, cache
 
     @staticmethod
@@ -410,12 +416,18 @@ def tanh_log_det_jacobian(pre: np.ndarray) -> np.ndarray:
     return 2.0 * (LOG_2 - pre - softplus(-2.0 * pre))
 
 
+def squashed_log_density(z: np.ndarray, log_std: np.ndarray,
+                         log_det: np.ndarray) -> np.ndarray:
+    """Log density of tanh(pre) under tanh(Normal(mean, std)), summed per row,
+    from z = (pre - mean) / std and log_det = tanh_log_det_jacobian(pre)."""
+    gaussian = -HALF_LOG_2PI - log_std - 0.5 * z**2
+    return (gaussian - log_det).sum(axis=1)
+
+
 def _log_density(mean: np.ndarray, pre: np.ndarray, log_std: np.ndarray,
                  std: np.ndarray) -> np.ndarray:
     """Log density of tanh(pre) under tanh(Normal(mean, std)), summed per row."""
-    z = (pre - mean) / std
-    gaussian = -HALF_LOG_2PI - log_std - 0.5 * z**2
-    return (gaussian - tanh_log_det_jacobian(pre)).sum(axis=1)
+    return squashed_log_density((pre - mean) / std, log_std, tanh_log_det_jacobian(pre))
 
 
 class GaussianPolicy:

@@ -20,9 +20,19 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from drltrade.agents.buffers import collect_rollout, rollout_advantages
+from drltrade.agents.ppo import policy_param_grads
 from drltrade.agents.sac import alpha_gradient, polyak_update, sac_actor_grads, sac_target
 from drltrade.errors import EmptyInput, InvariantViolation, MalformedRow
-from drltrade.neural import LOG_STD_MAX, LOG_STD_MIN
+from drltrade.neural import (
+    LOG_STD_MAX,
+    LOG_STD_MIN,
+    Adam,
+    GaussianPolicy,
+    Mlp,
+    TrainResult,
+    check_finite,
+)
 
 NAN = float("nan")
 KLINE_FIELDS = ("open_time", "open", "high", "low", "close", "volume")
@@ -577,6 +587,94 @@ def twin_loop_sac_update(nets, buffer, config, rng):
         "alpha": float(np.exp(nets.log_alpha[0])),
         "batch_entropy": -float(np.mean(log_probs)),
     }
+
+
+def two_net_ppo_surrogate(policy, value_net, obs, pre_actions, old_log_probs, advantages,
+                          returns, config):
+    """``ppo.ppo_surrogate`` before the policy and the value net shared one
+    parameter block: a forward and a backward pass per net. Returns
+    (stats, policy_grads, value_grads)."""
+    n = len(obs)
+    mean, cache = policy.mean_net.forward_cached(obs)
+    new_log_probs = policy.log_prob_from_mean(mean, pre_actions)
+    ratio = np.exp(new_log_probs - old_log_probs)
+    clipped_ratio = np.clip(ratio, 1.0 - config.clip, 1.0 + config.clip)
+    per_sample = np.minimum(ratio * advantages, clipped_ratio * advantages)
+    entropy = policy.entropy()
+
+    values_out, value_cache = value_net.forward_cached(obs)
+    values = values_out[:, 0]
+    value_err = values - returns
+    value_loss = config.vf_coef * float(np.mean(value_err**2))
+    policy_loss = -float(np.mean(per_sample))
+    loss = policy_loss + value_loss - config.ent_coef * entropy
+
+    # Unclipped branch active iff moving the ratio can still help the objective.
+    active = np.where(
+        advantages >= 0.0, ratio <= 1.0 + config.clip, ratio >= 1.0 - config.clip
+    ).astype(float)
+    dloss_dlogp = -active * ratio * advantages / n
+    act_dim = policy.act_dim
+    ent_grad = -config.ent_coef * np.ones(act_dim)
+    policy_grads = policy_param_grads(
+        policy, cache, mean, pre_actions, dloss_dlogp, ent_grad
+    )
+    dloss_dv = config.vf_coef * 2.0 * value_err[:, None] / n
+    value_grads = value_net.backward(value_cache, dloss_dv)
+
+    stats = {
+        "loss": loss,
+        "policy_loss": policy_loss,
+        "value_loss": value_loss,
+        "entropy": entropy,
+        "approx_kl": float(np.mean(old_log_probs - new_log_probs)),
+        "clip_fraction": float(np.mean((np.abs(ratio - 1.0) > config.clip))),
+    }
+    return stats, policy_grads, value_grads
+
+
+def two_net_ppo_epoch(policy, value_net, policy_opt, value_opt, obs, pre_actions,
+                      old_log_probs, advantages, returns, config):
+    """One PPO epoch as it ran on two networks: ``two_net_ppo_surrogate``,
+    then an Adam step per net. Returns what the surrogate returned."""
+    stats, policy_grads, value_grads = two_net_ppo_surrogate(
+        policy, value_net, obs, pre_actions, old_log_probs, advantages, returns, config)
+    policy_opt.step(policy.params(), policy_grads)
+    value_opt.step(value_net.params(), value_grads)
+    return stats, policy_grads, value_grads
+
+
+def two_net_ppo_train(env, config, rng):
+    """``ppo.ppo_train`` on two networks with an Adam each, every epoch one
+    ``two_net_ppo_epoch``."""
+    policy = GaussianPolicy(env.observation_dim, env.action_dim, config.hidden, rng)
+    value_net = Mlp((env.observation_dim,) + config.hidden + (1,), rng)
+    policy_opt = Adam(policy.params(), lr=config.learning_rate)
+    value_opt = Adam(value_net.params(), lr=config.learning_rate)
+    result = TrainResult({"policy": policy, "value_net": value_net})
+    episode_return = 0.0
+    last_episode_return = float("nan")
+    env.reset()
+    for update in range(config.total_timesteps // config.n_steps):
+        buffer = collect_rollout(env, policy, value_net, config.n_steps, rng)
+        for r, d in zip(buffer.rewards, buffer.dones):
+            episode_return += r
+            if d:
+                last_episode_return = episode_return
+                episode_return = 0.0
+        advantages, returns = rollout_advantages(
+            buffer, buffer.rewards, value_net, config.gamma, config.gae_lambda
+        )
+        stats = {}
+        for _ in range(config.n_epochs):
+            stats, _, _ = two_net_ppo_epoch(
+                policy, value_net, policy_opt, value_opt, buffer.obs, buffer.pre_actions,
+                buffer.log_probs, advantages, returns, config)
+        step = (update + 1) * config.n_steps
+        stats = {"mean_reward": float(buffer.rewards.mean()), **stats}
+        check_finite(step, stats, result)
+        result.history.append({"step": step, "episode_return": last_episode_return, **stats})
+    return result
 
 
 @dataclass

@@ -22,6 +22,7 @@ from drltrade import cli
 from drltrade import indicators as ind
 from drltrade.agents import (
     GailConfig,
+    PpoBatch,
     PpoConfig,
     SacConfig,
     compute_gae,
@@ -29,6 +30,7 @@ from drltrade.agents import (
     gail_train,
     gaussian_kl,
     generate_expert_dataset,
+    make_ppo_nets,
     ppo_surrogate,
     ppo_train,
     sac_target,
@@ -265,8 +267,7 @@ def test_criterion_05_mlp_gradients():
 
 def test_criterion_06_analytic_cases():
     rng = np.random.default_rng(600)
-    policy = GaussianPolicy(3, 1, (4,), rng)
-    value_net = Mlp((3, 4, 1), rng)
+    nets = make_ppo_nets(3, 1, PpoConfig(hidden=(4,)), rng)
     obs = rng.normal(size=(1, 3))
     pre = rng.normal(size=(1, 1))
     checks = []
@@ -276,10 +277,10 @@ def test_criterion_06_analytic_cases():
         (1.5, -1.0, -1.5),
         (0.5, -1.0, -0.8),
     ):
-        old = policy.log_prob(obs, pre) - np.log(ratio)
-        stats, _, _ = ppo_surrogate(
-            policy, value_net, obs, pre, old, np.array([advantage]),
-            np.zeros(1), PpoConfig(clip=0.2),
+        old = nets.policy.log_prob(obs, pre) - np.log(ratio)
+        stats, _ = ppo_surrogate(
+            nets, PpoBatch.of(obs, pre, old, np.array([advantage]), np.zeros(1)),
+            PpoConfig(clip=0.2),
         )
         checks.append(abs(stats["policy_loss"] + objective) <= 1e-9)
 
