@@ -36,13 +36,8 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 from drltrade.agents import ReplayBuffer, SacConfig, make_sac_nets, sac_update  # noqa: E402
-from drltrade.agents.ppo import (  # noqa: E402
-    PpoBatch,
-    PpoBuffers,
-    PpoConfig,
-    make_ppo_nets,
-    ppo_epoch,
-)
+from drltrade.agents.ppo import PpoBatch, PpoBuffers, PpoConfig, ppo_epoch  # noqa: E402
+from drltrade.neural import ActorCritic, Adam  # noqa: E402
 
 
 def sac_step(obs_dim: int, batch: int, hidden: tuple, buffer_size: int, rng):
@@ -60,14 +55,15 @@ def sac_step(obs_dim: int, batch: int, hidden: tuple, buffer_size: int, rng):
 def ppo_step(obs_dim: int, batch: int, hidden: tuple, rng):
     """A function that runs one ``ppo_epoch`` on a fixed random batch."""
     config = PpoConfig(hidden=hidden, n_steps=batch)
-    nets = make_ppo_nets(obs_dim, 1, config, rng)
+    nets = ActorCritic.draw(obs_dim, 1, hidden, rng)
+    opt = Adam(nets.block, lr=config.learning_rate)
     buffers = PpoBuffers.allocate(nets, batch)
     obs = rng.normal(size=(batch, obs_dim))
     pre = rng.normal(size=(batch, 1))
     old_log_probs = nets.policy.log_prob(obs, pre)
     advantages, returns = rng.normal(size=batch), rng.normal(size=batch)
     rollout = PpoBatch.of(obs, pre, old_log_probs, advantages, returns)
-    return lambda: ppo_epoch(nets, rollout, config, buffers)
+    return lambda: ppo_epoch(nets, opt, rollout, config, buffers)
 
 
 def probe(step, warmup: int, updates: int) -> tuple[list[float], list[int]]:

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import EmptyBuffer
 from ..env import TradingEnv
-from ..neural import GaussianPolicy, Mlp
+from ..neural import ActorCritic
 
 
 @dataclass
@@ -21,8 +21,8 @@ class RolloutBuffer:
     """One contiguous on-policy collection of n_steps transitions.
 
     Actions are stored pre-squash so log-densities can be re-evaluated without
-    inverting tanh. last_obs/last_done describe the state after the final
-    transition, for bootstrapping.
+    inverting tanh. last_value is the value of the state after the final
+    transition, for bootstrapping: 0.0 when that transition ended an episode.
     """
 
     obs: np.ndarray  # (n, obs_dim)
@@ -31,8 +31,7 @@ class RolloutBuffer:
     rewards: np.ndarray  # (n,)
     dones: np.ndarray  # (n,) float 0/1
     values: np.ndarray  # (n,)
-    last_obs: np.ndarray
-    last_done: bool
+    last_value: float
 
     def __len__(self) -> int:
         return len(self.rewards)
@@ -40,21 +39,20 @@ class RolloutBuffer:
 
 def collect_rollout(
     env: TradingEnv,
-    policy: GaussianPolicy,
-    value_net: Mlp,
+    nets: ActorCritic,
     n_steps: int,
     rng: np.random.Generator,
 ) -> RolloutBuffer:
     """Step the env n_steps times with sampled actions, resetting on done.
 
-    Each step runs one forward pass of a stack of the policy mean net and
-    the value net, so both need the same ``sizes`` (and the action is scalar).
-    The rollout's noise is drawn in one call; the stored pre-squash actions
-    and their log-probs are computed after the loop. The buffer, and the
-    state ``rng`` is left in, are those of one ``policy.sample`` and one
-    ``value_net.forward`` per step, bit for bit.
+    Each step runs one forward pass of ``nets.stack``, the policy mean net
+    and the value net. The rollout's noise is drawn in one call; the stored
+    pre-squash actions and their log-probs are computed after the loop. The
+    buffer, and the state ``rng`` is left in, are those of one
+    ``policy.sample`` and one ``value_net.forward`` per step, bit for bit.
     """
-    forward = Mlp.stack((policy.mean_net, value_net)).forward
+    policy = nets.policy
+    forward = nets.stack.forward
     scaled_noise = policy.std() * rng.standard_normal((n_steps, policy.act_dim))
     obs_rows = np.empty((n_steps, env.observation_dim))
     outputs = np.empty((n_steps, 2))  # the policy mean and the value, per step
@@ -78,8 +76,7 @@ def collect_rollout(
         rewards=reward_rows,
         dones=done_rows,
         values=outputs[:, 1],
-        last_obs=obs,
-        last_done=bool(done_rows[-1]),
+        last_value=0.0 if done_rows[-1] else float(nets.value_net.forward(obs[None, :])[0, 0]),
     )
 
 
@@ -115,14 +112,11 @@ def normalize_advantages(advantages: np.ndarray, eps: float = 1e-8) -> np.ndarra
     return (advantages - advantages.mean()) / (advantages.std() + eps)
 
 
-def rollout_advantages(buffer: RolloutBuffer, rewards: np.ndarray, value_net: Mlp,
-                       gamma: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
+def rollout_advantages(buffer: RolloutBuffer, rewards: np.ndarray, gamma: float,
+                       lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Normalized advantages and raw value targets of one rollout, scored by
-    ``rewards``; the tail bootstraps from the last value unless an episode ended."""
-    last_value = (
-        0.0 if buffer.last_done else float(value_net.forward(buffer.last_obs[None, :])[0, 0])
-    )
-    advantages, returns = compute_gae(rewards, buffer.values, buffer.dones, last_value,
+    ``rewards``; the tail bootstraps from ``buffer.last_value``."""
+    advantages, returns = compute_gae(rewards, buffer.values, buffer.dones, buffer.last_value,
                                       gamma, lam)
     return normalize_advantages(advantages), returns
 

@@ -18,7 +18,7 @@ from ..domains import Checked, Count, Discount, Interval, Natural, NonNegative, 
 from ..env import TradingEnv
 from ..errors import EmptyDataset
 from ..market_data import CSV_CHUNK_ROWS, write_csv
-from ..neural import Adam, GaussianPolicy, Mlp, TrainResult, check_finite, softplus
+from ..neural import ActorCritic, Adam, GaussianPolicy, Mlp, TrainResult, check_finite, softplus
 from .buffers import collect_rollout, rollout_advantages
 from .trpo import trpo_step
 
@@ -212,8 +212,8 @@ def gail_train(
         raise ValueError(
             f"expert obs dim {expert.obs.shape[1]} != env obs dim {env.observation_dim}"
         )
-    policy = GaussianPolicy(env.observation_dim, env.action_dim, config.hidden, rng)
-    value_net = Mlp((env.observation_dim,) + config.hidden + (1,), rng)
+    nets = ActorCritic.draw(env.observation_dim, env.action_dim, config.hidden, rng)
+    policy, value_net = nets.policy, nets.value_net
     disc = Mlp((env.observation_dim + env.action_dim,) + config.hidden + (1,), rng)
     disc_opt = Adam(disc.params(), lr=config.disc_learning_rate)
     value_opt = Adam(value_net.params(), lr=config.value_lr)
@@ -221,7 +221,7 @@ def gail_train(
     n_iters = config.total_timesteps // config.horizon
     env.reset()
     for it in range(n_iters):
-        buffer = collect_rollout(env, policy, value_net, config.horizon, rng)
+        buffer = collect_rollout(env, nets, config.horizon, rng)
         expert_idx = rng.choice(
             len(expert), size=min(config.horizon, len(expert)), replace=False
         )
@@ -234,9 +234,8 @@ def gail_train(
             buffer.pre_actions,
         )
         rewards = gail_reward(disc, buffer.obs, buffer.pre_actions)
-        advantages, returns = rollout_advantages(
-            buffer, rewards, value_net, config.gamma, config.gae_lambda
-        )
+        advantages, returns = rollout_advantages(buffer, rewards, config.gamma,
+                                                 config.gae_lambda)
         trpo_stats = trpo_step(
             policy,
             buffer.obs,

@@ -5,8 +5,8 @@ r = exp(log_prob_new - log_prob_old). Gradients are computed analytically:
 the derivative of the objective with respect to the new log-probability is
 r*A wherever the unclipped branch is active and zero otherwise.
 
-The policy and the value net live on one parameter block (``PpoNets``), so
-each epoch runs one stacked forward and backward pass and one Adam step,
+The policy and the value net live on one parameter block (``ActorCritic``),
+so each epoch runs one stacked forward and backward pass and one Adam step,
 writing into arrays ``ppo_train`` allocates once (``PpoBuffers``).
 """
 
@@ -19,13 +19,10 @@ import numpy as np
 
 from ..domains import Checked, Count, Discount, Interval, Natural, NonNegative, Positive
 from ..env import TradingEnv
-from ..errors import ShapeMismatch
 from ..neural import (
-    LOG_STD_MAX,
-    LOG_STD_MIN,
+    ActorCritic,
     Adam,
     GaussianPolicy,
-    Mlp,
     TrainResult,
     check_finite,
     flatten_params,
@@ -49,13 +46,6 @@ class PpoConfig(Checked):
     hidden: tuple[Count, ...] = (64, 64)
 
 
-def log_std_mask(policy: GaussianPolicy) -> np.ndarray:
-    """1 where log_std is inside the clamp range (gradient passes), else 0."""
-    return (
-        (policy.log_std > LOG_STD_MIN) & (policy.log_std < LOG_STD_MAX)
-    ).astype(float)
-
-
 def policy_param_grads(
     policy: GaussianPolicy,
     cache,
@@ -76,46 +66,8 @@ def policy_param_grads(
     grad_mean = dloss_dlogp[:, None] * z / std
     net_grad = policy.mean_net.backward(cache, grad_mean)
     grad_log_std = (dloss_dlogp[:, None] * (z**2 - 1.0)).sum(axis=0)
-    grad_log_std = (grad_log_std + dloss_dlogstd_extra) * log_std_mask(policy)
+    grad_log_std = (grad_log_std + dloss_dlogstd_extra) * policy.log_std_mask()
     return flatten_params([net_grad, grad_log_std])
-
-
-@dataclass
-class PpoNets:
-    """The policy and the value net on one ``(2, P + act_dim)`` parameter block.
-
-    Row 0 is ``policy.theta``, [mean-net params, log_std]; row 1 is the value
-    net's params followed by ``act_dim`` pad entries. ``stack`` views
-    ``block[:, :P]`` as a stack of the mean net and the value net, so one
-    forward and one backward pass serve both nets, and ``opt`` steps both at
-    once. The pad's gradient is always 0, so it stays 0.
-    """
-
-    block: np.ndarray
-    policy: GaussianPolicy
-    value_net: Mlp
-    stack: Mlp
-    opt: Adam
-
-
-def make_ppo_nets(obs_dim: int, act_dim: int, config: PpoConfig,
-                  rng: np.random.Generator) -> PpoNets:
-    """A policy and a value net of ``config.hidden``, drawn from ``rng`` in
-    that order, moved onto one block. The stack needs equal sizes, so the
-    action is scalar."""
-    policy = GaussianPolicy(obs_dim, act_dim, config.hidden, rng)
-    value_net = Mlp((obs_dim,) + config.hidden + (1,), rng)
-    if policy.mean_net.sizes != value_net.sizes:
-        raise ShapeMismatch(f"the policy's mean net {policy.mean_net.sizes} and the value net "
-                            f"{value_net.sizes} must have equal sizes")
-    n = value_net.theta.size
-    block = np.zeros((2, policy.theta.size))
-    block[0] = policy.theta
-    block[1, :n] = value_net.theta
-    policy._bind(policy.mean_net.sizes, block[0])
-    value_net._bind(block[1, :n])
-    return PpoNets(block, policy, value_net, Mlp._view(value_net.sizes, block[:, :n]),
-                   Adam(block, lr=config.learning_rate))
 
 
 @dataclass
@@ -140,8 +92,8 @@ class PpoBatch:
 class PpoBuffers:
     """The arrays one epoch writes into, allocated once for ``rows`` samples:
     the stack's forward cache, its ``(2, rows, 1)`` output gradient, the
-    gradient block (laid out as ``PpoNets.block``; the pad is never written,
-    so it stays 0) and the backward pass's scratch pair."""
+    gradient block (laid out as ``ActorCritic.block``; the pad is never
+    written, so it stays 0) and the backward pass's scratch pair."""
 
     cache: list
     grad_out: np.ndarray
@@ -149,14 +101,13 @@ class PpoBuffers:
     scratch: np.ndarray
 
     @classmethod
-    def allocate(cls, nets: PpoNets, rows: int) -> "PpoBuffers":
-        width = max(nets.stack.sizes[1:-1], default=0)
+    def allocate(cls, nets: ActorCritic, rows: int) -> "PpoBuffers":
         return cls(cache=nets.stack.new_cache(rows),
                    grad_out=np.empty((2, rows, nets.stack.out_dim)),
-                   grads=np.zeros_like(nets.block), scratch=np.empty((2, 2 * rows * width)))
+                   grads=np.zeros_like(nets.block), scratch=nets.stack.new_scratch(rows))
 
 
-def ppo_surrogate(nets: PpoNets, batch: PpoBatch, config: PpoConfig,
+def ppo_surrogate(nets: ActorCritic, batch: PpoBatch, config: PpoConfig,
                   buffers: PpoBuffers | None = None):
     """Full loss with analytic gradients for one epoch over a batch.
 
@@ -201,7 +152,7 @@ def ppo_surrogate(nets: PpoNets, batch: PpoBatch, config: PpoConfig,
     p = nets.stack.theta.shape[-1]
     nets.stack.backward(cache, buffers.grad_out, out=grads[:, :p], scratch=buffers.scratch)
     grad_log_std = (dloss_dlogp[:, None] * (z**2 - 1.0)).sum(axis=0)
-    np.multiply(grad_log_std - config.ent_coef, log_std_mask(policy), out=grads[0, p:])
+    np.multiply(grad_log_std - config.ent_coef, policy.log_std_mask(), out=grads[0, p:])
 
     stats = {
         "loss": loss,
@@ -214,11 +165,12 @@ def ppo_surrogate(nets: PpoNets, batch: PpoBatch, config: PpoConfig,
     return stats, grads
 
 
-def ppo_epoch(nets: PpoNets, batch: PpoBatch, config: PpoConfig,
+def ppo_epoch(nets: ActorCritic, opt: Adam, batch: PpoBatch, config: PpoConfig,
               buffers: PpoBuffers | None = None) -> dict:
-    """One epoch: ``ppo_surrogate``, then one Adam step over the block; returns the stats."""
+    """One epoch: ``ppo_surrogate``, then one step of ``opt``, an Adam over
+    ``nets.block``; returns the stats."""
     stats, grads = ppo_surrogate(nets, batch, config, buffers)
-    nets.opt.step(nets.block, grads)
+    opt.step(nets.block, grads)
     return stats
 
 
@@ -228,7 +180,8 @@ def ppo_train(
     rng: np.random.Generator,
 ) -> TrainResult:
     """Alternate rollout collection and clipped-surrogate epochs."""
-    nets = make_ppo_nets(env.observation_dim, env.action_dim, config, rng)
+    nets = ActorCritic.draw(env.observation_dim, env.action_dim, config.hidden, rng)
+    opt = Adam(nets.block, lr=config.learning_rate)
     buffers = PpoBuffers.allocate(nets, config.n_steps)
     result = TrainResult({"policy": nets.policy, "value_net": nets.value_net})
     n_updates = config.total_timesteps // config.n_steps
@@ -236,20 +189,19 @@ def ppo_train(
     last_episode_return = float("nan")
     env.reset()
     for update in range(n_updates):
-        buffer = collect_rollout(env, nets.policy, nets.value_net, config.n_steps, rng)
+        buffer = collect_rollout(env, nets, config.n_steps, rng)
         for r, d in zip(buffer.rewards, buffer.dones):
             episode_return += r
             if d:
                 last_episode_return = episode_return
                 episode_return = 0.0
-        advantages, returns = rollout_advantages(
-            buffer, buffer.rewards, nets.value_net, config.gamma, config.gae_lambda
-        )
+        advantages, returns = rollout_advantages(buffer, buffer.rewards, config.gamma,
+                                                 config.gae_lambda)
         batch = PpoBatch.of(buffer.obs, buffer.pre_actions, buffer.log_probs, advantages,
                             returns)
         stats = {}
         for _ in range(config.n_epochs):
-            stats = ppo_epoch(nets, batch, config, buffers)
+            stats = ppo_epoch(nets, opt, batch, config, buffers)
         step = (update + 1) * config.n_steps
         stats = {"mean_reward": float(buffer.rewards.mean()), **stats}
         check_finite(step, stats, result)

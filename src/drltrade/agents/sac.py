@@ -24,7 +24,6 @@ from ..env import TradingEnv
 from ..errors import BufferTooSmall
 from ..neural import Adam, GaussianPolicy, Mlp, TrainResult, check_finite
 from .buffers import ReplayBuffer
-from .ppo import log_std_mask
 
 
 @dataclass(frozen=True)
@@ -67,13 +66,13 @@ class SacBuffers:
     @classmethod
     def allocate(cls, policy: GaussianPolicy, critic: Mlp, rows: int) -> "SacBuffers":
         """Buffers for ``rows`` transitions, ``policy`` and two nets sized like ``critic``."""
-        width = max(policy.mean_net.sizes[1:-1] + critic.sizes[1:-1], default=0)
         return cls(
             policy=policy.mean_net.new_cache(rows),
             critic=critic.new_cache(rows),
             targets=(critic.new_cache(rows), critic.new_cache(rows)),
             actor=(critic.new_cache(rows), critic.new_cache(rows)),
-            scratch=np.empty((2, rows * width)),
+            scratch=max(policy.mean_net.new_scratch(rows), critic.new_scratch(rows),
+                        key=np.size),
             inputs=np.empty((3, rows, critic.in_dim)),
             critic_grads=np.empty((2, critic.theta.size)),
             actor_grads=np.empty_like(policy.params()),
@@ -183,7 +182,7 @@ def sac_actor_grads(policy: GaussianPolicy, q1: Mlp, q2: Mlp, obs: np.ndarray,
     grads = buffers.actor_grads
     n_net = policy.mean_net.theta.size
     policy.mean_net.backward(cache, dloss_dmean, out=grads[:n_net], scratch=buffers.scratch)
-    np.multiply(dloss_dlogstd, log_std_mask(policy), out=grads[n_net:])
+    np.multiply(dloss_dlogstd, policy.log_std_mask(), out=grads[n_net:])
     return grads, actor_loss, log_probs
 
 

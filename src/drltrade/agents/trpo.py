@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ShapeMismatch
 from ..neural import GaussianPolicy
-from .ppo import log_std_mask, policy_param_grads
+from .ppo import policy_param_grads
 
 
 def conjugate_gradient(matvec, b: np.ndarray, iters: int, tol: float = 1e-10) -> np.ndarray:
@@ -56,7 +56,7 @@ def fisher_vector_product(
     var = policy.std() ** 2
     dmean = policy.mean_net.jvp(cache, vec[:n_net])
     net_product = policy.mean_net.backward(cache, dmean / var / n)
-    logstd_product = 2.0 * vec[n_net:] * log_std_mask(policy)
+    logstd_product = 2.0 * vec[n_net:] * policy.log_std_mask()
     return np.concatenate([net_product, logstd_product]) + damping * vec
 
 

@@ -13,13 +13,15 @@ Each network keeps its parameters in one contiguous float64 vector,
 place, never rebound. Gradients, tangents and optimizer state use the same
 layout, which makes Adam, Polyak averaging and the trust-region line search
 plain vector operations. A stack of K equal-sized MLPs (``Mlp.stack``)
-keeps one such vector per row of a ``(K, P)`` block.
+keeps one such vector per row of a ``(K, P)`` block; ``ActorCritic`` keeps
+a policy and a value net on one, as both on-policy trainers roll them out.
 
 The passes allocate their results unless given arrays to write into: a
-forward cache, a gradient vector and a scratch pair (see ``forward_cached``
-and ``backward``). Adam updates its moments in place. A training loop that
-owns those arrays, as SAC's update and PPO's epochs do, allocates no
-activation, gradient or optimizer temporaries.
+forward cache, a gradient vector and a scratch pair (``new_cache`` and
+``new_scratch`` make them; see ``forward_cached`` and ``backward``). Adam
+updates its moments in place. A training loop that owns those arrays, as
+SAC's update and PPO's epochs do, allocates no activation, gradient or
+optimizer temporaries.
 
 Checkpoints are JSON with sorted keys. Each network is stored as its sizes
 and its parameter vector, the base64 of ``params()`` as little-endian float64
@@ -134,6 +136,12 @@ class Mlp:
         lead = self.theta.shape[:-1] + (rows,)
         return [None] + [np.empty(lead + (fan_out,)) for fan_out in self.sizes[1:]]
 
+    def new_scratch(self, rows: int) -> np.ndarray:
+        """An uninitialized ``(2, K * rows * widest hidden)`` scratch pair for
+        ``backward`` and ``input_grad`` on ``rows`` rows (K is 1 for one net)."""
+        k = math.prod(self.theta.shape[:-1])
+        return np.empty((2, k * rows * max(self.sizes[1:-1], default=0)))
+
     def forward_cached(self, x: np.ndarray, cache=None):
         """Returns (output, cache); cache holds activations for backward.
 
@@ -172,8 +180,7 @@ class Mlp:
     def _scratch(self, g: np.ndarray, scratch) -> np.ndarray:
         """``scratch``, or a new pair of the size ``backward`` asks for."""
         if scratch is None:
-            rows = g.size // g.shape[-1]
-            scratch = np.empty((2, rows * max(self.sizes[1:-1], default=0)))
+            scratch = self.new_scratch(g.shape[-2])
         return scratch
 
     def _through_hidden(self, i: int, g: np.ndarray, activations, scratch, step: int):
@@ -458,6 +465,10 @@ class GaussianPolicy:
         # np.clip's values, NaN included, without its dispatch cost.
         return np.minimum(np.maximum(self.log_std, LOG_STD_MIN), LOG_STD_MAX)
 
+    def log_std_mask(self) -> np.ndarray:
+        """1 where log_std is inside the clamp range (gradient passes), else 0."""
+        return ((self.log_std > LOG_STD_MIN) & (self.log_std < LOG_STD_MAX)).astype(float)
+
     def std(self) -> np.ndarray:
         return np.exp(self.clamped_log_std())
 
@@ -516,6 +527,45 @@ class GaussianPolicy:
         policy = cls.__new__(cls)
         policy._bind(*_theta_from_json(payload, log_std=True))
         return policy
+
+
+@dataclass
+class ActorCritic:
+    """A policy and a value net on one ``(2, P + act_dim)`` parameter block.
+
+    Row 0 is ``policy.theta``, [mean-net params, log_std]; row 1 is the value
+    net's params followed by ``act_dim`` pad entries. ``stack`` views
+    ``block[:, :P]`` as a stack of the mean net and the value net, so one
+    forward or backward pass serves both nets. An optimizer over the block
+    steps both at once; the pad's gradient is always 0, so it stays 0.
+    """
+
+    block: np.ndarray
+    policy: GaussianPolicy
+    value_net: Mlp
+    stack: Mlp
+
+    @classmethod
+    def of(cls, policy: GaussianPolicy, value_net: Mlp) -> "ActorCritic":
+        """Moves both nets' parameters onto a new block; the stack needs equal
+        sizes, so the action is scalar."""
+        if policy.mean_net.sizes != value_net.sizes:
+            raise ShapeMismatch(f"the policy's mean net {policy.mean_net.sizes} and the value "
+                                f"net {value_net.sizes} must have equal sizes")
+        n = value_net.theta.size
+        block = np.zeros((2, policy.theta.size))
+        block[0] = policy.theta
+        block[1, :n] = value_net.theta
+        policy._bind(policy.mean_net.sizes, block[0])
+        value_net._bind(block[1, :n])
+        return cls(block, policy, value_net, Mlp._view(value_net.sizes, block[:, :n]))
+
+    @classmethod
+    def draw(cls, obs_dim: int, act_dim: int, hidden,
+             rng: np.random.Generator) -> "ActorCritic":
+        """A policy and a value net of ``hidden``, drawn from ``rng`` in that order."""
+        policy = GaussianPolicy(obs_dim, act_dim, hidden, rng)
+        return cls.of(policy, Mlp((obs_dim,) + tuple(hidden) + (1,), rng))
 
 
 def save_checkpoint(path, kind: str, payload: dict) -> None:

@@ -20,9 +20,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from drltrade.agents.buffers import collect_rollout, rollout_advantages
+from drltrade.agents.buffers import compute_gae, normalize_advantages
+from drltrade.agents.gail import gail_discriminator_update, gail_reward
 from drltrade.agents.ppo import policy_param_grads
 from drltrade.agents.sac import alpha_gradient, polyak_update, sac_actor_grads, sac_target
+from drltrade.agents.trpo import trpo_step
 from drltrade.errors import EmptyInput, InvariantViolation, MalformedRow
 from drltrade.neural import (
     LOG_STD_MAX,
@@ -506,8 +508,9 @@ def rerun_expert_dataset(policy, env, n_episodes, traj_limitation):
 
 
 def per_step_rollout(env, policy, value_net, n_steps, rng):
-    """The rollout buffer's arrays, keyed by field, from one ``policy.sample``
-    and one ``value_net.forward`` per step."""
+    """The rollout buffer's fields, keyed by name, from one ``policy.sample``
+    and one ``value_net.forward`` per step, and one more for the bootstrap
+    value unless the last step ended an episode."""
     obs_rows = np.empty((n_steps, env.observation_dim))
     pre_rows = np.empty((n_steps, policy.act_dim))
     logp_rows = np.empty(n_steps)
@@ -525,8 +528,10 @@ def per_step_rollout(env, policy, value_net, n_steps, rng):
         reward_rows[i] = result.reward
         done_rows[i] = float(result.done)
         obs = env.reset() if result.done else result.observation
+    last_value = 0.0 if done_rows[-1] else float(value_net.forward(obs[None, :])[0, 0])
     return {"obs": obs_rows, "pre_actions": pre_rows, "log_probs": logp_rows,
-            "rewards": reward_rows, "dones": done_rows, "values": value_rows, "last_obs": obs}
+            "rewards": reward_rows, "dones": done_rows, "values": value_rows,
+            "last_value": last_value}
 
 
 def twin_loop_nets(nets, lr):
@@ -644,9 +649,135 @@ def two_net_ppo_epoch(policy, value_net, policy_opt, value_opt, obs, pre_actions
     return stats, policy_grads, value_grads
 
 
+@dataclass
+class LooseNetRolloutBuffer:
+    """``buffers.RolloutBuffer`` before the rollout read an ``ActorCritic``:
+    last_obs/last_done describe the state after the final transition, for
+    bootstrapping."""
+
+    obs: np.ndarray  # (n, obs_dim)
+    pre_actions: np.ndarray  # (n, act_dim)
+    log_probs: np.ndarray  # (n,)
+    rewards: np.ndarray  # (n,)
+    dones: np.ndarray  # (n,) float 0/1
+    values: np.ndarray  # (n,)
+    last_obs: np.ndarray
+    last_done: bool
+
+    def __len__(self) -> int:
+        return len(self.rewards)
+
+
+def loose_net_collect_rollout(env, policy, value_net, n_steps, rng):
+    """``buffers.collect_rollout`` on two loose nets, stacked by a copy per
+    rollout; both need the same ``sizes``."""
+    forward = Mlp.stack((policy.mean_net, value_net)).forward
+    scaled_noise = policy.std() * rng.standard_normal((n_steps, policy.act_dim))
+    obs_rows = np.empty((n_steps, env.observation_dim))
+    outputs = np.empty((n_steps, 2))  # the policy mean and the value, per step
+    reward_rows = np.empty(n_steps)
+    done_rows = np.zeros(n_steps)
+    obs = env.reset() if env.done else env.observe()
+    for i in range(n_steps):
+        out = forward(obs[None, :])
+        outputs[i] = out[:, 0, 0]
+        result = env.step(np.tanh(out[0, 0] + scaled_noise[i]))
+        obs_rows[i] = obs
+        reward_rows[i] = result.reward
+        done_rows[i] = float(result.done)
+        obs = env.reset() if result.done else result.observation
+    means = outputs[:, :1]
+    pre_rows = means + scaled_noise
+    return LooseNetRolloutBuffer(
+        obs=obs_rows,
+        pre_actions=pre_rows,
+        log_probs=policy.log_prob_from_mean(means, pre_rows),
+        rewards=reward_rows,
+        dones=done_rows,
+        values=outputs[:, 1],
+        last_obs=obs,
+        last_done=bool(done_rows[-1]),
+    )
+
+
+def loose_net_rollout_advantages(buffer, rewards, value_net, gamma, lam):
+    """``buffers.rollout_advantages`` with the value net that scores the
+    bootstrap state passed in."""
+    last_value = (
+        0.0 if buffer.last_done else float(value_net.forward(buffer.last_obs[None, :])[0, 0])
+    )
+    advantages, returns = compute_gae(rewards, buffer.values, buffer.dones, last_value,
+                                      gamma, lam)
+    return normalize_advantages(advantages), returns
+
+
+def loose_net_gail_train(env, expert, config, rng):
+    """``gail.gail_train`` on a loose policy and value net, rolled out by
+    ``loose_net_collect_rollout``."""
+    if expert.obs.shape[1] != env.observation_dim:
+        raise ValueError(
+            f"expert obs dim {expert.obs.shape[1]} != env obs dim {env.observation_dim}"
+        )
+    policy = GaussianPolicy(env.observation_dim, env.action_dim, config.hidden, rng)
+    value_net = Mlp((env.observation_dim,) + config.hidden + (1,), rng)
+    disc = Mlp((env.observation_dim + env.action_dim,) + config.hidden + (1,), rng)
+    disc_opt = Adam(disc.params(), lr=config.disc_learning_rate)
+    value_opt = Adam(value_net.params(), lr=config.value_lr)
+    result = TrainResult({"policy": policy, "value_net": value_net, "discriminator": disc})
+    n_iters = config.total_timesteps // config.horizon
+    env.reset()
+    for it in range(n_iters):
+        buffer = loose_net_collect_rollout(env, policy, value_net, config.horizon, rng)
+        expert_idx = rng.choice(
+            len(expert), size=min(config.horizon, len(expert)), replace=False
+        )
+        disc_stats = gail_discriminator_update(
+            disc,
+            disc_opt,
+            expert.obs[expert_idx],
+            expert.actions[expert_idx],
+            buffer.obs,
+            buffer.pre_actions,
+        )
+        rewards = gail_reward(disc, buffer.obs, buffer.pre_actions)
+        advantages, returns = loose_net_rollout_advantages(
+            buffer, rewards, value_net, config.gamma, config.gae_lambda
+        )
+        trpo_stats = trpo_step(
+            policy,
+            buffer.obs,
+            buffer.pre_actions,
+            advantages,
+            buffer.log_probs,
+            max_kl=config.max_kl,
+            cg_iters=config.cg_iters,
+            backtracks=config.backtracks,
+            damping=config.cg_damping,
+            ent_coef=config.entropy_weight,
+        )
+        for _ in range(config.value_epochs):
+            out, cache = value_net.forward_cached(buffer.obs)
+            err = out[:, 0] - returns
+            grads = value_net.backward(cache, 2.0 * err[:, None] / len(returns))
+            value_opt.step(value_net.params(), grads)
+        step = (it + 1) * config.horizon
+        stats = {
+            "episode_return": float(rewards.sum()),
+            "imitation_reward_mean": float(rewards.mean()),
+            "kl": trpo_stats.kl,
+            "surrogate": trpo_stats.surrogate,
+            "step_accepted": float(trpo_stats.accepted),
+            "entropy": policy.entropy(),
+            **disc_stats,
+        }
+        check_finite(step, stats, result)
+        result.history.append({"step": step, **stats})
+    return result
+
+
 def two_net_ppo_train(env, config, rng):
     """``ppo.ppo_train`` on two networks with an Adam each, every epoch one
-    ``two_net_ppo_epoch``."""
+    ``two_net_ppo_epoch``, rolled out by ``loose_net_collect_rollout``."""
     policy = GaussianPolicy(env.observation_dim, env.action_dim, config.hidden, rng)
     value_net = Mlp((env.observation_dim,) + config.hidden + (1,), rng)
     policy_opt = Adam(policy.params(), lr=config.learning_rate)
@@ -656,13 +787,13 @@ def two_net_ppo_train(env, config, rng):
     last_episode_return = float("nan")
     env.reset()
     for update in range(config.total_timesteps // config.n_steps):
-        buffer = collect_rollout(env, policy, value_net, config.n_steps, rng)
+        buffer = loose_net_collect_rollout(env, policy, value_net, config.n_steps, rng)
         for r, d in zip(buffer.rewards, buffer.dones):
             episode_return += r
             if d:
                 last_episode_return = episode_return
                 episode_return = 0.0
-        advantages, returns = rollout_advantages(
+        advantages, returns = loose_net_rollout_advantages(
             buffer, buffer.rewards, value_net, config.gamma, config.gae_lambda
         )
         stats = {}

@@ -30,7 +30,6 @@ from drltrade.agents import (
     gail_train,
     gaussian_kl,
     generate_expert_dataset,
-    make_ppo_nets,
     ppo_surrogate,
     ppo_train,
     sac_target,
@@ -47,7 +46,7 @@ from drltrade.features import (
     normalize,
 )
 from drltrade.agents.gail import discriminator_objective
-from drltrade.neural import GaussianPolicy, Mlp
+from drltrade.neural import ActorCritic, GaussianPolicy, Mlp
 
 
 def report_criterion(number: int, ok: bool, detail: str) -> None:
@@ -267,7 +266,7 @@ def test_criterion_05_mlp_gradients():
 
 def test_criterion_06_analytic_cases():
     rng = np.random.default_rng(600)
-    nets = make_ppo_nets(3, 1, PpoConfig(hidden=(4,)), rng)
+    nets = ActorCritic.draw(3, 1, (4,), rng)
     obs = rng.normal(size=(1, 3))
     pre = rng.normal(size=(1, 1))
     checks = []

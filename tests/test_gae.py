@@ -13,9 +13,9 @@ from drltrade.agents import (
     normalize_advantages,
 )
 from drltrade.env import EnvConfig, TradingEnv
-from drltrade.errors import EmptyBuffer, ShapeMismatch
+from drltrade.errors import EmptyBuffer
 from drltrade.features import FeatureConfig, build_feature_matrix, fit_normalizer, normalize
-from drltrade.neural import GaussianPolicy, Mlp
+from drltrade.neural import ActorCritic, GaussianPolicy, Mlp
 from oracles import brute_gae, per_step_rollout
 
 
@@ -98,13 +98,15 @@ def make_env(rng, n=40, episode=None):
 
 def test_collect_rollout_shapes_and_reset(rng):
     env = make_env(rng, n=12, episode=range(4, 8))  # 3 steps per episode
-    policy = GaussianPolicy(env.observation_dim, 1, (4,), rng)
-    value_net = Mlp((env.observation_dim, 4, 1), rng)
-    buffer = collect_rollout(env, policy, value_net, 8, rng)
+    nets = ActorCritic.draw(env.observation_dim, 1, (4,), rng)
+    policy = nets.policy
+    buffer = collect_rollout(env, nets, 8, rng)
     assert len(buffer) == 8
     assert buffer.obs.shape == (8, env.observation_dim)
     assert buffer.dones.tolist() == [0, 0, 1, 0, 0, 1, 0, 0]
-    assert not buffer.last_done
+    # mid-episode: the tail bootstraps from the value of the next observation
+    assert buffer.last_value == nets.value_net.forward(env.observe()[None, :])[0, 0]
+    assert collect_rollout(env, nets, 1, rng).last_value == 0.0  # the episode ends
     # episode boundaary resets the account inside the rollout
     assert buffer.obs[3][0] == 1.0 and buffer.obs[3][1] == 0.0
     # log probs are re-derivable from the stored pre-squash actions
@@ -115,13 +117,14 @@ def test_collect_rollout_shapes_and_reset(rng):
 
 def test_collect_rollout_continues_across_calls(rng):
     env = make_env(rng, n=12, episode=range(4, 8))
-    policy = GaussianPolicy(env.observation_dim, 1, (4,), rng)
-    value_net = Mlp((env.observation_dim, 4, 1), rng)
-    first = collect_rollout(env, policy, value_net, 2, rng)
-    second = collect_rollout(env, policy, value_net, 2, rng)
+    nets = ActorCritic.draw(env.observation_dim, 1, (4,), rng)
+    first = collect_rollout(env, nets, 2, rng)
+    between = env.observe()
+    second = collect_rollout(env, nets, 2, rng)
     assert first.dones.tolist() == [0, 0]
     assert second.dones.tolist() == [1, 0]  # picks up mid-episode
-    assert np.array_equal(second.obs[0], first.last_obs)
+    assert np.array_equal(second.obs[0], between)
+    assert first.last_value == second.values[0]  # bootstrapped from the state it left
 
 
 @pytest.mark.parametrize("hidden", [(4,), (64, 64)])
@@ -142,26 +145,20 @@ def test_collect_rollout_is_bit_identical_to_per_step_sampling(seed, hidden, wid
     policy = GaussianPolicy(envs[0].observation_dim, 1, hidden, rng, out_scale=1.0)
     policy.log_std[:] = rng.normal()
     value_net = Mlp((envs[0].observation_dim,) + hidden + (1,), rng)
+    nets = ActorCritic.of(policy.copy(), value_net.copy())  # the oracle keeps the loose nets
     assert wide == (envs[0].observation_dim >= 1000)
     got_rng = np.random.default_rng(seed + 100)
     want_rng = np.random.default_rng(seed + 100)
     for n_steps in (7, 5):
-        got = collect_rollout(envs[0], policy, value_net, n_steps, got_rng)
+        got = collect_rollout(envs[0], nets, n_steps, got_rng)
         want = per_step_rollout(envs[1], policy, value_net, n_steps, want_rng)
         for name, expected in want.items():
             value = getattr(got, name)
-            assert value.shape == expected.shape and value.tobytes() == expected.tobytes(), name
-        assert got.last_done == bool(want["dones"][-1])
+            assert np.shape(value) == np.shape(expected), name
+            assert np.asarray(value).tobytes() == np.asarray(expected).tobytes(), name
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
     assert got.dones.sum() >= 1  # the second rollout crosses a reset too
-
-
-def test_collect_rollout_needs_equal_net_sizes(rng):
-    env = make_env(rng)
-    policy = GaussianPolicy(env.observation_dim, 1, (4,), rng)
-    value_net = Mlp((env.observation_dim, 5, 1), rng)
-    with pytest.raises(ShapeMismatch):
-        collect_rollout(env, policy, value_net, 4, rng)
+    assert got.dones[-1] and got.last_value == 0.0  # and ends one: no bootstrap
 
 
 def test_replay_buffer_ring_and_sampling(rng):

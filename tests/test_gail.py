@@ -20,7 +20,13 @@ from drltrade.env import EnvConfig, TradingEnv
 from drltrade.errors import DivergenceDetected, EmptyDataset
 from drltrade.features import FeatureConfig, build_feature_matrix, fit_normalizer, normalize
 from drltrade.neural import Adam, GaussianPolicy, Mlp, softplus
-from oracles import fd_gradient, per_value_expert_csv, rerun_expert_dataset, vector_rel_error
+from oracles import (
+    fd_gradient,
+    loose_net_gail_train,
+    per_value_expert_csv,
+    rerun_expert_dataset,
+    vector_rel_error,
+)
 
 
 def make_env(rng, episode=range(4, 20)):
@@ -237,6 +243,32 @@ def test_train_history_and_determinism(rng):
     for name in ("value_net", "discriminator"):
         assert result.nets[name].to_json() == repeat.nets[name].to_json()
     assert result.history == repeat.history
+
+
+# (episode, horizon): 15-step episodes that 32-step rollouts cross, and
+# 16-step rollouts that stay inside one 55-step episode, so each rollout's
+# tail bootstraps from the value net.
+ROLLOUT_CASES = {"crossing": (range(4, 20), 32), "inside_one_episode": (range(4, 60), 16)}
+
+
+@pytest.mark.parametrize("case", ROLLOUT_CASES)
+def test_train_is_bit_identical_to_the_loose_net_train(case):
+    """Checkpoint networks and log rows of three rollouts against the loop on
+    a loose policy and value net."""
+    episode, horizon = ROLLOUT_CASES[case]
+    config = GailConfig(total_timesteps=3 * horizon, horizon=horizon, hidden=(8,))
+    assert (len(episode) - 1 < config.total_timesteps) == (case == "crossing")
+
+    def run(train):
+        env = make_env(np.random.default_rng(7), episode)
+        expert_policy = GaussianPolicy(env.observation_dim, 1, (4,), np.random.default_rng(11))
+        expert = generate_expert_dataset(expert_policy, env, n_episodes=2)
+        return train(env, expert, config, np.random.default_rng(0))
+
+    result, want = run(gail_train), run(loose_net_gail_train)
+    assert len(result.history) == 3
+    assert result.networks_json() == want.networks_json()
+    assert repr(result.history) == repr(want.history)
 
 
 def test_config_validation():

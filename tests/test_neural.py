@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from drltrade.errors import DimensionMismatch, ShapeMismatch
 from drltrade.neural import (
+    ActorCritic,
     Adam,
     GaussianPolicy,
     Mlp,
@@ -142,6 +143,19 @@ def test_stacked_forward_refuses_unequal_sizes(rng, other):
         Mlp.stack([Mlp((4, 5, 1), rng), Mlp(other, rng)])
 
 
+@pytest.mark.parametrize("value_hidden,act_dim", [((5,), 1), ((4,), 2)],
+                         ids=["value_hidden", "vector_action"])
+def test_actor_critic_refuses_nets_of_unequal_sizes(rng, value_hidden, act_dim):
+    """A value net of other hidden sizes, or a vector action, and the stack
+    of the mean net and the value net cannot be built; neither net moves."""
+    policy = GaussianPolicy(3, act_dim, (4,), rng)
+    value_net = Mlp((3,) + value_hidden + (1,), rng)
+    policy_theta, value_theta = policy.theta, value_net.theta
+    with pytest.raises(ShapeMismatch, match="equal sizes"):
+        ActorCritic.of(policy, value_net)
+    assert policy.theta is policy_theta and value_net.theta is value_theta
+
+
 @pytest.mark.parametrize("sizes", [(3, 1), (27, 64, 64, 1), (5, 6, 6, 2)])
 @pytest.mark.parametrize("batch", [1, 7, 256])
 def test_stack_gradients_equal_member_gradients(rng, sizes, batch):
@@ -219,6 +233,7 @@ def test_mlp_passes_are_bit_identical_to_the_allocating_forms(rng, case):
     for a in full[1:]:
         a.fill(np.nan)
     width = max(sizes[1:-1], default=0)
+    assert net.new_scratch(buffer_rows).shape == (2, math.prod(lead) * buffer_rows * width)
     scratch = np.full((2, math.prod(lead) * buffer_rows * width + 3), np.nan)
     grads = np.full((2,) + net.params().shape, np.nan)
     for _ in range(2):

@@ -5,18 +5,13 @@ import pytest
 
 from conftest import make_random_series
 from drltrade.agents import PpoConfig, ppo_surrogate, ppo_train
-from drltrade.agents.ppo import (
-    PpoBatch,
-    PpoBuffers,
-    log_std_mask,
-    make_ppo_nets,
-    ppo_epoch,
-)
+from drltrade.agents.ppo import PpoBatch, PpoBuffers, ppo_epoch
 from drltrade.env import EnvConfig, TradingEnv
-from drltrade.errors import DivergenceDetected, ShapeMismatch
+from drltrade.errors import DivergenceDetected
 from drltrade.features import FeatureConfig, build_feature_matrix, fit_normalizer, normalize
 from drltrade.neural import (
     LOG_STD_MIN,
+    ActorCritic,
     Adam,
     GaussianPolicy,
     Mlp,
@@ -36,7 +31,7 @@ OBS_DIM = 3
 
 def make_nets(rng, hidden=(6,)):
     """The policy and the value net, both of ``hidden``, on one block."""
-    return make_ppo_nets(OBS_DIM, 1, PpoConfig(hidden=hidden), rng)
+    return ActorCritic.draw(OBS_DIM, 1, hidden, rng)
 
 
 def surrogate(nets, obs, pre, old_log_probs, advantages, returns, config):
@@ -169,10 +164,10 @@ def test_value_gradient_matches_finite_differences(rng):
 
 def test_log_std_mask_blocks_gradient_at_clamp(rng):
     policy = GaussianPolicy(OBS_DIM, 2, (4,), rng)
-    assert log_std_mask(policy).tolist() == [1.0, 1.0]  # zeros are inside
+    assert policy.log_std_mask().tolist() == [1.0, 1.0]  # zeros are inside
     policy.log_std[0] = -20.0
     policy.log_std[1] = 1.9
-    assert log_std_mask(policy).tolist() == [0.0, 1.0]
+    assert policy.log_std_mask().tolist() == [0.0, 1.0]
 
 
 def test_config_validation():
@@ -238,7 +233,8 @@ def assert_epochs_match_the_two_net_epochs(obs_dim, rows, config, epochs=10, log
     """Runs ``epochs`` epochs on the block and on two nets drawn alike, each
     with its own Adam, on one random batch; compares stats, gradients,
     parameters, Adam moments and step counts by bytes."""
-    nets = make_ppo_nets(obs_dim, 1, config, np.random.default_rng(4))
+    nets = ActorCritic.draw(obs_dim, 1, config.hidden, np.random.default_rng(4))
+    opt = Adam(nets.block, lr=config.learning_rate)
     draws = np.random.default_rng(4)
     policy = GaussianPolicy(obs_dim, 1, config.hidden, draws)
     value_net = Mlp((obs_dim,) + config.hidden + (1,), draws)
@@ -255,7 +251,7 @@ def assert_epochs_match_the_two_net_epochs(obs_dim, rows, config, epochs=10, log
     buffers = PpoBuffers.allocate(nets, rows)
     p = value_net.params().size
     for _ in range(epochs):
-        stats = ppo_epoch(nets, batch, config, buffers)
+        stats = ppo_epoch(nets, opt, batch, config, buffers)
         want, policy_grads, value_grads = two_net_ppo_epoch(
             policy, value_net, policy_opt, value_opt, obs, pre, old_log_probs, advantages,
             returns, config)
@@ -265,10 +261,10 @@ def assert_epochs_match_the_two_net_epochs(obs_dim, rows, config, epochs=10, log
         assert buffers.grads[1, :p].tobytes() == value_grads.tobytes()
     assert nets.policy.params().tobytes() == policy.params().tobytes()
     assert nets.value_net.params().tobytes() == value_net.params().tobytes()
-    for row, opt in ((nets.opt.m[0], policy_opt.m), (nets.opt.v[0], policy_opt.v),
-                     (nets.opt.m[1, :p], value_opt.m), (nets.opt.v[1, :p], value_opt.v)):
-        assert row.tobytes() == opt.tobytes()
-    assert nets.opt.t == policy_opt.t == value_opt.t == epochs
+    for row, moment in ((opt.m[0], policy_opt.m), (opt.v[0], policy_opt.v),
+                        (opt.m[1, :p], value_opt.m), (opt.v[1, :p], value_opt.v)):
+        assert row.tobytes() == moment.tobytes()
+    assert opt.t == policy_opt.t == value_opt.t == epochs
 
 
 @pytest.mark.parametrize("ent_coef", [0.0, 0.005])
@@ -305,7 +301,6 @@ def test_parameter_and_gradient_views_share_memory_with_their_blocks(rng):
     for net in (nets.policy.mean_net, nets.value_net):
         views += [net.params(), *net.weights, *net.biases]
     assert all(np.shares_memory(view, nets.block) for view in views)
-    assert nets.opt.m.shape == nets.block.shape
     buffers = PpoBuffers.allocate(nets, 4)
     p = nets.value_net.params().size
     shapes = [a.shape[1:] for pair in zip(nets.stack.weights, nets.stack.biases) for a in pair]
@@ -321,6 +316,7 @@ def test_parameter_and_gradient_views_share_memory_with_their_blocks(rng):
 def test_value_pad_stays_zero(rng):
     """The value row's act_dim pad entries: parameter, gradient and Adam moments."""
     nets = make_nets(rng, hidden=(8,))
+    opt = Adam(nets.block, lr=PpoConfig().learning_rate)
     buffers = PpoBuffers.allocate(nets, 8)
     obs, pre = rng.normal(size=(8, OBS_DIM)), rng.normal(size=(8, 1))
     batch = PpoBatch.of(obs, pre, nets.policy.log_prob(obs, pre) + rng.normal(size=8),
@@ -328,11 +324,6 @@ def test_value_pad_stays_zero(rng):
     p = nets.value_net.params().size
     zero = np.zeros(1).tobytes()
     for _ in range(20):
-        ppo_epoch(nets, batch, PpoConfig(), buffers)
-        for row in (nets.block, buffers.grads, nets.opt.m, nets.opt.v):
+        ppo_epoch(nets, opt, batch, PpoConfig(), buffers)
+        for row in (nets.block, buffers.grads, opt.m, opt.v):
             assert row[1, p:].tobytes() == zero
-
-
-def test_make_ppo_nets_refuses_a_vector_action(rng):
-    with pytest.raises(ShapeMismatch, match="equal sizes"):
-        make_ppo_nets(OBS_DIM, 2, PpoConfig(hidden=(4,)), rng)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from drltrade.agents import conjugate_gradient, fisher_vector_product, gaussian_kl, trpo_step
-from drltrade.agents.ppo import log_std_mask
 from drltrade.agents.trpo import surrogate
 from drltrade.errors import ShapeMismatch
 from drltrade.neural import GaussianPolicy
@@ -56,7 +55,7 @@ def brute_fisher(policy, obs, cache, damping):
             grad_out[i, k] = 1.0
             row = policy.mean_net.backward(cache, grad_out)
             fisher[:net_size, :net_size] += np.outer(row, row) / var[k] / n
-    mask = log_std_mask(policy)
+    mask = policy.log_std_mask()
     for k in range(act_dim):
         fisher[net_size + k, net_size + k] = 2.0 * mask[k]
     return fisher + damping * np.eye(total)
