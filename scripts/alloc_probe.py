@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time per update and minor page faults per update of SAC's or PPO's update.
+"""Time per update and minor page faults per update of SAC's, PPO's or GAIL's update.
 
 ``sac`` runs ``sac_update`` on a replay buffer of random transitions at the
 given observation width, batch size and hidden sizes (one action, buffer
@@ -7,7 +7,11 @@ given observation width, batch size and hidden sizes (one action, buffer
 ``ppo_epoch``, the epoch ``ppo_train`` runs, on a random batch of ``--batch``
 rows with buffers allocated once, as ``ppo_train`` allocates them: one
 stacked pass of the policy and the value net and one Adam step over their
-parameter block. Both first run ``--warmup`` updates,
+parameter block. ``gail`` runs ``gail_update``, the update ``gail_train``
+runs, on a random rollout of ``--batch`` steps and as many random expert
+pairs, with nets and buffers from ``make_gail_nets`` (horizon = batch): a
+discriminator step, the imitation rewards, a trust-region step and the
+value epochs. All three first run ``--warmup`` updates,
 then time ``--updates`` more, one by one, reading ``getrusage``'s
 ``ru_minflt`` around each. It prints one line: the median, first and third
 quartile of the microseconds per update and the mean minor faults per update.
@@ -17,6 +21,7 @@ Usage, from the root of the repository:
 
     PYTHONPATH=src python3 scripts/alloc_probe.py sac --obs 26 --batch 256 --hidden 64 64
     PYTHONPATH=src python3 scripts/alloc_probe.py ppo --obs 1082 --batch 32 --hidden 64 64
+    PYTHONPATH=src python3 scripts/alloc_probe.py gail --obs 26 --batch 512 --hidden 64 64
 
 Exit codes: 0 printed, 2 bad arguments. Needs only the standard library,
 numpy and drltrade.
@@ -36,6 +41,8 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 from drltrade.agents import ReplayBuffer, SacConfig, make_sac_nets, sac_update  # noqa: E402
+from drltrade.agents.buffers import RolloutBuffer  # noqa: E402
+from drltrade.agents.gail import GailConfig, gail_update, make_gail_nets  # noqa: E402
 from drltrade.agents.ppo import PpoBatch, PpoBuffers, PpoConfig, ppo_epoch  # noqa: E402
 from drltrade.neural import ActorCritic, Adam  # noqa: E402
 
@@ -66,6 +73,20 @@ def ppo_step(obs_dim: int, batch: int, hidden: tuple, rng):
     return lambda: ppo_epoch(nets, opt, rollout, config, buffers)
 
 
+def gail_step(obs_dim: int, batch: int, hidden: tuple, rng):
+    """A function that runs one ``gail_update`` on a fixed random rollout and expert batch."""
+    config = GailConfig(hidden=hidden, horizon=batch)
+    nets = make_gail_nets(obs_dim, 1, config, rng)
+    obs = rng.normal(size=(batch, obs_dim))
+    pre = rng.normal(size=(batch, 1))
+    rollout = RolloutBuffer(obs=obs, pre_actions=pre,
+                            log_probs=nets.generator.policy.log_prob(obs, pre),
+                            rewards=np.zeros(batch), dones=(rng.random(batch) < 0.05) * 1.0,
+                            values=rng.normal(size=batch), last_value=0.0)
+    expert_obs, expert_actions = rng.normal(size=(batch, obs_dim)), rng.normal(size=(batch, 1))
+    return lambda: gail_update(nets, rollout, expert_obs, expert_actions, config)
+
+
 def probe(step, warmup: int, updates: int) -> tuple[list[float], list[int]]:
     """Microseconds and minor faults of each of ``updates`` calls after ``warmup``."""
     for _ in range(warmup):
@@ -82,7 +103,7 @@ def probe(step, warmup: int, updates: int) -> tuple[list[float], list[int]]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("algo", choices=("sac", "ppo"))
+    parser.add_argument("algo", choices=("sac", "ppo", "gail"))
     parser.add_argument("--obs", type=int, default=26, help="observation width")
     parser.add_argument("--batch", type=int, default=256, help="rows per update")
     parser.add_argument("--hidden", type=int, nargs="+", default=[64, 64])
@@ -99,8 +120,10 @@ def main(argv=None) -> int:
     hidden = tuple(args.hidden)
     if args.algo == "sac":
         step = sac_step(args.obs, args.batch, hidden, args.buffer, rng)
-    else:
+    elif args.algo == "ppo":
         step = ppo_step(args.obs, args.batch, hidden, rng)
+    else:
+        step = gail_step(args.obs, args.batch, hidden, rng)
     micros, faults = probe(step, args.warmup, args.updates)
     q1, median, q3 = statistics.quantiles(micros, n=4) if len(micros) > 1 else micros * 3
     print(f"{args.algo} obs {args.obs} batch {args.batch} hidden "

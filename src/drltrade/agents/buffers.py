@@ -149,16 +149,25 @@ class ReplayBuffer:
         self._cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
-    def sample(self, batch_size: int, rng: np.random.Generator):
-        """Uniform without replacement; batch clamps to the current size."""
+    def sample(self, batch_size: int, rng: np.random.Generator, out=None):
+        """Uniform without replacement; batch clamps to the current size.
+
+        With ``out``, a ``(2, rows, obs_dim)`` array of at least the batch's
+        rows, the sampled obs and next_obs are taken into the first rows of
+        ``out[0]`` and ``out[1]`` and returned as views of them; without it,
+        they are new arrays.
+        """
         if self.size == 0:
             raise EmptyBuffer("replay buffer is empty")
         k = min(batch_size, self.size)
         idx = rng.choice(self.size, size=k, replace=False)
+        obs_out, next_out = (None, None) if out is None else out[:, :k]
+        # Every index is in range, so "clip" changes nothing; the default
+        # "raise" would copy through a temporary before writing into out.
         return (
-            self.obs[idx],
+            np.take(self.obs, idx, axis=0, out=obs_out, mode="clip"),
             self.pre_actions[idx],
             self.rewards[idx],
-            self.next_obs[idx],
+            np.take(self.next_obs, idx, axis=0, out=next_out, mode="clip"),
             self.dones[idx],
         )

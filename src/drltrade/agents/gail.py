@@ -4,7 +4,9 @@ log-output becomes the generator's cost.
 Convention: D -> 1 on generator samples, D -> 0 on expert samples, so the
 imitation reward -log D grows as the policy becomes indistinguishable from
 the expert. The policy improves by trust-region steps on advantages computed
-from the relabeled rewards; actions enter the discriminator pre-squash.
+from the relabeled rewards; actions enter the discriminator pre-squash. An
+update writes its passes into arrays ``gail_train`` allocates once
+(``GailBuffers``).
 """
 
 from __future__ import annotations
@@ -18,9 +20,18 @@ from ..domains import Checked, Count, Discount, Interval, Natural, NonNegative, 
 from ..env import TradingEnv
 from ..errors import EmptyDataset
 from ..market_data import CSV_CHUNK_ROWS, write_csv
-from ..neural import ActorCritic, Adam, GaussianPolicy, Mlp, TrainResult, check_finite, softplus
-from .buffers import collect_rollout, rollout_advantages
-from .trpo import trpo_step
+from ..neural import (
+    ActorCritic,
+    Adam,
+    GaussianPolicy,
+    Mlp,
+    TrainResult,
+    cache_rows,
+    check_finite,
+    softplus,
+)
+from .buffers import RolloutBuffer, collect_rollout, rollout_advantages
+from .trpo import TrpoBuffers, trpo_step
 
 D_CLAMP = 1e-8  # keeps -log D within [~0, 18.42]
 
@@ -42,6 +53,68 @@ class GailConfig(Checked):
     hidden: tuple[Count, ...] = (64, 64)
     value_lr: Positive = 1e-3
     value_epochs: Count = 5
+
+
+@dataclass
+class GailBuffers:
+    """The arrays one GAIL update writes into, allocated once for ``rows`` pairs.
+
+    The generator's mean net and value net have the discriminator's hidden
+    sizes and a one-column output, so one cache fits all three, and passes
+    whose phases never overlap share two. ``caches[0]`` takes the
+    discriminator's generator pass, then the reward pass, then TRPO's pass at
+    the current parameters, then the value epochs; ``caches[1]`` the
+    discriminator's expert pass (both stay live until their gradients are
+    summed), then TRPO's line search. ``trpo`` is built on them. Every
+    backward and ``jvp`` pass goes through ``scratch``. ``inputs`` holds the
+    generator and the expert pairs; ``disc_grads`` the two discriminator
+    gradients, ``value_grads`` the value net's. A batch of fewer pairs uses
+    row views.
+    """
+
+    inputs: np.ndarray  # (2, rows, obs_dim + act_dim)
+    caches: tuple[list, list]
+    scratch: np.ndarray
+    disc_grads: np.ndarray  # (2, discriminator parameters)
+    value_grads: np.ndarray | None
+    trpo: TrpoBuffers | None
+
+    @classmethod
+    def allocate(cls, disc: Mlp, rows: int,
+                 generator: ActorCritic | None = None) -> "GailBuffers":
+        """Buffers for ``rows`` pairs; without a ``generator``, only the
+        discriminator's (``value_grads`` and ``trpo`` are None)."""
+        caches = (disc.new_cache(rows), disc.new_cache(rows))
+        scratch = disc.new_scratch(rows)
+        value_grads = trpo = None
+        if generator is not None:
+            policy = generator.policy
+            value_grads = np.empty_like(generator.value_net.theta)
+            trpo = TrpoBuffers(*caches, scratch, dmean=np.empty((rows, policy.act_dim)),
+                               vectors=np.empty((3, policy.theta.size)))
+        return cls(inputs=np.empty((2, rows, disc.in_dim)), caches=caches, scratch=scratch,
+                   disc_grads=np.empty((2, disc.theta.size)), value_grads=value_grads,
+                   trpo=trpo)
+
+
+@dataclass
+class GailNets:
+    generator: ActorCritic  # the policy and its value net
+    disc: Mlp
+    disc_opt: Adam
+    value_opt: Adam
+    buffers: GailBuffers  # at ``horizon`` rows
+
+
+def make_gail_nets(obs_dim: int, act_dim: int, config: GailConfig,
+                   rng: np.random.Generator) -> GailNets:
+    """The generator, then the discriminator, drawn from ``rng`` in that order."""
+    generator = ActorCritic.draw(obs_dim, act_dim, config.hidden, rng)
+    disc = Mlp((obs_dim + act_dim,) + config.hidden + (1,), rng)
+    return GailNets(generator=generator, disc=disc,
+                    disc_opt=Adam(disc.params(), lr=config.disc_learning_rate),
+                    value_opt=Adam(generator.value_net.params(), lr=config.value_lr),
+                    buffers=GailBuffers.allocate(disc, config.horizon, generator))
 
 
 @dataclass
@@ -128,12 +201,27 @@ def generate_expert_dataset(
     return ExpertDataset(obs=obs_arr, actions=act_arr)
 
 
-def discriminator_logits(disc: Mlp, obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    return disc.forward(np.concatenate([obs, actions], axis=1))[:, 0]
+def _disc_pass(disc: Mlp, obs: np.ndarray, actions: np.ndarray, buffers: GailBuffers,
+               k: int):
+    """(output, cache) of D on the pairs, through input and cache ``k`` of
+    ``buffers``: 0 for generator pairs, 1 for expert pairs."""
+    n = len(obs)
+    pairs = np.concatenate([obs, actions], axis=1, out=buffers.inputs[k, :n])
+    return disc.forward_cached(pairs, cache_rows(buffers.caches[k], n))
 
 
-def discriminator_probability(disc: Mlp, obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-discriminator_logits(disc, obs, actions)))
+def discriminator_logits(disc: Mlp, obs: np.ndarray, actions: np.ndarray,
+                         buffers: GailBuffers | None = None) -> np.ndarray:
+    """D's logit per pair; the pass writes into the generator input and
+    cache of ``buffers`` (new ones without them)."""
+    if buffers is None:
+        buffers = GailBuffers.allocate(disc, len(obs))
+    return _disc_pass(disc, obs, actions, buffers, 0)[0][:, 0]
+
+
+def discriminator_probability(disc: Mlp, obs: np.ndarray, actions: np.ndarray,
+                              buffers: GailBuffers | None = None) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-discriminator_logits(disc, obs, actions, buffers)))
 
 
 def discriminator_objective(gen_probs: np.ndarray, expert_probs: np.ndarray) -> float:
@@ -150,17 +238,20 @@ def discriminator_loss_and_grads(
     expert_actions: np.ndarray,
     gen_obs: np.ndarray,
     gen_actions: np.ndarray,
+    buffers: GailBuffers | None = None,
 ) -> tuple[dict, np.ndarray]:
     """Loss and parameter gradients for one discriminator batch.
 
     The loss descended is the softplus form of the negated objective:
     mean softplus(-logit_gen) + mean softplus(logit_expert), which drives
-    D toward 1 on generator pairs and 0 on expert pairs.
+    D toward 1 on generator pairs and 0 on expert pairs. The passes write
+    into ``buffers`` (new ones without them); the gradient returned is
+    ``buffers.disc_grads[0]``.
     """
-    gen_in = np.concatenate([gen_obs, gen_actions], axis=1)
-    exp_in = np.concatenate([expert_obs, expert_actions], axis=1)
-    gen_out, gen_cache = disc.forward_cached(gen_in)
-    exp_out, exp_cache = disc.forward_cached(exp_in)
+    if buffers is None:
+        buffers = GailBuffers.allocate(disc, max(len(gen_obs), len(expert_obs)))
+    gen_out, gen_cache = _disc_pass(disc, gen_obs, gen_actions, buffers, 0)
+    exp_out, exp_cache = _disc_pass(disc, expert_obs, expert_actions, buffers, 1)
     gen_logits, exp_logits = gen_out[:, 0], exp_out[:, 0]
     gen_d = 1.0 / (1.0 + np.exp(-gen_logits))
     exp_d = 1.0 / (1.0 + np.exp(-exp_logits))
@@ -168,15 +259,16 @@ def discriminator_loss_and_grads(
 
     dgen = (gen_d - 1.0)[:, None] / len(gen_logits)
     dexp = exp_d[:, None] / len(exp_logits)
-    gen_grad = disc.backward(gen_cache, dgen)
-    exp_grad = disc.backward(exp_cache, dexp)
+    gen_grad, exp_grad = buffers.disc_grads
+    disc.backward(gen_cache, dgen, out=gen_grad, scratch=buffers.scratch)
+    disc.backward(exp_cache, dexp, out=exp_grad, scratch=buffers.scratch)
     stats = {
         "disc_loss": loss,
         "disc_objective": discriminator_objective(gen_d, exp_d),
         "d_generator": float(gen_d.mean()),
         "d_expert": float(exp_d.mean()),
     }
-    return stats, gen_grad + exp_grad
+    return stats, np.add(gen_grad, exp_grad, out=gen_grad)
 
 
 def gail_discriminator_update(
@@ -186,19 +278,64 @@ def gail_discriminator_update(
     expert_actions: np.ndarray,
     gen_obs: np.ndarray,
     gen_actions: np.ndarray,
+    buffers: GailBuffers | None = None,
 ) -> dict:
     """One Adam step toward D=1 on generator pairs and D=0 on expert pairs."""
     stats, grad = discriminator_loss_and_grads(
-        disc, expert_obs, expert_actions, gen_obs, gen_actions
+        disc, expert_obs, expert_actions, gen_obs, gen_actions, buffers
     )
     disc_opt.step(disc.params(), grad)
     return stats
 
 
-def gail_reward(disc: Mlp, obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """-log D(obs, action), clamped into [1e-8, 1 - 1e-8] before the log."""
-    d = np.clip(discriminator_probability(disc, obs, actions), D_CLAMP, 1.0 - D_CLAMP)
+def gail_reward(disc: Mlp, obs: np.ndarray, actions: np.ndarray,
+                buffers: GailBuffers | None = None) -> np.ndarray:
+    """-log D(obs, action), clamped into [1e-8, 1 - 1e-8] before the log.
+
+    The pass writes into the generator input and cache of ``buffers``."""
+    d = np.clip(discriminator_probability(disc, obs, actions, buffers), D_CLAMP, 1.0 - D_CLAMP)
     return -np.log(d)
+
+
+def gail_update(nets: GailNets, rollout: RolloutBuffer, expert_obs: np.ndarray,
+                expert_actions: np.ndarray, config: GailConfig) -> dict:
+    """One update on a rollout of ``horizon`` steps: a discriminator step, the
+    imitation rewards, a trust-region step and the value epochs, all through
+    ``nets.buffers``. Returns the update's statistics."""
+    buffers = nets.buffers
+    policy, value_net = nets.generator.policy, nets.generator.value_net
+    disc_stats = gail_discriminator_update(nets.disc, nets.disc_opt, expert_obs, expert_actions,
+                                           rollout.obs, rollout.pre_actions, buffers)
+    rewards = gail_reward(nets.disc, rollout.obs, rollout.pre_actions, buffers)
+    advantages, returns = rollout_advantages(rollout, rewards, config.gamma, config.gae_lambda)
+    trpo_stats = trpo_step(
+        policy,
+        rollout.obs,
+        rollout.pre_actions,
+        advantages,
+        rollout.log_probs,
+        max_kl=config.max_kl,
+        cg_iters=config.cg_iters,
+        backtracks=config.backtracks,
+        damping=config.cg_damping,
+        ent_coef=config.entropy_weight,
+        buffers=buffers.trpo,
+    )
+    for _ in range(config.value_epochs):
+        out, cache = value_net.forward_cached(rollout.obs, buffers.caches[0])
+        err = out[:, 0] - returns
+        value_net.backward(cache, 2.0 * err[:, None] / len(returns), out=buffers.value_grads,
+                           scratch=buffers.scratch)
+        nets.value_opt.step(value_net.params(), buffers.value_grads)
+    return {
+        "episode_return": float(rewards.sum()),
+        "imitation_reward_mean": float(rewards.mean()),
+        "kl": trpo_stats.kl,
+        "surrogate": trpo_stats.surrogate,
+        "step_accepted": float(trpo_stats.accepted),
+        "entropy": policy.entropy(),
+        **disc_stats,
+    }
 
 
 def gail_train(
@@ -212,57 +349,19 @@ def gail_train(
         raise ValueError(
             f"expert obs dim {expert.obs.shape[1]} != env obs dim {env.observation_dim}"
         )
-    nets = ActorCritic.draw(env.observation_dim, env.action_dim, config.hidden, rng)
-    policy, value_net = nets.policy, nets.value_net
-    disc = Mlp((env.observation_dim + env.action_dim,) + config.hidden + (1,), rng)
-    disc_opt = Adam(disc.params(), lr=config.disc_learning_rate)
-    value_opt = Adam(value_net.params(), lr=config.value_lr)
-    result = TrainResult({"policy": policy, "value_net": value_net, "discriminator": disc})
+    nets = make_gail_nets(env.observation_dim, env.action_dim, config, rng)
+    result = TrainResult({"policy": nets.generator.policy, "value_net": nets.generator.value_net,
+                          "discriminator": nets.disc})
     n_iters = config.total_timesteps // config.horizon
     env.reset()
     for it in range(n_iters):
-        buffer = collect_rollout(env, nets, config.horizon, rng)
+        rollout = collect_rollout(env, nets.generator, config.horizon, rng)
         expert_idx = rng.choice(
             len(expert), size=min(config.horizon, len(expert)), replace=False
         )
-        disc_stats = gail_discriminator_update(
-            disc,
-            disc_opt,
-            expert.obs[expert_idx],
-            expert.actions[expert_idx],
-            buffer.obs,
-            buffer.pre_actions,
-        )
-        rewards = gail_reward(disc, buffer.obs, buffer.pre_actions)
-        advantages, returns = rollout_advantages(buffer, rewards, config.gamma,
-                                                 config.gae_lambda)
-        trpo_stats = trpo_step(
-            policy,
-            buffer.obs,
-            buffer.pre_actions,
-            advantages,
-            buffer.log_probs,
-            max_kl=config.max_kl,
-            cg_iters=config.cg_iters,
-            backtracks=config.backtracks,
-            damping=config.cg_damping,
-            ent_coef=config.entropy_weight,
-        )
-        for _ in range(config.value_epochs):
-            out, cache = value_net.forward_cached(buffer.obs)
-            err = out[:, 0] - returns
-            grads = value_net.backward(cache, 2.0 * err[:, None] / len(returns))
-            value_opt.step(value_net.params(), grads)
+        stats = gail_update(nets, rollout, expert.obs[expert_idx], expert.actions[expert_idx],
+                            config)
         step = (it + 1) * config.horizon
-        stats = {
-            "episode_return": float(rewards.sum()),
-            "imitation_reward_mean": float(rewards.mean()),
-            "kl": trpo_stats.kl,
-            "surrogate": trpo_stats.surrogate,
-            "step_accepted": float(trpo_stats.accepted),
-            "entropy": policy.entropy(),
-            **disc_stats,
-        }
         check_finite(step, stats, result)
         result.history.append({"step": step, **stats})
     return result

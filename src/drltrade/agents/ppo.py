@@ -25,7 +25,6 @@ from ..neural import (
     GaussianPolicy,
     TrainResult,
     check_finite,
-    flatten_params,
     squashed_log_density,
     tanh_log_det_jacobian,
 )
@@ -53,6 +52,8 @@ def policy_param_grads(
     pre_actions: np.ndarray,
     dloss_dlogp: np.ndarray,
     dloss_dlogstd_extra: np.ndarray,
+    out=None,
+    scratch=None,
 ) -> np.ndarray:
     """Chain d(loss)/d(log_prob) through the Gaussian into parameter space.
 
@@ -60,14 +61,20 @@ def policy_param_grads(
       d(lp)/d(mu)        = (u - mu) / sigma^2
       d(lp)/d(log_sigma) = ((u - mu)/sigma)^2 - 1
     dloss_dlogstd_extra collects terms that hit log_std directly (entropy).
+    The gradient, laid out as ``policy.params()``, is written into ``out``
+    when given, else into a new array; the mean net's backward pass goes
+    through ``scratch`` (see ``Mlp.backward``).
     """
+    if out is None:
+        out = np.empty_like(policy.theta)
+    n_net = policy.mean_net.theta.size
     std = policy.std()
     z = (pre_actions - mean) / std
     grad_mean = dloss_dlogp[:, None] * z / std
-    net_grad = policy.mean_net.backward(cache, grad_mean)
+    policy.mean_net.backward(cache, grad_mean, out=out[:n_net], scratch=scratch)
     grad_log_std = (dloss_dlogp[:, None] * (z**2 - 1.0)).sum(axis=0)
-    grad_log_std = (grad_log_std + dloss_dlogstd_extra) * policy.log_std_mask()
-    return flatten_params([net_grad, grad_log_std])
+    np.multiply(grad_log_std + dloss_dlogstd_extra, policy.log_std_mask(), out=out[n_net:])
+    return out
 
 
 @dataclass

@@ -22,7 +22,7 @@ import numpy as np
 from ..domains import Checked, Count, Discount, Finite, Interval, Natural, Positive
 from ..env import TradingEnv
 from ..errors import BufferTooSmall
-from ..neural import Adam, GaussianPolicy, Mlp, TrainResult, check_finite
+from ..neural import Adam, GaussianPolicy, Mlp, TrainResult, cache_rows, check_finite
 from .buffers import ReplayBuffer
 
 
@@ -50,8 +50,9 @@ class SacBuffers:
     ``critic`` the regression passes of Q1, then Q2; ``targets`` Q1' and Q2',
     whose outputs are both read afterwards; ``actor`` Q1 and Q2 on the
     actor's actions. Every backward and input-gradient pass shares
-    ``scratch``. ``inputs`` holds the Q inputs (s', a'), (s, a) and
-    (s, pi(s)). An update on fewer rows uses ``rows(n)``.
+    ``scratch``. ``samples`` takes the replay sample's obs and next_obs;
+    ``inputs`` holds the Q inputs (s', a'), (s, a) and (s, pi(s)). An update
+    on fewer rows uses ``rows(n)``.
     """
 
     policy: list
@@ -59,6 +60,7 @@ class SacBuffers:
     targets: tuple[list, list]
     actor: tuple[list, list]
     scratch: np.ndarray
+    samples: np.ndarray
     inputs: np.ndarray
     critic_grads: np.ndarray
     actor_grads: np.ndarray
@@ -73,6 +75,7 @@ class SacBuffers:
             actor=(critic.new_cache(rows), critic.new_cache(rows)),
             scratch=max(policy.mean_net.new_scratch(rows), critic.new_scratch(rows),
                         key=np.size),
+            samples=np.empty((2, rows, policy.obs_dim)),
             inputs=np.empty((3, rows, critic.in_dim)),
             critic_grads=np.empty((2, critic.theta.size)),
             actor_grads=np.empty_like(policy.params()),
@@ -80,11 +83,11 @@ class SacBuffers:
 
     def rows(self, n: int) -> "SacBuffers":
         """The same buffers with every cache cut to its first ``n`` rows."""
-        def view(cache):
-            return [None] + [a[:n] for a in cache[1:]]
-        return replace(self, policy=view(self.policy), critic=view(self.critic),
-                       targets=tuple(map(view, self.targets)),
-                       actor=tuple(map(view, self.actor)), inputs=self.inputs[:, :n])
+        return replace(self, policy=cache_rows(self.policy, n),
+                       critic=cache_rows(self.critic, n),
+                       targets=tuple(cache_rows(cache, n) for cache in self.targets),
+                       actor=tuple(cache_rows(cache, n) for cache in self.actor),
+                       inputs=self.inputs[:, :n])
 
 
 @dataclass
@@ -199,7 +202,8 @@ def sac_update(nets: SacNets, buffer: ReplayBuffer, config: SacConfig,
             f"buffer has {len(buffer)} transitions, learning starts at "
             f"{config.learning_starts}"
         )
-    obs, pre_actions, rewards, next_obs, dones = buffer.sample(config.batch_size, rng)
+    obs, pre_actions, rewards, next_obs, dones = buffer.sample(config.batch_size, rng,
+                                                               nets.buffers.samples)
     n = len(obs)
     buffers = nets.buffers.rows(n)
     actions = np.tanh(pre_actions)

@@ -6,7 +6,8 @@ Gauss-Newton block J^T diag(1/sigma^2) J for the mean network (J the Jacobian
 of means w.r.t. parameters, applied matrix-free through jvp/backward) and the
 constant 2*I for log_std. Candidate steps are accepted only if the linearized
 surrogate actually improves and the empirical KL stays within max_kl;
-otherwise parameters are restored bit for bit.
+otherwise parameters are restored bit for bit. A step writes its passes into
+arrays its caller can allocate once (``TrpoBuffers``).
 """
 
 from __future__ import annotations
@@ -21,22 +22,52 @@ from .ppo import policy_param_grads
 
 
 def conjugate_gradient(matvec, b: np.ndarray, iters: int, tol: float = 1e-10) -> np.ndarray:
-    """Solve A x = b for SPD A given only v -> A v."""
+    """Solve A x = b for SPD A given only v -> A v.
+
+    The iterates are updated in place through one scratch vector, so the
+    loop allocates nothing; ``matvec`` may return the same array each call.
+    """
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
+    scaled = np.empty_like(b)
     rs = float(r @ r)
     for _ in range(iters):
         if rs < tol:
             break
         ap = matvec(p)
         alpha = rs / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=scaled)
+        r -= np.multiply(alpha, ap, out=scaled)
         rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
+        np.add(r, np.multiply(rs_new / rs, p, out=p), out=p)  # p = r + beta * p
         rs = rs_new
     return x
+
+
+@dataclass
+class TrpoBuffers:
+    """The arrays one trust-region step writes into, for ``rows`` samples.
+
+    ``cache`` holds the mean net's pass at the current parameters: every
+    Fisher product reads it, and its output is the old mean, so the line
+    search writes into ``trial``. Each ``jvp`` and backward pass goes through
+    ``scratch``; ``dmean`` carries a product's mean tangent. ``vectors``
+    holds the surrogate gradient, the Fisher product and its damping term.
+    """
+
+    cache: list
+    trial: list
+    scratch: np.ndarray
+    dmean: np.ndarray  # (rows, act_dim)
+    vectors: np.ndarray  # (3, policy parameters)
+
+    @classmethod
+    def allocate(cls, policy: GaussianPolicy, rows: int) -> "TrpoBuffers":
+        net = policy.mean_net
+        return cls(cache=net.new_cache(rows), trial=net.new_cache(rows),
+                   scratch=net.new_scratch(rows), dmean=np.empty((rows, policy.act_dim)),
+                   vectors=np.empty((3, policy.theta.size)))
 
 
 def fisher_vector_product(
@@ -45,19 +76,26 @@ def fisher_vector_product(
     cache,
     vec: np.ndarray,
     damping: float,
+    buffers: TrpoBuffers | None = None,
 ) -> np.ndarray:
     """(F + damping*I) v for the KL Fisher at the current parameters.
 
     ``cache`` is the mean network's ``forward_cached`` cache on ``obs`` at
-    those parameters.
+    those parameters. The product is ``buffers.vectors[1]``, which the next
+    call overwrites; without ``buffers``, new ones are allocated for ``obs``'s
+    rows.
     """
+    if buffers is None:
+        buffers = TrpoBuffers.allocate(policy, len(obs))
     n_net = policy.mean_net.theta.size
     n = len(obs)
     var = policy.std() ** 2
-    dmean = policy.mean_net.jvp(cache, vec[:n_net])
-    net_product = policy.mean_net.backward(cache, dmean / var / n)
-    logstd_product = 2.0 * vec[n_net:] * policy.log_std_mask()
-    return np.concatenate([net_product, logstd_product]) + damping * vec
+    dmean = policy.mean_net.jvp(cache, vec[:n_net], buffers.dmean, buffers.scratch)
+    np.divide(np.divide(dmean, var, out=dmean), n, out=dmean)
+    _, product, term = buffers.vectors
+    policy.mean_net.backward(cache, dmean, out=product[:n_net], scratch=buffers.scratch)
+    np.multiply(2.0 * vec[n_net:], policy.log_std_mask(), out=product[n_net:])
+    return np.add(product, np.multiply(damping, vec, out=term), out=product)
 
 
 def gaussian_kl(mean0, std0, mean1, std1) -> float:
@@ -105,11 +143,18 @@ def trpo_step(
     backtracks: int = 10,
     damping: float = 0.1,
     ent_coef: float = 0.0,
+    buffers: TrpoBuffers | None = None,
 ) -> TrpoStats:
-    """Maximize mean(ratio * advantage) + ent_coef * entropy under a KL cap."""
+    """Maximize mean(ratio * advantage) + ent_coef * entropy under a KL cap.
+
+    The passes write into ``buffers``, for ``len(obs)`` rows; without them,
+    new ones are allocated.
+    """
     n = len(obs)
+    if buffers is None:
+        buffers = TrpoBuffers.allocate(policy, n)
     theta_old = policy.params().copy()
-    mean_old, cache = policy.mean_net.forward_cached(obs)
+    mean_old, cache = policy.mean_net.forward_cached(obs, buffers.cache)
     if np.shape(pre_actions) != mean_old.shape:
         raise ShapeMismatch(f"pre_actions shape {np.shape(pre_actions)} "
                             f"!= mean shape {mean_old.shape}")
@@ -120,12 +165,13 @@ def trpo_step(
     surr_old = _surrogate(policy, ratio_now, advantages, ent_coef)
     dsurr_dlogp = ratio_now * advantages / n
     ent_grad = ent_coef * np.ones(policy.act_dim)
-    g = policy_param_grads(policy, cache, mean_old, pre_actions, dsurr_dlogp, ent_grad)
+    g = policy_param_grads(policy, cache, mean_old, pre_actions, dsurr_dlogp, ent_grad,
+                           out=buffers.vectors[0], scratch=buffers.scratch)
     if not np.all(np.isfinite(g)):
         return _noop(surr_old)  # a non-finite surrogate gradient
 
     def matvec(v):
-        return fisher_vector_product(policy, obs, cache, v, damping)
+        return fisher_vector_product(policy, obs, cache, v, damping, buffers)
 
     direction = conjugate_gradient(matvec, g, cg_iters)
     quad = float(direction @ matvec(direction))
@@ -137,7 +183,7 @@ def trpo_step(
     for k in range(backtracks):
         frac = 0.5**k
         policy.set_params(theta_old + frac * full_step)
-        mean_new = policy.mean_net.forward(obs)
+        mean_new, _ = policy.mean_net.forward_cached(obs, buffers.trial)
         std_new = np.broadcast_to(policy.std(), mean_new.shape)
         kl = gaussian_kl(mean_old, std_old, mean_new, std_new)
         ratio_new = np.exp(policy.log_prob_from_mean(mean_new, pre_actions) - old_log_probs)

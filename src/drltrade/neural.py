@@ -18,10 +18,10 @@ a policy and a value net on one, as both on-policy trainers roll them out.
 
 The passes allocate their results unless given arrays to write into: a
 forward cache, a gradient vector and a scratch pair (``new_cache`` and
-``new_scratch`` make them; see ``forward_cached`` and ``backward``). Adam
-updates its moments in place. A training loop that owns those arrays, as
-SAC's update and PPO's epochs do, allocates no activation, gradient or
-optimizer temporaries.
+``new_scratch`` make them; see ``forward_cached``, ``backward`` and
+``jvp``). Adam updates its moments in place. A training loop that owns those
+arrays, as SAC's update, PPO's epochs and GAIL's update do, allocates no
+activation, gradient or optimizer temporaries.
 
 Checkpoints are JSON with sorted keys. Each network is stored as its sizes
 and its parameter vector, the base64 of ``params()`` as little-endian float64
@@ -245,22 +245,45 @@ class Mlp:
             g = self._through_hidden(i, g, activations, scratch, last - i)
         return g @ self.weights[0].swapaxes(-1, -2)
 
-    def jvp(self, cache, tangent: np.ndarray) -> np.ndarray:
+    def jvp(self, cache, tangent: np.ndarray, out=None, scratch=None) -> np.ndarray:
         """Directional derivative of the output along a parameter tangent vector.
 
         ``cache`` is the one ``forward_cached`` returned at the current
         parameters; its activations are reused, so no forward pass runs here.
+        The derivative is written into ``out`` when given (an array shaped
+        like the output, or a view of one), else into a new array. The hidden
+        layers' tangents and each layer's temporaries pass through
+        ``scratch``, a pair as ``backward`` takes; without one, one is
+        allocated. An output layer wider than every hidden layer allocates
+        its one temporary.
         """
         activations = cache
+        if out is None:
+            out = np.empty_like(activations[-1])
+        elif out.shape != activations[-1].shape:
+            raise ShapeMismatch(f"out has shape {out.shape}, output {activations[-1].shape}")
+        scratch = self._scratch(activations[-1], scratch)
         tangents = unflatten_params(tangent, self._shapes())
         last = len(self.weights) - 1
         for i, w in enumerate(self.weights):
             a = activations[i]
             dw = tangents[2 * i]
             db = tangents[2 * i + 1]
-            # The input does not depend on the parameters: layer 0 has no da @ w.
-            dz = a @ dw + db if i == 0 else (da @ w + a @ dw) + db
-            da = dz if i == last else (1.0 - activations[i + 1] ** 2) * dz
+            shape = activations[i + 1].shape
+            # The previous layer's tangent da sits in the other row until
+            # da @ w has read it; then that row takes a @ dw and the factor.
+            dz = out if i == last else _scratch_view(scratch, i % 2, shape)
+            other = _scratch_view(scratch, 1 - i % 2, shape)
+            if i == 0:
+                # The input does not depend on the parameters: no da @ w.
+                np.matmul(a, dw, out=dz)
+            else:
+                np.matmul(da, w, out=dz)
+                np.add(dz, np.matmul(a, dw, out=other), out=dz)
+            da = np.add(dz, db, out=dz)
+            if i < last:
+                factor = np.square(activations[i + 1], out=other)
+                da = np.multiply(np.subtract(1.0, factor, out=factor), dz, out=dz)
         return da
 
     def params(self) -> np.ndarray:
@@ -328,6 +351,19 @@ def unflatten_params(flat: np.ndarray, shapes) -> list[np.ndarray]:
         out.append(flat[..., offset:offset + size].reshape(lead + shape))
         offset += size
     return out
+
+
+def _scratch_view(scratch: np.ndarray, row: int, shape: tuple[int, ...]):
+    """The first ``prod(shape)`` entries of ``scratch[row]`` viewed as ``shape``,
+    or None (so a ufunc allocates) when the row is too short."""
+    count = math.prod(shape)
+    return scratch[row, :count].reshape(shape) if count <= scratch.shape[1] else None
+
+
+def cache_rows(cache, n: int) -> list:
+    """Row views of a ``forward_cached`` cache: each activation cut to its
+    first ``n`` rows, the input entry left for the pass to fill."""
+    return [None] + [a[..., :n, :] for a in cache[1:]]
 
 
 def _assign(theta: np.ndarray, values: np.ndarray) -> None:

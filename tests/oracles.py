@@ -21,11 +21,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from drltrade.agents.buffers import compute_gae, normalize_advantages
-from drltrade.agents.gail import gail_discriminator_update, gail_reward
-from drltrade.agents.ppo import policy_param_grads
+from drltrade.agents.gail import D_CLAMP, discriminator_objective
 from drltrade.agents.sac import alpha_gradient, polyak_update, sac_actor_grads, sac_target
-from drltrade.agents.trpo import trpo_step
-from drltrade.errors import EmptyInput, InvariantViolation, MalformedRow
+from drltrade.agents.trpo import TrpoStats, _noop, _surrogate, gaussian_kl
+from drltrade.errors import EmptyInput, InvariantViolation, MalformedRow, ShapeMismatch
 from drltrade.neural import (
     LOG_STD_MAX,
     LOG_STD_MIN,
@@ -34,6 +33,9 @@ from drltrade.neural import (
     Mlp,
     TrainResult,
     check_finite,
+    flatten_params,
+    softplus,
+    unflatten_params,
 )
 
 NAN = float("nan")
@@ -425,6 +427,22 @@ def allocating_input_grad(net, cache, grad_out):
     return g
 
 
+def allocating_jvp(net, cache, tangent):
+    """``Mlp.jvp`` before it could write into caller arrays: every layer's
+    tangent and temporary a new array."""
+    activations = cache
+    tangents = unflatten_params(tangent, net._shapes())
+    last = len(net.weights) - 1
+    for i, w in enumerate(net.weights):
+        a = activations[i]
+        dw = tangents[2 * i]
+        db = tangents[2 * i + 1]
+        # The input does not depend on the parameters: layer 0 has no da @ w.
+        dz = a @ dw + db if i == 0 else (da @ w + a @ dw) + db
+        da = dz if i == last else (1.0 - activations[i + 1] ** 2) * dz
+    return da
+
+
 def recomputing_jvp(net, x, tangent):
     """Forward-mode derivative that re-runs the forward pass from ``x``.
 
@@ -621,7 +639,7 @@ def two_net_ppo_surrogate(policy, value_net, obs, pre_actions, old_log_probs, ad
     dloss_dlogp = -active * ratio * advantages / n
     act_dim = policy.act_dim
     ent_grad = -config.ent_coef * np.ones(act_dim)
-    policy_grads = policy_param_grads(
+    policy_grads = allocating_policy_param_grads(
         policy, cache, mean, pre_actions, dloss_dlogp, ent_grad
     )
     dloss_dv = config.vf_coef * 2.0 * value_err[:, None] / n
@@ -711,9 +729,142 @@ def loose_net_rollout_advantages(buffer, rewards, value_net, gamma, lam):
     return normalize_advantages(advantages), returns
 
 
+def allocating_policy_param_grads(policy, cache, mean, pre_actions, dloss_dlogp,
+                                  dloss_dlogstd_extra):
+    """``ppo.policy_param_grads`` before it wrote into a given vector: the mean
+    net's gradient and log_std's, concatenated."""
+    std = policy.std()
+    z = (pre_actions - mean) / std
+    grad_mean = dloss_dlogp[:, None] * z / std
+    net_grad = allocating_backward(policy.mean_net, cache, grad_mean)
+    grad_log_std = (dloss_dlogp[:, None] * (z**2 - 1.0)).sum(axis=0)
+    grad_log_std = (grad_log_std + dloss_dlogstd_extra) * policy.log_std_mask()
+    return flatten_params([net_grad, grad_log_std])
+
+
+def allocating_conjugate_gradient(matvec, b, iters, tol=1e-10):
+    """``trpo.conjugate_gradient`` before it updated its iterates in place."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    for _ in range(iters):
+        if rs < tol:
+            break
+        ap = matvec(p)
+        alpha = rs / float(p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        rs_new = float(r @ r)
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return x
+
+
+def allocating_fisher_vector_product(policy, obs, cache, vec, damping):
+    """``trpo.fisher_vector_product`` before it wrote into caller arrays."""
+    n_net = policy.mean_net.theta.size
+    n = len(obs)
+    var = policy.std() ** 2
+    dmean = allocating_jvp(policy.mean_net, cache, vec[:n_net])
+    net_product = allocating_backward(policy.mean_net, cache, dmean / var / n)
+    logstd_product = 2.0 * vec[n_net:] * policy.log_std_mask()
+    return np.concatenate([net_product, logstd_product]) + damping * vec
+
+
+def allocating_trpo_step(policy, obs, pre_actions, advantages, old_log_probs, max_kl=0.01,
+                         cg_iters=10, backtracks=10, damping=0.1, ent_coef=0.0):
+    """``trpo.trpo_step`` before it wrote into caller arrays: every pass of
+    the mean net a new array, through the allocating forms above."""
+    n = len(obs)
+    theta_old = policy.params().copy()
+    mean_old, cache = allocating_forward_cached(policy.mean_net, obs)
+    if np.shape(pre_actions) != mean_old.shape:
+        raise ShapeMismatch(f"pre_actions shape {np.shape(pre_actions)} "
+                            f"!= mean shape {mean_old.shape}")
+    std_old = np.broadcast_to(policy.std(), mean_old.shape)
+    ratio_now = np.exp(policy.log_prob_from_mean(mean_old, pre_actions) - old_log_probs)
+    surr_old = _surrogate(policy, ratio_now, advantages, ent_coef)
+    dsurr_dlogp = ratio_now * advantages / n
+    ent_grad = ent_coef * np.ones(policy.act_dim)
+    g = allocating_policy_param_grads(policy, cache, mean_old, pre_actions, dsurr_dlogp,
+                                      ent_grad)
+    if not np.all(np.isfinite(g)):
+        return _noop(surr_old)
+
+    def matvec(v):
+        return allocating_fisher_vector_product(policy, obs, cache, v, damping)
+
+    direction = allocating_conjugate_gradient(matvec, g, cg_iters)
+    quad = float(direction @ matvec(direction))
+    if not np.all(np.isfinite(direction)) or quad <= 0.0 or not np.isfinite(quad):
+        return _noop(surr_old)
+    beta = np.sqrt(2.0 * max_kl / quad)
+    full_step = beta * direction
+
+    for k in range(backtracks):
+        frac = 0.5**k
+        policy.set_params(theta_old + frac * full_step)
+        mean_new = allocating_forward_cached(policy.mean_net, obs)[0]
+        std_new = np.broadcast_to(policy.std(), mean_new.shape)
+        kl = gaussian_kl(mean_old, std_old, mean_new, std_new)
+        ratio_new = np.exp(policy.log_prob_from_mean(mean_new, pre_actions) - old_log_probs)
+        surr_new = _surrogate(policy, ratio_new, advantages, ent_coef)
+        improvement = surr_new - surr_old
+        if np.isfinite(kl) and np.isfinite(surr_new) and improvement > 0.0 and kl <= max_kl:
+            return TrpoStats(accepted=True, step_fraction=frac, kl=kl,
+                             improvement=improvement, surrogate=surr_new)
+    policy.set_params(theta_old)
+    return _noop(surr_old)
+
+
+def allocating_discriminator_loss_and_grads(disc, expert_obs, expert_actions, gen_obs,
+                                            gen_actions):
+    """``gail.discriminator_loss_and_grads`` before it wrote into caller
+    arrays: two allocating passes, two new gradients and their sum."""
+    gen_in = np.concatenate([gen_obs, gen_actions], axis=1)
+    exp_in = np.concatenate([expert_obs, expert_actions], axis=1)
+    gen_out, gen_cache = allocating_forward_cached(disc, gen_in)
+    exp_out, exp_cache = allocating_forward_cached(disc, exp_in)
+    gen_logits, exp_logits = gen_out[:, 0], exp_out[:, 0]
+    gen_d = 1.0 / (1.0 + np.exp(-gen_logits))
+    exp_d = 1.0 / (1.0 + np.exp(-exp_logits))
+    loss = float(np.mean(softplus(-gen_logits)) + np.mean(softplus(exp_logits)))
+
+    dgen = (gen_d - 1.0)[:, None] / len(gen_logits)
+    dexp = exp_d[:, None] / len(exp_logits)
+    gen_grad = allocating_backward(disc, gen_cache, dgen)
+    exp_grad = allocating_backward(disc, exp_cache, dexp)
+    stats = {
+        "disc_loss": loss,
+        "disc_objective": discriminator_objective(gen_d, exp_d),
+        "d_generator": float(gen_d.mean()),
+        "d_expert": float(exp_d.mean()),
+    }
+    return stats, gen_grad + exp_grad
+
+
+def allocating_gail_discriminator_update(disc, disc_opt, expert_obs, expert_actions, gen_obs,
+                                         gen_actions):
+    """``gail.gail_discriminator_update`` on the allocating loss above."""
+    stats, grad = allocating_discriminator_loss_and_grads(
+        disc, expert_obs, expert_actions, gen_obs, gen_actions
+    )
+    disc_opt.step(disc.params(), grad)
+    return stats
+
+
+def allocating_gail_reward(disc, obs, actions):
+    """``gail.gail_reward`` with the discriminator's pass allocating."""
+    logits = allocating_forward_cached(disc, np.concatenate([obs, actions], axis=1))[0][:, 0]
+    d = np.clip(1.0 / (1.0 + np.exp(-logits)), D_CLAMP, 1.0 - D_CLAMP)
+    return -np.log(d)
+
+
 def loose_net_gail_train(env, expert, config, rng):
     """``gail.gail_train`` on a loose policy and value net, rolled out by
-    ``loose_net_collect_rollout``."""
+    ``loose_net_collect_rollout``, with every update through the allocating
+    forms above and ``AllocatingAdam``s."""
     if expert.obs.shape[1] != env.observation_dim:
         raise ValueError(
             f"expert obs dim {expert.obs.shape[1]} != env obs dim {env.observation_dim}"
@@ -721,8 +872,8 @@ def loose_net_gail_train(env, expert, config, rng):
     policy = GaussianPolicy(env.observation_dim, env.action_dim, config.hidden, rng)
     value_net = Mlp((env.observation_dim,) + config.hidden + (1,), rng)
     disc = Mlp((env.observation_dim + env.action_dim,) + config.hidden + (1,), rng)
-    disc_opt = Adam(disc.params(), lr=config.disc_learning_rate)
-    value_opt = Adam(value_net.params(), lr=config.value_lr)
+    disc_opt = AllocatingAdam(disc.params(), lr=config.disc_learning_rate)
+    value_opt = AllocatingAdam(value_net.params(), lr=config.value_lr)
     result = TrainResult({"policy": policy, "value_net": value_net, "discriminator": disc})
     n_iters = config.total_timesteps // config.horizon
     env.reset()
@@ -731,7 +882,7 @@ def loose_net_gail_train(env, expert, config, rng):
         expert_idx = rng.choice(
             len(expert), size=min(config.horizon, len(expert)), replace=False
         )
-        disc_stats = gail_discriminator_update(
+        disc_stats = allocating_gail_discriminator_update(
             disc,
             disc_opt,
             expert.obs[expert_idx],
@@ -739,11 +890,11 @@ def loose_net_gail_train(env, expert, config, rng):
             buffer.obs,
             buffer.pre_actions,
         )
-        rewards = gail_reward(disc, buffer.obs, buffer.pre_actions)
+        rewards = allocating_gail_reward(disc, buffer.obs, buffer.pre_actions)
         advantages, returns = loose_net_rollout_advantages(
             buffer, rewards, value_net, config.gamma, config.gae_lambda
         )
-        trpo_stats = trpo_step(
+        trpo_stats = allocating_trpo_step(
             policy,
             buffer.obs,
             buffer.pre_actions,
@@ -756,9 +907,9 @@ def loose_net_gail_train(env, expert, config, rng):
             ent_coef=config.entropy_weight,
         )
         for _ in range(config.value_epochs):
-            out, cache = value_net.forward_cached(buffer.obs)
+            out, cache = allocating_forward_cached(value_net, buffer.obs)
             err = out[:, 0] - returns
-            grads = value_net.backward(cache, 2.0 * err[:, None] / len(returns))
+            grads = allocating_backward(value_net, cache, 2.0 * err[:, None] / len(returns))
             value_opt.step(value_net.params(), grads)
         step = (it + 1) * config.horizon
         stats = {

@@ -176,6 +176,27 @@ def test_replay_buffer_ring_and_sampling(rng):
     assert np.allclose(next_obs[:, 0], rewards + 1)
 
 
+@pytest.mark.parametrize("batch", [3, 8])
+def test_replay_sample_into_caller_arrays_matches_the_new_arrays(batch):
+    """The same draw and the same bytes, taken into the first rows of ``out``,
+    also when the batch clamps to the buffer's 6 transitions."""
+    buffer = ReplayBuffer(capacity=10, obs_dim=3, act_dim=1)
+    fill = np.random.default_rng(1)
+    for _ in range(6):
+        buffer.add(fill.normal(size=3), fill.normal(size=1), fill.normal(), fill.normal(size=3),
+                   fill.random() < 0.5)
+    out = np.full((2, 8, 3), np.nan)
+    rng, want_rng = np.random.default_rng(2), np.random.default_rng(2)
+    for _ in range(2):
+        got = buffer.sample(batch, rng, out)
+        want = buffer.sample(batch, want_rng)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert np.shares_memory(got[0], out[0]) and np.shares_memory(got[3], out[1])
+    k = min(batch, 6)
+    assert np.isnan(out[:, k:]).all()
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_replay_buffer_capacity_validation():
     with pytest.raises(ValueError):
         ReplayBuffer(0, 2, 1)

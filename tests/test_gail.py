@@ -15,12 +15,19 @@ from drltrade.agents import (
     save_expert_dataset,
 )
 from drltrade.agents import gail
-from drltrade.agents.gail import discriminator_objective, discriminator_probability
+from drltrade.agents.gail import (
+    discriminator_objective,
+    discriminator_probability,
+    make_gail_nets,
+)
 from drltrade.env import EnvConfig, TradingEnv
 from drltrade.errors import DivergenceDetected, EmptyDataset
 from drltrade.features import FeatureConfig, build_feature_matrix, fit_normalizer, normalize
 from drltrade.neural import Adam, GaussianPolicy, Mlp, softplus
 from oracles import (
+    AllocatingAdam,
+    allocating_gail_discriminator_update,
+    allocating_gail_reward,
     fd_gradient,
     loose_net_gail_train,
     per_value_expert_csv,
@@ -251,24 +258,62 @@ def test_train_history_and_determinism(rng):
 ROLLOUT_CASES = {"crossing": (range(4, 20), 32), "inside_one_episode": (range(4, 60), 16)}
 
 
-@pytest.mark.parametrize("case", ROLLOUT_CASES)
-def test_train_is_bit_identical_to_the_loose_net_train(case):
+def assert_train_matches_the_loose_net_train(episode, config, n_episodes=2):
     """Checkpoint networks and log rows of three rollouts against the loop on
-    a loose policy and value net."""
-    episode, horizon = ROLLOUT_CASES[case]
-    config = GailConfig(total_timesteps=3 * horizon, horizon=horizon, hidden=(8,))
-    assert (len(episode) - 1 < config.total_timesteps) == (case == "crossing")
-
+    a loose policy and value net; returns the expert's pair count."""
     def run(train):
         env = make_env(np.random.default_rng(7), episode)
         expert_policy = GaussianPolicy(env.observation_dim, 1, (4,), np.random.default_rng(11))
-        expert = generate_expert_dataset(expert_policy, env, n_episodes=2)
-        return train(env, expert, config, np.random.default_rng(0))
+        expert = generate_expert_dataset(expert_policy, env, n_episodes=n_episodes)
+        return len(expert), train(env, expert, config, np.random.default_rng(0))
 
-    result, want = run(gail_train), run(loose_net_gail_train)
+    (expert_pairs, result), (_, want) = run(gail_train), run(loose_net_gail_train)
     assert len(result.history) == 3
     assert result.networks_json() == want.networks_json()
     assert repr(result.history) == repr(want.history)
+    return expert_pairs
+
+
+@pytest.mark.parametrize("case", ROLLOUT_CASES)
+def test_train_is_bit_identical_to_the_loose_net_train(case):
+    episode, horizon = ROLLOUT_CASES[case]
+    config = GailConfig(total_timesteps=3 * horizon, horizon=horizon, hidden=(8,))
+    assert (len(episode) - 1 < config.total_timesteps) == (case == "crossing")
+    assert_train_matches_the_loose_net_train(episode, config)
+
+
+def test_train_with_an_expert_shorter_than_the_horizon_matches_the_loose_net_train():
+    """The expert batch takes row views of the buffers: 55 pairs, 64-step
+    rollouts, at the hidden sizes the benchmark trains."""
+    config = GailConfig(total_timesteps=3 * 64, horizon=64, hidden=(64, 64))
+    expert_pairs = assert_train_matches_the_loose_net_train(range(4, 60), config, n_episodes=1)
+    assert expert_pairs == 55 < config.horizon
+
+
+@pytest.mark.parametrize("expert_rows", [40, 48])
+def test_discriminator_and_reward_through_buffers_match_the_allocating_forms(rng, expert_rows):
+    """Two updates and rewards through NaN-filled buffers of more rows than
+    either batch, against the allocating forms, by bytes."""
+    nets = make_gail_nets(5, 1, GailConfig(hidden=(16, 8), horizon=56), rng)
+    disc, want_disc = nets.disc, nets.disc.copy()
+    want_opt = AllocatingAdam(want_disc.params(), lr=nets.disc_opt.lr)
+    buffers = nets.buffers
+    for array in [buffers.inputs, buffers.scratch, buffers.disc_grads,
+                  *buffers.caches[0][1:], *buffers.caches[1][1:]]:
+        array.fill(np.nan)
+    gen_obs, gen_act = rng.normal(size=(48, 5)), rng.normal(size=(48, 1))
+    exp_obs, exp_act = rng.normal(size=(expert_rows, 5)), rng.normal(size=(expert_rows, 1))
+    for _ in range(2):
+        got = gail_discriminator_update(disc, nets.disc_opt, exp_obs, exp_act, gen_obs, gen_act,
+                                        buffers)
+        want = allocating_gail_discriminator_update(want_disc, want_opt, exp_obs, exp_act,
+                                                    gen_obs, gen_act)
+        assert repr(got) == repr(want)
+        assert disc.params().tobytes() == want_disc.params().tobytes()
+        reward = gail_reward(disc, gen_obs, gen_act, buffers)
+        assert reward.tobytes() == allocating_gail_reward(want_disc, gen_obs, gen_act).tobytes()
+        assert gail_reward(disc, gen_obs, gen_act).tobytes() == reward.tobytes()
+    assert np.isnan(buffers.inputs[:, 48:]).all()
 
 
 def test_config_validation():

@@ -28,6 +28,7 @@ from oracles import (
     allocating_backward,
     allocating_forward_cached,
     allocating_input_grad,
+    allocating_jvp,
     clip_log_prob_from_mean,
     clip_sample,
     fd_gradient,
@@ -249,6 +250,48 @@ def test_mlp_passes_are_bit_identical_to_the_allocating_forms(rng, case):
         assert input_grad.tobytes() == want_input.tobytes()
         assert not np.shares_memory(input_grad, scratch)
     assert np.isnan(grads[0]).all()
+
+
+# (sizes, stacked K or None for one net, rows, rows of the buffers passed in)
+JVP_CASES = {
+    "batch1": ((26, 64, 64, 1), None, 1, 1),
+    "batch512": ((26, 64, 64, 1), None, 512, 512),
+    "row_views": ((26, 64, 64, 1), None, 200, 256),
+    "no_hidden": ((3, 2), None, 7, 9),
+    "uneven": ((5, 6, 4, 2), None, 7, 7),
+    "output_wider_than_hidden": ((3, 2, 5), None, 6, 8),
+    "stack": ((5, 6, 4, 2), 2, 30, 33),
+    "paper_width": (PAPER_WIDTH, None, 32, 40),
+}
+
+
+@pytest.mark.parametrize("case", JVP_CASES)
+def test_jvp_into_caller_arrays_is_bit_identical_to_the_allocating_form(rng, case):
+    """jvp with and without an out array and a scratch pair, against the
+    allocating form, by bytes; the buffers are NaN-filled, larger than
+    needed and written twice through row views."""
+    sizes, k, rows, buffer_rows = JVP_CASES[case]
+    net = Mlp(sizes, rng) if k is None else Mlp.stack([Mlp(sizes, rng) for _ in range(k)])
+    lead = net.params().shape[:-1]
+    _, cache = net.forward_cached(rng.normal(size=(rows, sizes[0])))
+    tangent = rng.normal(size=net.params().shape)
+    want = allocating_jvp(net, cache, tangent)
+    assert net.jvp(cache, tangent).tobytes() == want.tobytes()
+
+    outs = np.full((2,) + lead + (buffer_rows, sizes[-1]), np.nan)
+    scratch = np.full(net.new_scratch(buffer_rows).shape, np.nan)
+    for _ in range(2):
+        into = outs[1][..., :rows, :]
+        assert net.jvp(cache, tangent, into, scratch) is into
+        assert into.tobytes() == want.tobytes()
+    assert np.isnan(outs[0]).all() and np.isnan(outs[1][..., rows:, :]).all()
+
+
+def test_jvp_refuses_an_out_of_another_shape(rng):
+    net = Mlp((3, 4, 1), rng)
+    _, cache = net.forward_cached(np.zeros((2, 3)))
+    with pytest.raises(ShapeMismatch):
+        net.jvp(cache, np.zeros(net.params().size), out=np.empty((3, 1)))
 
 
 def test_input_grad_results_survive_the_next_pass_through_the_same_scratch(rng):

@@ -59,6 +59,7 @@ def test_bench_pairs_compares_artifact_digests():
 @pytest.mark.parametrize("args", [
     ["sac", "--obs", "3", "--batch", "8", "--buffer", "10", "--hidden", "4"],
     ["ppo", "--obs", "3", "--batch", "4", "--hidden", "4", "3"],
+    ["gail", "--obs", "3", "--batch", "8", "--hidden", "4", "3"],
 ])
 def test_alloc_probe_prints_time_and_faults_per_update(args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

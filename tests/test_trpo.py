@@ -1,14 +1,21 @@
 """Trust-region step: CG solver, Fisher products, KL budget, restore paths."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from drltrade.agents import conjugate_gradient, fisher_vector_product, gaussian_kl, trpo_step
-from drltrade.agents.trpo import surrogate
+from drltrade.agents import trpo
+from drltrade.agents.trpo import TrpoBuffers, surrogate
 from drltrade.errors import ShapeMismatch
 from drltrade.neural import GaussianPolicy
+from oracles import (
+    allocating_conjugate_gradient,
+    allocating_fisher_vector_product,
+    allocating_trpo_step,
+)
 
 
 def test_cg_diagonal_exact():
@@ -24,6 +31,21 @@ def test_cg_matches_dense_solve(rng):
         rhs = rng.normal(size=6)
         x = conjugate_gradient(lambda v: a @ v, rhs, iters=50)
         assert np.allclose(x, np.linalg.solve(a, rhs), atol=1e-8)
+
+
+@pytest.mark.parametrize("iters", [3, 50])
+def test_cg_in_place_is_bit_identical_to_the_allocating_form(rng, iters):
+    """Also when matvec returns the same array on every call; 50 iterations
+    stop early at the tolerance."""
+    b_mat = rng.normal(size=(40, 40))
+    a = b_mat @ b_mat.T + np.eye(40)
+    rhs = rng.normal(size=40)
+    product = np.empty(40)
+    calls = []
+    got = conjugate_gradient(lambda v: calls.append(1) or np.matmul(a, v, out=product), rhs,
+                             iters)
+    assert got.tobytes() == allocating_conjugate_gradient(lambda v: a @ v, rhs, iters).tobytes()
+    assert (len(calls) < iters) == (iters == 50)
 
 
 def test_gaussian_kl_closed_forms():
@@ -83,9 +105,9 @@ def test_fisher_product_is_positive_definite_with_damping(rng):
         assert vec @ fisher_vector_product(policy, obs, cache, vec, 0.1) > 0.0
 
 
-def make_batch(seed, n=16, obs_dim=3, act_dim=1):
+def make_batch(seed, n=16, obs_dim=3, act_dim=1, hidden=(4,)):
     rng = np.random.default_rng(seed)
-    policy = GaussianPolicy(obs_dim, act_dim, (4,), rng)
+    policy = GaussianPolicy(obs_dim, act_dim, hidden, rng)
     obs = rng.normal(size=(n, obs_dim))
     _, pre, log_probs = policy.sample(obs, rng)
     advantages = rng.normal(size=n)
@@ -177,3 +199,84 @@ def test_entropy_coefficient_raises_log_std():
     assert stats.accepted
     assert np.all(policy.log_std > log_std_before)
     assert stats.improvement > 0.0
+
+
+def nan_buffers(policy, rows):
+    buffers = TrpoBuffers.allocate(policy, rows)
+    for array in buffers.cache[1:] + buffers.trial[1:] + [buffers.scratch, buffers.dmean,
+                                                          buffers.vectors]:
+        array.fill(np.nan)
+    return buffers
+
+
+def test_fisher_product_into_buffers_is_bit_identical_to_the_allocating_form(rng):
+    policy = GaussianPolicy(26, 1, (64, 64), rng)
+    policy.log_std[:] = -0.3
+    obs = rng.normal(size=(512, 26))
+    buffers = nan_buffers(policy, 512)
+    _, cache = policy.mean_net.forward_cached(obs, buffers.cache)
+    for _ in range(2):
+        vec = rng.normal(size=policy.params().size)
+        want = allocating_fisher_vector_product(policy, obs, cache, vec, 0.1)
+        assert fisher_vector_product(policy, obs, cache, vec, 0.1).tobytes() == want.tobytes()
+        got = fisher_vector_product(policy, obs, cache, vec, 0.1, buffers)
+        assert np.shares_memory(got, buffers.vectors[1])
+        assert got.tobytes() == want.tobytes()
+
+
+def infinite_first_advantage(advantages):
+    return np.concatenate([[np.inf], advantages[1:]])
+
+
+# name -> (make_batch arguments, trpo_step keywords, how the advantages are
+# changed, what the first step must do: "accepted", "backtracked", "rejected" or
+# "noop", and whether the conjugate gradient stops before cg_iters)
+STEP_CASES = {
+    "accepted_at_the_first_try": (dict(seed=0), dict(cg_iters=3), None, "accepted", False),
+    "accepted_after_a_backtrack": (dict(seed=1), dict(max_kl=0.5, cg_iters=3), None,
+                                   "backtracked", False),
+    "rejected": (dict(seed=1), dict(max_kl=0.5, backtracks=1, cg_iters=3), None, "rejected",
+                 False),
+    "early_cg_stop": (dict(seed=0), dict(), None, "accepted", True),
+    "gail_width": (dict(seed=2, n=512, obs_dim=26, hidden=(64, 64)), dict(ent_coef=1.0), None,
+                   "accepted", False),
+    "non_finite_gradient": (dict(seed=4), dict(), infinite_first_advantage, "noop", None),
+    "degenerate_direction": (dict(seed=4), dict(), np.zeros_like, "noop", None),
+}
+
+
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_step_with_buffers_is_bit_identical_to_the_allocating_step(monkeypatch, case):
+    """Two steps in a row through NaN-filled buffers against the allocating
+    step: parameters and every ``TrpoStats`` field by bytes."""
+    batch_args, kwargs, change, outcome, early = STEP_CASES[case]
+    policy, obs, pre, advantages, log_probs = make_batch(**batch_args)
+    if change is not None:
+        advantages = change(advantages)
+    want_policy = policy.copy()
+    start = policy.params().copy()
+    products = []
+    product = trpo.fisher_vector_product
+    monkeypatch.setattr(trpo, "fisher_vector_product",
+                        lambda *args: products.append(1) or product(*args))
+    buffers = nan_buffers(policy, len(obs))
+    for step in range(2):
+        products.clear()
+        with np.errstate(invalid="ignore"):
+            got = trpo_step(policy, obs, pre, advantages, log_probs, buffers=buffers, **kwargs)
+            want = allocating_trpo_step(want_policy, obs, pre, advantages, log_probs, **kwargs)
+        assert policy.params().tobytes() == want_policy.params().tobytes()
+        for field in dataclasses.fields(trpo.TrpoStats):
+            got_value, want_value = getattr(got, field.name), getattr(want, field.name)
+            assert type(got_value) is type(want_value)
+            assert np.float64(got_value).tobytes() == np.float64(want_value).tobytes(), field
+        if step > 0:
+            continue
+        assert got.accepted == (outcome in ("accepted", "backtracked"))
+        if outcome != "noop":
+            assert got.step_fraction == {"accepted": 1.0, "backtracked": 0.5,
+                                         "rejected": 0.0}[outcome]
+            cg_iters = kwargs.get("cg_iters", 10)
+            assert (len(products) < cg_iters + 1) == early
+        if not got.accepted:
+            assert policy.params().tobytes() == start.tobytes()
